@@ -12,6 +12,9 @@ marked transition, then replay with output.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from .compose import NotReversible
 from .forests import two_way_to_sst
 from .machines import (
     LEFT_END,
@@ -26,10 +29,6 @@ from .sst2rev import sst_to_reversible
 BuchiMarking = frozenset  # of (State, letter) transition keys
 
 
-class NotReversible(ValueError):
-    pass
-
-
 def dbt_to_rbt(machine: TwoWayParityTransducer, state_cap: int = 10**6) -> TwoWayParityTransducer:
     """Reversible two-way transducer computing the same function, with the
     same number of colorings."""
@@ -40,19 +39,8 @@ def drop_acceptance(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Remove all colorings: the domain widens to every input whose run
     reads the whole word and produces an infinite output, and outputs are
     unchanged where both machines are defined."""
-    transitions = {
-        key: Transition(tr.target, tr.output, ())
-        for key, tr in machine.transitions.items()
-    }
-    return TwoWayParityTransducer(
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        states=machine.states,
-        initial=machine.initial,
-        transitions=transitions,
-        k=0,
-        ell=1,
-    )
+    transitions = {key: replace(tr, colors=()) for key, tr in machine.transitions.items()}
+    return replace(machine, transitions=transitions, k=0, ell=1)
 
 
 def buchi_as_parity(
@@ -61,18 +49,10 @@ def buchi_as_parity(
     """Encode a transition marking as one two-color condition: marked
     transitions get color 0, the rest color 1."""
     transitions = {
-        key: Transition(tr.target, tr.output, (0,) if key in marking else (1,))
+        key: replace(tr, colors=(0,) if key in marking else (1,))
         for key, tr in machine.transitions.items()
     }
-    return TwoWayParityTransducer(
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        states=machine.states,
-        initial=machine.initial,
-        transitions=transitions,
-        k=1,
-        ell=2,
-    )
+    return replace(machine, transitions=transitions, k=1, ell=2)
 
 
 def marking_from_colors(machine: TwoWayParityTransducer) -> BuchiMarking:

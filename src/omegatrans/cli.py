@@ -35,6 +35,7 @@ from .io import (
 from .lasso import enumerate_lassos, random_lassos
 from .machines import (
     CopylessParitySST,
+    TwoWayParityTransducer,
     validate_codeterministic,
     validate_deterministic,
     validate_machine,
@@ -65,8 +66,20 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _load(path: str):
-    return loads_machine(_read(path))
+_KIND_NAMES = {
+    TwoWayParityTransducer: "two-way transducer (2dpt or 1dpt)",
+    CopylessParitySST: "register machine (cpsst)",
+}
+
+
+def _load(path: str, kind=None):
+    """Load a machine document; ``kind`` is the machine class a command needs."""
+    machine = loads_machine(_read(path))
+    if kind is not None and not isinstance(machine, kind):
+        raise DocumentError(
+            f"{path}: expected a {_KIND_NAMES[kind]}, got a {_KIND_NAMES[type(machine)]}"
+        )
+    return machine
 
 
 def _budget(args) -> EvalBudget:
@@ -122,27 +135,33 @@ def _emit_machine(machine, out_path: str) -> int:
 
 
 def cmd_compose(args) -> int:
-    return _emit_machine(compose(_load(args.first), _load(args.second)), args.out)
+    first = _load(args.first, TwoWayParityTransducer)
+    second = _load(args.second, TwoWayParityTransducer)
+    return _emit_machine(compose(first, second), args.out)
 
 
 def cmd_1w2rev(args) -> int:
-    return _emit_machine(one_way_to_reversible(_load(args.machine)), args.out)
+    machine = _load(args.machine, TwoWayParityTransducer)
+    return _emit_machine(one_way_to_reversible(machine), args.out)
 
 
 def cmd_2w2sst(args) -> int:
-    return _emit_machine(two_way_to_sst(_load(args.machine), state_cap=args.cap), args.out)
+    machine = _load(args.machine, TwoWayParityTransducer)
+    return _emit_machine(two_way_to_sst(machine, state_cap=args.cap), args.out)
 
 
 def cmd_sst2rev(args) -> int:
-    return _emit_machine(sst_to_reversible(_load(args.machine)), args.out)
+    machine = _load(args.machine, CopylessParitySST)
+    return _emit_machine(sst_to_reversible(machine), args.out)
 
 
 def cmd_det2rev(args) -> int:
-    return _emit_machine(dbt_to_rbt(_load(args.machine), state_cap=args.cap), args.out)
+    machine = _load(args.machine, TwoWayParityTransducer)
+    return _emit_machine(dbt_to_rbt(machine, state_cap=args.cap), args.out)
 
 
 def cmd_buchi2rt(args) -> int:
-    machine = _load(args.machine)
+    machine = _load(args.machine, TwoWayParityTransducer)
     if args.marking == "color0":
         marking = marking_from_colors(machine)
     elif args.marking == "all":

@@ -18,6 +18,7 @@ from .machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    advance,
     drop_left_end_into_initial,
     odd_sentinels,
     unique_names,
@@ -60,35 +61,36 @@ def run_on_finite(
 ) -> FiniteRunSummary:
     """Maximal run of ``machine`` inside ``word`` from ``entry``.
 
-    A forward entry state walks in from the left end, a backward one from
-    the right end.  The word floats in the middle of a larger input, so
-    there is no endmarker: leaving either end terminates the run.
+    A forward entry state walks in at the first letter, a backward one from
+    the right end; leaving either end terminates the run.  A word floating
+    in the middle of a larger input has no endmarker.  A word starting with
+    LEFT_END stands for a prefix of the input: only backward states read the
+    endmarker and the head never moves off it, so runs leave it on the right
+    only, and forward entries start after it.
     """
     if sentinels is None:
         sentinels = odd_sentinels(machine)
+    end = len(word)
     state = entry
-    pos = 0 if entry.forward else len(word)
+    if entry.forward:
+        pos = 1 if end and word[0] == LEFT_END else 0
+    else:
+        pos = end
     production: list[str] = []
     mins = list(sentinels)
     visited = set()
     while True:
-        if state.forward and pos == len(word):
-            return FiniteRunSummary(state, tuple(production), tuple(mins))
-        if not state.forward and pos == 0:
+        if pos == (end if state.forward else 0):
             return FiniteRunSummary(state, tuple(production), tuple(mins))
         if (state, pos) in visited:
             return FiniteRunSummary(LOOPING)
         visited.add((state, pos))
-        letter = word[pos] if state.forward else word[pos - 1]
-        tr = machine.transitions.get((state, letter))
-        if tr is None:
+        step = advance(machine, state, pos, word[pos] if state.forward else word[pos - 1])
+        if step is None:
             return FiniteRunSummary(STUCK)
+        tr, pos = step
         production.extend(tr.output)
         mins = [min(m, c) for m, c in zip(mins, tr.colors)]
-        if state.forward:
-            pos = pos + 1 if tr.target.forward else pos
-        else:
-            pos = pos if tr.target.forward else pos - 1
         state = tr.target
 
 
@@ -164,16 +166,8 @@ def _compose_transition(
         tr1 = first.transitions.get((q, a))
         if tr1 is None:
             return None
-        summary = run_on_finite(second, tr1.output, p, second_sentinels)
-        if not isinstance(summary.exit, State):
-            return None
-        p2 = summary.exit
-        target = pair_state[(tr1.target, p2)] if p2.forward else pair_state[(q, p2)]
-        return Transition(target, summary.production, tr1.colors + summary.min_colors)
-
-    # Second machine walks backward: consume the production of the first
-    # machine's transition arriving at q, found co-deterministically.
-    if a == LEFT_END and q == first.initial:
+        after, before = tr1.target, q
+    elif a == LEFT_END and q == first.initial:
         # The first machine's run is fully rewound; the second machine reads
         # its own (virtual) endmarker at the start of the production stream.
         tr2 = second.transitions.get((p, LEFT_END))
@@ -181,13 +175,18 @@ def _compose_transition(
             return None
         target = pair_state[(q, tr2.target)]
         return Transition(target, tr2.output, first_sentinels + tr2.colors)
-    pred = predecessor.get((a, q))
-    if pred is None:
-        return None
-    q_prev, tr1 = pred
+    else:
+        # Second machine walks backward: consume the production of the first
+        # machine's transition arriving at q, found co-deterministically.
+        pred = predecessor.get((a, q))
+        if pred is None:
+            return None
+        (before, tr1), after = pred, q
+    # The first machine stands before or after tr1 depending on which side
+    # of its production the second machine leaves.
     summary = run_on_finite(second, tr1.output, p, second_sentinels)
     if not isinstance(summary.exit, State):
         return None
     p2 = summary.exit
-    target = pair_state[(q, p2)] if p2.forward else pair_state[(q_prev, p2)]
+    target = pair_state[(after if p2.forward else before, p2)]
     return Transition(target, summary.production, tr1.colors + summary.min_colors)

@@ -23,6 +23,7 @@ from .machines import (
     State,
     Substitution,
     TwoWayParityTransducer,
+    advance,
 )
 
 ACCEPTED = "accepted"
@@ -99,26 +100,15 @@ class RunOutcome:
 def step_two_way(
     machine: TwoWayParityTransducer, word: LassoWord, config: Configuration
 ):
-    """One successor step; None when the needed transition is undefined.
-
-    Returns (next configuration, output word, colors).  Forward-to-forward
-    moves right, backward-to-backward moves left, polarity flips keep the
-    head in place; on the endmarker the head never moves.
-    """
+    """One successor step (see ``advance``); None when the needed
+    transition is undefined.  Returns (next configuration, output word,
+    colors)."""
     state, pos = config.state, config.position
-    if state.forward:
-        letter = word.letter(pos)
-    else:
-        letter = word.letter(pos - 1) if pos > 0 else LEFT_END
-    tr = machine.transitions.get((state, letter))
-    if tr is None:
+    read_pos = pos if state.forward else pos - 1
+    step = advance(machine, state, pos, word.letter(read_pos) if read_pos >= 0 else LEFT_END)
+    if step is None:
         return None
-    if letter == LEFT_END:
-        new_pos = pos
-    elif state.forward:
-        new_pos = pos + 1 if tr.target.forward else pos
-    else:
-        new_pos = pos if tr.target.forward else pos - 1
+    tr, new_pos = step
     return Configuration(tr.target, new_pos), tr.output, tr.colors
 
 
@@ -149,14 +139,17 @@ def simulate_two_way(
     # last dipped below the prefix; cleared on every dip so the shift-loop
     # guard (head stays in the periodic region) holds by construction.
     anchors: dict[tuple[State, int], tuple[int, int]] = {}
+    state, pos, read_pos = machine.initial, 0, 0
     for t in range(max_steps):
-        stepped = step_two_way(machine, word, config)
-        if stepped is None:
+        step = advance(machine, state, pos, word.letter(read_pos) if read_pos >= 0 else LEFT_END)
+        if step is None:
             run.kind = REJECTED_STUCK
             return run
-        config, output, colors = stepped
-        run.outputs.append(output)
-        run.colors.append(colors)
+        tr, pos = step
+        state = tr.target
+        config = Configuration(state, pos)
+        run.outputs.append(tr.output)
+        run.colors.append(tr.colors)
         run.configs.append(config)
         if config in visited:
             run.kind = REJECTED_LOOP
@@ -167,21 +160,21 @@ def simulate_two_way(
         # The loop argument needs every letter read inside the candidate
         # segment to come from the periodic region, and a backward state at
         # position p reads p - 1.
-        read_pos = config.position if config.state.forward else config.position - 1
+        read_pos = pos if state.forward else pos - 1
         if read_pos < plen:
             anchors.clear()
             continue
-        key = (config.state, (config.position - plen) % vlen)
+        key = (state, (pos - plen) % vlen)
         prev = anchors.get(key)
         if prev is None:
-            anchors[key] = (t + 1, config.position)
-        elif config.position > prev[1]:
+            anchors[key] = (t + 1, pos)
+        elif pos > prev[1]:
             run.kind = "shift-loop"
             run.loop_start = prev[0]
             run.loop_end = t + 1
             return run
-        elif config.position < prev[1]:
-            anchors[key] = (t + 1, config.position)
+        elif pos < prev[1]:
+            anchors[key] = (t + 1, pos)
     return run
 
 

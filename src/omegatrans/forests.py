@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .compose import run_on_finite
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -26,6 +27,7 @@ from .machines import (
     Substitution,
     Token,
     TwoWayParityTransducer,
+    odd_sentinels,
     reg,
     sym,
 )
@@ -489,74 +491,34 @@ def _inline(image: tuple[Token, ...], contents: dict[str, tuple[str, ...]]) -> t
 
 
 def right_right_runs(machine: TwoWayParityTransducer, word: tuple) -> list[dict]:
-    """All completed right-to-right runs over the finite word ``word``.
+    """All completed right-to-right runs over the finite prefix ``word``.
 
     A run enters at the right end in a backward state and completes when it
     exits at the right end in a forward state; runs that get stuck, loop,
     or never return are omitted.  Each result carries the entry and exit
     state names, the production, and the per-coloring minimum color.
     """
+    prefix = (LEFT_END,) + tuple(word)
+    sentinels = odd_sentinels(machine)
     results = []
     for entry in machine.states:
         if entry.forward:
             continue
-        state, pos = entry, len(word)
-        production: list[str] = []
-        mins: Optional[tuple[int, ...]] = None
-        seen = set()
-        while True:
-            if state.forward and pos == len(word):
-                results.append(
-                    {
-                        "entry": entry.name,
-                        "exit": state.name,
-                        "production": tuple(production),
-                        "min_colors": mins if mins is not None else (),
-                    }
-                )
-                break
-            if (state, pos) in seen:
-                break
-            seen.add((state, pos))
-            letter = word[pos] if state.forward else (word[pos - 1] if pos > 0 else LEFT_END)
-            tr = machine.transitions.get((state, letter))
-            if tr is None:
-                break
-            production.extend(tr.output)
-            mins = (
-                tr.colors
-                if mins is None
-                else tuple(min(x, y) for x, y in zip(mins, tr.colors))
+        summary = run_on_finite(machine, prefix, entry, sentinels)
+        if isinstance(summary.exit, State):
+            results.append(
+                {
+                    "entry": entry.name,
+                    "exit": summary.exit.name,
+                    "production": summary.production,
+                    "min_colors": summary.min_colors,
+                }
             )
-            if letter == LEFT_END:
-                pass
-            elif state.forward:
-                pos = pos + 1 if tr.target.forward else pos
-            else:
-                pos = pos if tr.target.forward else pos - 1
-            state = tr.target
     return results
 
 
 def left_right_endpoint(machine: TwoWayParityTransducer, word: tuple):
-    """State in which the main run exits ``word`` on the right, or None if
-    it gets stuck or loops inside."""
-    state, pos = machine.initial, 0
-    seen = set()
-    while True:
-        if state.forward and pos == len(word):
-            return state.name
-        if (state, pos) in seen:
-            return None
-        seen.add((state, pos))
-        letter = word[pos] if state.forward else (word[pos - 1] if pos > 0 else LEFT_END)
-        tr = machine.transitions.get((state, letter))
-        if tr is None:
-            return None
-        if letter == LEFT_END:
-            pass
-        elif state.forward:
-            pos = pos + 1 if tr.target.forward else pos
-        else:
-            pos = pos if tr.target.forward else pos - 1
-        state = tr.target
+    """State in which the main run exits the prefix ``word`` on the right,
+    or None if it gets stuck or loops inside."""
+    summary = run_on_finite(machine, (LEFT_END,) + tuple(word), machine.initial)
+    return summary.exit.name if isinstance(summary.exit, State) else None

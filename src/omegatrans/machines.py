@@ -61,13 +61,28 @@ class TwoWayParityTransducer:
     def is_one_way(self) -> bool:
         return all(s.forward for s in self.states)
 
-    def state_index(self) -> dict[State, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
 
 # A one-way machine is a two-way machine with no backward states and no
 # endmarker transitions; see validate_one_way.
 OneWayParityTransducer = TwoWayParityTransducer
+
+
+def advance(machine: TwoWayParityTransducer, state: State, pos: int, letter: Letter):
+    """The one head-move rule of two-way machines.
+
+    ``state`` reads ``letter`` with the head at ``pos``: a forward state
+    reads the letter at ``pos``, a backward state the one at ``pos - 1``.
+    Returns the transition taken and the new head position, or None when
+    the transition is undefined.  Forward-to-forward moves right,
+    backward-to-backward moves left, polarity flips keep the head in place;
+    on the endmarker the head never moves.
+    """
+    tr = machine.transitions.get((state, letter))
+    if tr is None:
+        return None
+    if state.forward:
+        return tr, pos + 1 if tr.target.forward else pos
+    return tr, pos if tr.target.forward or letter == LEFT_END else pos - 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +197,6 @@ class CopylessParitySST:
     k: int
     ell: int
 
-    def state_index(self) -> dict[State, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
 
 # ---------------------------------------------------------------------------
 # Validators
@@ -253,8 +265,9 @@ def validate_sst(sst: CopylessParitySST) -> list[str]:
     return violations
 
 
-def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
-    """Structural well-formedness check; empty list means valid."""
+def _common_problems(machine) -> list[str]:
+    """Checks shared by both machine kinds: names, initial state, the
+    reserved endmarker, transition states, letters and colors."""
     problems = []
     states = set(machine.states)
     names = [s.name for s in machine.states]
@@ -262,29 +275,17 @@ def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
         problems.append("state names are not unique")
     if machine.initial not in states:
         problems.append("initial state not declared")
-    elif not machine.initial.forward:
-        problems.append("initial state must be forward")
     alphabet = set(machine.input_alphabet)
     if LEFT_END in alphabet or LEFT_END in set(machine.output_alphabet):
         problems.append("the endmarker is reserved and cannot be an alphabet letter")
-    if not machine.input_alphabet:
-        problems.append("input alphabet is empty")
     for (src, letter), tr in machine.transitions.items():
         where = f"({src.name}, {letter!r})"
         if src not in states:
             problems.append(f"{where}: unknown source state")
         if tr.target not in states:
             problems.append(f"{where}: unknown target state")
-        if letter == LEFT_END:
-            if src.forward:
-                problems.append(f"{where}: endmarker transitions need a backward source")
-            if not tr.target.forward:
-                problems.append(f"{where}: endmarker transitions need a forward target")
-        elif letter not in alphabet:
+        if letter != LEFT_END and letter not in alphabet:
             problems.append(f"{where}: letter not in the input alphabet")
-        for b in tr.output:
-            if b not in machine.output_alphabet:
-                problems.append(f"{where}: output letter {b!r} not in the output alphabet")
         if len(tr.colors) != machine.k:
             problems.append(f"{where}: expected {machine.k} colors, got {len(tr.colors)}")
         if any(c < 0 or c >= machine.ell for c in tr.colors):
@@ -292,33 +293,40 @@ def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
     return problems
 
 
+def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
+    """Structural well-formedness check; empty list means valid."""
+    problems = _common_problems(machine)
+    if machine.initial in set(machine.states) and not machine.initial.forward:
+        problems.append("initial state must be forward")
+    if not machine.input_alphabet:
+        problems.append("input alphabet is empty")
+    for (src, letter), tr in machine.transitions.items():
+        where = f"({src.name}, {letter!r})"
+        if letter == LEFT_END:
+            if src.forward:
+                problems.append(f"{where}: endmarker transitions need a backward source")
+            if not tr.target.forward:
+                problems.append(f"{where}: endmarker transitions need a forward target")
+        for b in tr.output:
+            if b not in machine.output_alphabet:
+                problems.append(f"{where}: output letter {b!r} not in the output alphabet")
+    return problems
+
+
 def validate_sst_machine(sst: CopylessParitySST) -> list[str]:
     """Structural check for register machines, including validate_sst."""
-    problems = []
-    states = set(sst.states)
-    names = [s.name for s in sst.states]
-    if len(set(names)) != len(names):
-        problems.append("state names are not unique")
+    problems = _common_problems(sst)
     if any(not s.forward for s in sst.states):
         problems.append("register machines are one-way: all states must be forward")
-    if sst.initial not in states:
-        problems.append("initial state not declared")
     if len(set(sst.registers)) != len(sst.registers):
         problems.append("register names are not unique")
     if sst.out not in sst.registers:
         problems.append("the out register is not declared")
-    alphabet = set(sst.input_alphabet)
-    if LEFT_END in alphabet:
-        problems.append("the endmarker is reserved and cannot be an alphabet letter")
     regs = set(sst.registers)
     for (src, letter), tr in sst.transitions.items():
         where = f"({src.name}, {letter!r})"
-        if src not in states or tr.target not in states:
-            problems.append(f"{where}: unknown state")
         if letter == LEFT_END:
             problems.append(f"{where}: register machines cannot read the endmarker")
-        elif letter not in alphabet:
-            problems.append(f"{where}: letter not in the input alphabet")
         for r, img in tr.update.images:
             if r not in regs:
                 problems.append(f"{where}: update writes unknown register {r!r}")
@@ -327,10 +335,6 @@ def validate_sst_machine(sst: CopylessParitySST) -> list[str]:
                     problems.append(f"{where}: update reads unknown register {value!r}")
                 if kind == "sym" and value not in sst.output_alphabet:
                     problems.append(f"{where}: output letter {value!r} not in the output alphabet")
-        if len(tr.colors) != sst.k:
-            problems.append(f"{where}: expected {sst.k} colors, got {len(tr.colors)}")
-        if any(c < 0 or c >= sst.ell for c in tr.colors):
-            problems.append(f"{where}: colors must lie below {sst.ell}")
     problems.extend(validate_sst(sst))
     return problems
 
@@ -339,27 +343,23 @@ def validate_sst_machine(sst: CopylessParitySST) -> list[str]:
 # Shared helpers used by the constructions
 
 
-def odd_sentinels(machine: TwoWayParityTransducer) -> tuple[int, ...]:
-    """Per-coloring odd value exceeding every color the machine uses.
-
-    Used as the color of empty sub-runs when composing: an odd value above
-    the whole used range can never masquerade as an accepting infinite
-    minimum, and when it genuinely is the minimum the run deserves
-    rejection.
-    """
-    sentinels = []
-    for i in range(machine.k):
-        used = max((t.colors[i] for t in machine.transitions.values()), default=0)
-        sentinels.append(used if used % 2 == 1 else used + 1)
-    return tuple(sentinels)
-
-
 def max_colors(machine: TwoWayParityTransducer) -> tuple[int, ...]:
     """Per-coloring maximum over all transitions (0 when unused)."""
     return tuple(
         max((t.colors[i] for t in machine.transitions.values()), default=0)
         for i in range(machine.k)
     )
+
+
+def odd_sentinels(machine: TwoWayParityTransducer) -> tuple[int, ...]:
+    """Per-coloring odd value at least every color the machine uses.
+
+    Used as the color of empty sub-runs when composing: an odd value above
+    the whole used range can never masquerade as an accepting infinite
+    minimum, and when it genuinely is the minimum the run deserves
+    rejection.
+    """
+    return tuple(m if m % 2 == 1 else m + 1 for m in max_colors(machine))
 
 
 def drop_left_end_into_initial(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:

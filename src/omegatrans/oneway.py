@@ -19,6 +19,7 @@ from .machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    max_colors,
     unique_names,
     validate_deterministic,
     validate_one_way,
@@ -34,34 +35,24 @@ class NotDeterministic(ValueError):
 
 def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
     """Least state above ``q`` (declaration order) sharing its successor on ``a``."""
-    tgt = machine.transitions.get((q, a))
-    if tgt is None:
-        return None
-    index = machine.state_index()
-    best = None
-    for q2 in machine.states:
-        if index[q2] <= index[q]:
-            continue
-        tr2 = machine.transitions.get((q2, a))
-        if tr2 is not None and tr2.target == tgt.target:
-            if best is None or index[q2] < index[best]:
-                best = q2
-    return best
+    return _nearest(machine, a, q, machine.states)
 
 
-def _blw(machine: TwoWayParityTransducer, a, q: State, index) -> Optional[State]:
-    tgt = machine.transitions.get((q, a))
-    if tgt is None:
+def _nearest(machine: TwoWayParityTransducer, a, q: State, order) -> Optional[State]:
+    """First state after ``q`` in ``order`` sharing its successor on ``a``;
+    the reversed declaration order gives the greatest state below ``q``."""
+    tr = machine.transitions.get((q, a))
+    if tr is None:
         return None
-    best = None
-    for q2 in machine.states:
-        if index[q2] >= index[q]:
-            continue
+    states = iter(order)
+    for q2 in states:
+        if q2 == q:
+            break
+    for q2 in states:
         tr2 = machine.transitions.get((q2, a))
-        if tr2 is not None and tr2.target == tgt.target:
-            if best is None or index[q2] > index[best]:
-                best = q2
-    return best
+        if tr2 is not None and tr2.target == tr.target:
+            return q2
+    return None
 
 
 def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
@@ -75,17 +66,14 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     if not validate_deterministic(machine):
         raise NotDeterministic("input must be deterministic")
 
-    index = machine.state_index()
     letters = tuple(machine.input_alphabet)
-    # Preimages per letter, sorted by declaration order.
+    # Preimages per letter, in declaration order.
     preimage: dict[tuple, list[State]] = {}
     for a in letters:
         for q in machine.states:
             tr = machine.transitions.get((q, a))
             if tr is not None:
                 preimage.setdefault((a, tr.target), []).append(q)
-    for lst in preimage.values():
-        lst.sort(key=lambda s: index[s])
 
     def pre_empty(a, q: State) -> bool:
         if a == LEFT_END:
@@ -99,10 +87,8 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     def pre_max(a, q: State) -> State:
         return preimage[(a, q)][-1]
 
-    global_max = tuple(
-        max((t.colors[i] for t in machine.transitions.values()), default=0)
-        for i in range(machine.k)
-    )
+    global_max = max_colors(machine)
+    below = machine.states[::-1]
 
     def delta(src: tuple, a):
         """Outline successor of ((tag1, p), (tag2, q)) on letter ``a``."""
@@ -111,7 +97,7 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
             p2 = abv(machine, a, p)
             if p2 is not None:
                 return ((OVER, p2), (OVER, q))
-            q2 = _blw(machine, a, q, index)
+            q2 = _nearest(machine, a, q, below)
             if q2 is not None:
                 return ((UNDER, p), (UNDER, q2))
             trp, trq = machine.transitions.get((p, a)), machine.transitions.get((q, a))
@@ -119,7 +105,7 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
                 return None
             return ((UNDER, trp.target), (OVER, trq.target))
         if t1 == OVER and t2 == UNDER:
-            p2 = _blw(machine, a, p, index)
+            p2 = _nearest(machine, a, p, below)
             if p2 is not None:
                 return ((UNDER, p2), (UNDER, q))
             q2 = abv(machine, a, q)

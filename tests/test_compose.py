@@ -79,6 +79,18 @@ def test_run_detects_stuck(first_two_automaton):
     assert run_on_finite(first_two_automaton, ("b", "b"), State("1", True)).exit == STUCK
 
 
+def test_run_on_prefix_word_bounces_off_the_endmarker(mcr_rbt):
+    back, skip = mcr_rbt.states[1], mcr_rbt.states[2]
+    # A floating word is left on either side: back exits left.
+    floating = run_on_finite(mcr_rbt, ("a",), back)
+    assert floating.exit == back and floating.production == ("a",)
+    # A word starting with the endmarker is a prefix of the input: back
+    # bounces off the endmarker into skip, which exits right.
+    prefix = run_on_finite(mcr_rbt, (LEFT_END, "a"), back)
+    assert prefix.exit == skip and prefix.production == ("a",)
+    assert prefix.min_colors == (1,)
+
+
 # --- composition ------------------------------------------------------------
 
 

@@ -178,6 +178,27 @@ def test_cli_constructions_emit_loadable_machines(tmp_path, mcr_path, mcr_sst_pa
         loads_machine(out_path.read_text())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["det2rev", "sst"],
+        ["2w2sst", "sst"],
+        ["compose", "sst", "rbt"],
+        ["buchi2rt", "sst"],
+        ["1w2rev", "sst"],
+        ["sst2rev", "rbt"],
+    ],
+)
+def test_cli_rejects_wrong_machine_kind(tmp_path, mcr_path, mcr_sst_path, capsys, args):
+    paths = {"rbt": mcr_path, "sst": mcr_sst_path}
+    cmd, *machines = args
+    out_path = tmp_path / "out.json"
+    assert main([cmd, *(paths[m] for m in machines), str(out_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a" in err
+    assert not out_path.exists()
+
+
 def test_cli_compose(tmp_path, mcr_path, capsys):
     out_path = tmp_path / "twice.json"
     assert main(["compose", mcr_path, mcr_path, str(out_path)]) == 0

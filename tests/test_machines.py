@@ -10,6 +10,7 @@ from omegatrans.machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
+    advance,
     drop_left_end_into_initial,
     odd_sentinels,
     prune_unreachable,
@@ -117,6 +118,29 @@ def test_color_bounds_checked():
         ell=2,
     )
     assert any("below" in p for p in validate_machine(machine))
+
+
+@pytest.mark.parametrize(
+    "machine, state, pos, letter, expected",
+    [
+        ("mcr_rbt", "copy", 3, "a", ("copy", 4)),  # forward to forward moves right
+        ("mcr_rbt", "copy", 3, "#", ("back", 3)),  # forward to backward stays
+        ("mcr_rbt", "back", 3, "#", ("skip", 3)),  # backward to forward stays
+        ("mcr_rbt", "back", 3, "a", ("back", 2)),  # backward to backward moves left
+        ("mcr_rbt", "back", 0, LEFT_END, ("skip", 0)),  # endmarker never moves
+        ("first_two_automaton", "2", 1, "b", None),  # undefined transition
+    ],
+)
+def test_advance_head_move_rule(request, machine, state, pos, letter, expected):
+    machine = request.getfixturevalue(machine)
+    src = next(s for s in machine.states if s.name == state)
+    step = advance(machine, src, pos, letter)
+    if expected is None:
+        assert step is None
+        return
+    tr, new_pos = step
+    assert tr is machine.transitions[(src, letter)]
+    assert (tr.target.name, new_pos) == expected
 
 
 def test_odd_sentinels_exceed_used_colors():
