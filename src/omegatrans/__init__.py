@@ -36,7 +36,7 @@ from .evaluate import (
     eval_sst,
     equiv_on_lassos,
 )
-from .compose import FiniteRunSummary, run_on_finite, compose
+from .compose import FiniteRunSummary, run_on_finite, compose, compose_reachable
 from .oneway import abv, one_way_to_reversible
 from .forests import two_way_to_sst, right_right_runs, StateExplosion
 from .sst2rev import sst_to_substitution_stream, build_register_walker, sst_to_reversible
@@ -72,6 +72,7 @@ __all__ = [
     "FiniteRunSummary",
     "run_on_finite",
     "compose",
+    "compose_reachable",
     "abv",
     "one_way_to_reversible",
     "two_way_to_sst",

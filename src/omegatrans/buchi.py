@@ -22,6 +22,7 @@ from .machines import (
     Transition,
     TwoWayParityTransducer,
     drop_left_end_into_initial,
+    require_two_way,
     validate_reversible,
 )
 from .sst2rev import sst_to_reversible
@@ -74,6 +75,7 @@ def buchi_to_noacc(
     the output machine accepts by producing infinitely, which happens iff
     marked transitions recur and the source's output is infinite.
     """
+    require_two_way(machine, "buchi_to_noacc")
     if not validate_reversible(machine):
         raise NotReversible("marked-transition folding needs a reversible machine")
     machine = drop_left_end_into_initial(machine)

@@ -35,7 +35,6 @@ from .io import (
 from .lasso import enumerate_lassos, random_lassos
 from .machines import (
     CopylessParitySST,
-    TwoWayParityTransducer,
     validate_codeterministic,
     validate_deterministic,
     validate_machine,
@@ -66,20 +65,8 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-_KIND_NAMES = {
-    TwoWayParityTransducer: "two-way transducer (2dpt or 1dpt)",
-    CopylessParitySST: "register machine (cpsst)",
-}
-
-
-def _load(path: str, kind=None):
-    """Load a machine document; ``kind`` is the machine class a command needs."""
-    machine = loads_machine(_read(path))
-    if kind is not None and not isinstance(machine, kind):
-        raise DocumentError(
-            f"{path}: expected a {_KIND_NAMES[kind]}, got a {_KIND_NAMES[type(machine)]}"
-        )
-    return machine
+def _load(path: str):
+    return loads_machine(_read(path))
 
 
 def _budget(args) -> EvalBudget:
@@ -135,33 +122,33 @@ def _emit_machine(machine, out_path: str) -> int:
 
 
 def cmd_compose(args) -> int:
-    first = _load(args.first, TwoWayParityTransducer)
-    second = _load(args.second, TwoWayParityTransducer)
+    first = _load(args.first)
+    second = _load(args.second)
     return _emit_machine(compose(first, second), args.out)
 
 
 def cmd_1w2rev(args) -> int:
-    machine = _load(args.machine, TwoWayParityTransducer)
+    machine = _load(args.machine)
     return _emit_machine(one_way_to_reversible(machine), args.out)
 
 
 def cmd_2w2sst(args) -> int:
-    machine = _load(args.machine, TwoWayParityTransducer)
+    machine = _load(args.machine)
     return _emit_machine(two_way_to_sst(machine, state_cap=args.cap), args.out)
 
 
 def cmd_sst2rev(args) -> int:
-    machine = _load(args.machine, CopylessParitySST)
+    machine = _load(args.machine)
     return _emit_machine(sst_to_reversible(machine), args.out)
 
 
 def cmd_det2rev(args) -> int:
-    machine = _load(args.machine, TwoWayParityTransducer)
+    machine = _load(args.machine)
     return _emit_machine(dbt_to_rbt(machine, state_cap=args.cap), args.out)
 
 
 def cmd_buchi2rt(args) -> int:
-    machine = _load(args.machine, TwoWayParityTransducer)
+    machine = _load(args.machine)
     if args.marking == "color0":
         marking = marking_from_colors(machine)
     elif args.marking == "all":

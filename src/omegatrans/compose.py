@@ -21,6 +21,7 @@ from .machines import (
     advance,
     drop_left_end_into_initial,
     odd_sentinels,
+    require_two_way,
     unique_names,
     validate_reversible,
 )
@@ -94,10 +95,6 @@ def run_on_finite(
         state = tr.target
 
 
-def _pair_polarity(q: State, p: State) -> bool:
-    return q.forward == p.forward
-
-
 def compose(
     first: TwoWayParityTransducer, second: TwoWayParityTransducer
 ) -> TwoWayParityTransducer:
@@ -105,9 +102,30 @@ def compose(
 
     Both machines must be reversible and second's input alphabet must match
     first's output alphabet.  The result has exactly |Q|·|P| states (junk
-    pairs included; prune separately if wanted), k1 + k2 colorings, and is
-    itself reversible.
+    pairs included; ``compose_reachable`` builds only the pairs reachable
+    from the initial pair), k1 + k2 colorings, and is itself reversible.
     """
+    return _product(first, second, [(q, p) for q in first.states for p in second.states])
+
+
+def compose_reachable(
+    first: TwoWayParityTransducer, second: TwoWayParityTransducer
+) -> TwoWayParityTransducer:
+    """``compose`` restricted to the pairs reachable from the initial pair.
+
+    States, their names and order, and transitions equal those of
+    ``prune_unreachable(compose(first, second))``; ``ell`` is one above the
+    largest color the kept transitions use, so it may be smaller.
+    """
+    return _product(first, second, [(first.initial, second.initial)])
+
+
+def _product(first, second, seeds) -> TwoWayParityTransducer:
+    """The product over the pairs reachable from ``seeds``, explored by
+    worklist and emitted in Q×P declaration order under the names the full
+    product would give them."""
+    for machine in (first, second):
+        require_two_way(machine, "composition")
     if set(first.output_alphabet) != set(second.input_alphabet):
         raise AlphabetMismatch(
             "first machine's output alphabet must equal second machine's input alphabet"
@@ -126,33 +144,48 @@ def compose(
     for (src, letter), tr in first.transitions.items():
         predecessor[(letter, tr.target)] = (src, tr)
 
-    names = unique_names(f"{q.name}.{p.name}" for q in first.states for p in second.states)
-    pair_state: dict[tuple[State, State], State] = {}
-    it = iter(names)
-    for q in first.states:
-        for p in second.states:
-            pair_state[(q, p)] = State(next(it), _pair_polarity(q, p))
-
+    # A pair is numbered by its position in Q×P declaration order.
+    width = len(second.states)
+    q_offset = {q: i * width for i, q in enumerate(first.states)}
+    p_offset = {p: j for j, p in enumerate(second.states)}
     letters = tuple(first.input_alphabet) + (LEFT_END,)
-    transitions: dict = {}
-    for (q, p), src in pair_state.items():
+    moves: dict[int, list] = {q_offset[q] + p_offset[p]: [] for q, p in seeds}
+    frontier = list(moves)
+    while frontier:
+        i = frontier.pop()
+        q, p = first.states[i // width], second.states[i % width]
         for a in letters:
-            if a == LEFT_END and src.forward:
+            if a == LEFT_END and q.forward == p.forward:
                 continue  # the endmarker is read by backward states only
             built = _compose_transition(
-                first, second, q, p, a, pair_state, predecessor,
-                first_sentinels, second_sentinels,
+                first, second, q, p, a, predecessor, first_sentinels, second_sentinels
             )
-            if built is not None:
-                transitions[(src, a)] = built
+            if built is None:
+                continue
+            (q2, p2), output, colors = built
+            target = q_offset[q2] + p_offset[p2]
+            moves[i].append((a, target, output, colors))
+            if target not in moves:
+                moves[target] = []
+                frontier.append(target)
+
+    names = unique_names(f"{q.name}.{p.name}" for q in first.states for p in second.states)
+    pair_state: dict[int, State] = {}
+    for i in sorted(moves):
+        q, p = first.states[i // width], second.states[i % width]
+        pair_state[i] = State(names[i], q.forward == p.forward)
+    transitions: dict = {}
+    for i, src in pair_state.items():
+        for a, target, output, colors in moves[i]:
+            transitions[(src, a)] = Transition(pair_state[target], output, colors)
 
     all_colors = [c for tr in transitions.values() for c in tr.colors]
     ell = 1 + max(all_colors) if all_colors else 1
     return TwoWayParityTransducer(
         input_alphabet=first.input_alphabet,
         output_alphabet=second.output_alphabet,
-        states=tuple(pair_state[(q, p)] for q in first.states for p in second.states),
-        initial=pair_state[(first.initial, second.initial)],
+        states=tuple(pair_state.values()),
+        initial=pair_state[q_offset[first.initial] + p_offset[second.initial]],
         transitions=transitions,
         k=first.k + second.k,
         ell=ell,
@@ -160,8 +193,9 @@ def compose(
 
 
 def _compose_transition(
-    first, second, q, p, a, pair_state, predecessor, first_sentinels, second_sentinels
+    first, second, q, p, a, predecessor, first_sentinels, second_sentinels
 ):
+    """(target pair, output, colors) of pair (q, p) reading ``a``, or None."""
     if p.forward:
         tr1 = first.transitions.get((q, a))
         if tr1 is None:
@@ -173,8 +207,7 @@ def _compose_transition(
         tr2 = second.transitions.get((p, LEFT_END))
         if tr2 is None:
             return None
-        target = pair_state[(q, tr2.target)]
-        return Transition(target, tr2.output, first_sentinels + tr2.colors)
+        return (q, tr2.target), tr2.output, first_sentinels + tr2.colors
     else:
         # Second machine walks backward: consume the production of the first
         # machine's transition arriving at q, found co-deterministically.
@@ -188,5 +221,5 @@ def _compose_transition(
     if not isinstance(summary.exit, State):
         return None
     p2 = summary.exit
-    target = pair_state[(after if p2.forward else before, p2)]
-    return Transition(target, summary.production, tr1.colors + summary.min_colors)
+    target = (after if p2.forward else before, p2)
+    return target, summary.production, tr1.colors + summary.min_colors

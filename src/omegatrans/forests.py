@@ -29,6 +29,7 @@ from .machines import (
     TwoWayParityTransducer,
     odd_sentinels,
     reg,
+    require_two_way,
     sym,
 )
 
@@ -406,6 +407,7 @@ def two_way_to_sst(
     StateExplosion rather than truncating.  ``details``, when given, is
     filled with the state map and observed forest maxima.
     """
+    require_two_way(machine, "two_way_to_sst")
     n = len(machine.states)
     if n < 1:
         raise ValueError("machine needs at least one state")

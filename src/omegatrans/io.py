@@ -17,7 +17,6 @@ from typing import Union
 
 from .lasso import LassoWord
 from .machines import (
-    LEFT_END,
     CopylessParitySST,
     SstTransition,
     State,
@@ -85,24 +84,34 @@ def machine_to_document(machine: Machine) -> dict:
 
 
 def document_to_machine(doc: dict) -> Machine:
+    """Machine described by a parsed JSON document.
+
+    Every malformed document raises DocumentError: a missing field, or a
+    value of the wrong type wherever it is first used, is reported here
+    rather than checked field by field.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a machine document is a JSON object, not a {type(doc).__name__}")
+    try:
+        return _build_machine(doc)
+    except DocumentError:
+        raise
+    except KeyError as exc:
+        raise DocumentError(f"missing field {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise DocumentError(f"malformed document: {exc}") from exc
+
+
+def _build_machine(doc: dict) -> Machine:
     kind = doc.get("kind")
     if kind not in ("2dpt", "1dpt", "cpsst"):
         raise DocumentError(f"unknown machine kind {kind!r}")
-    try:
-        states = tuple(
-            State(s["name"], s["polarity"] == "+") for s in doc["states"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"bad state list: {exc}") from exc
+    states = tuple(State(s["name"], s["polarity"] == "+") for s in doc["states"])
     by_name = {s.name: s for s in states}
-    if len(by_name) != len(states):
-        raise DocumentError("state names are not unique")
     if doc["initial"] not in by_name:
         raise DocumentError(f"initial state {doc['initial']!r} not declared")
     alphabet = tuple(doc["input_alphabet"])
     out_alphabet = tuple(doc["output_alphabet"])
-    if LEFT_END in alphabet or LEFT_END in out_alphabet:
-        raise DocumentError("the endmarker cannot be declared as an alphabet letter")
     k, ell = int(doc["k"]), int(doc["ell"])
 
     triples = []

@@ -343,6 +343,18 @@ def validate_sst_machine(sst: CopylessParitySST) -> list[str]:
 # Shared helpers used by the constructions
 
 
+class WrongMachineKind(ValueError):
+    """A construction was given a machine of a kind it does not take."""
+
+
+def require_two_way(machine, construction: str) -> None:
+    """Raise WrongMachineKind unless ``machine`` is a two-way transducer."""
+    if not isinstance(machine, TwoWayParityTransducer):
+        raise WrongMachineKind(
+            f"{construction}: expected a two-way transducer, got a {type(machine).__name__}"
+        )
+
+
 def max_colors(machine: TwoWayParityTransducer) -> tuple[int, ...]:
     """Per-coloring maximum over all transitions (0 when unused)."""
     return tuple(

@@ -20,6 +20,7 @@ from .machines import (
     Transition,
     TwoWayParityTransducer,
     max_colors,
+    require_two_way,
     unique_names,
     validate_deterministic,
     validate_one_way,
@@ -61,6 +62,7 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     Only states reachable from the initial pair are emitted; the result has
     at most 4·n² states for n input states and keeps k and the color bound.
     """
+    require_two_way(machine, "one_way_to_reversible")
     if not validate_one_way(machine):
         raise NotDeterministic("input must be a one-way machine")
     if not validate_deterministic(machine):

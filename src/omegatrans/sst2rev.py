@@ -9,7 +9,7 @@ reversible and composing yields the result.
 
 from __future__ import annotations
 
-from .compose import compose
+from .compose import compose_reachable
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -17,7 +17,6 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
-    prune_unreachable,
     validate_sst,
 )
 from .oneway import one_way_to_reversible
@@ -25,6 +24,14 @@ from .oneway import one_way_to_reversible
 
 class InvalidSst(ValueError):
     pass
+
+
+def _require_valid_sst(sst) -> None:
+    if not isinstance(sst, CopylessParitySST):
+        raise InvalidSst(f"expected a register machine, got a {type(sst).__name__}")
+    problems = validate_sst(sst)
+    if problems:
+        raise InvalidSst("; ".join(problems))
 
 
 def substitution_alphabet(sst: CopylessParitySST) -> tuple[Substitution, ...]:
@@ -39,9 +46,7 @@ def substitution_alphabet(sst: CopylessParitySST) -> tuple[Substitution, ...]:
 def sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Same automaton as the register machine, each transition emitting its
     own update as a single letter of the substitution alphabet."""
-    problems = validate_sst(sst)
-    if problems:
-        raise InvalidSst("; ".join(problems))
+    _require_valid_sst(sst)
     transitions = {
         key: Transition(tr.target, (tr.update,), tr.colors)
         for key, tr in sst.transitions.items()
@@ -77,9 +82,7 @@ def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     bouncing off it simply yields nothing.  The walker needs no acceptance
     condition of its own.
     """
-    problems = validate_sst(sst)
-    if problems:
-        raise InvalidSst("; ".join(problems))
+    _require_valid_sst(sst)
     alphabet = substitution_alphabet(sst)
     fetch = {r: State(f"{r}.fetch", False) for r in sst.registers}
     done = {r: State(f"{r}.done", True) for r in sst.registers}
@@ -125,7 +128,12 @@ def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
 
 def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Reversible two-way transducer computing the register machine's
-    function, pruned to reachable states; keeps the machine's colorings."""
+    function; keeps the machine's colorings.
+
+    Only the composition's pairs reachable from the initial pair are built,
+    so no prune pass follows.  ``ell`` is one above the largest color the
+    kept transitions use, which can be below the full product's bound.
+    """
     stream = one_way_to_reversible(sst_to_substitution_stream(sst))
     walker = build_register_walker(sst)
-    return prune_unreachable(compose(stream, walker))
+    return compose_reachable(stream, walker)

@@ -11,7 +11,13 @@ from omegatrans.buchi import (
 from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos, simulate_two_way
 from omegatrans.generate import generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
-from omegatrans.machines import State, Transition, TwoWayParityTransducer, validate_reversible
+from omegatrans.machines import (
+    State,
+    Transition,
+    TwoWayParityTransducer,
+    WrongMachineKind,
+    validate_reversible,
+)
 
 
 def lw(prefix, period):
@@ -26,6 +32,16 @@ def test_pipeline_on_already_reversible_input(mcr_rbt, lassos_ab_hash):
     assert validate_reversible(out)
     assert out.k == mcr_rbt.k
     assert equiv_on_lassos(out, mcr_rbt, lassos_ab_hash).ok
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [dbt_to_rbt, lambda m: buchi_to_noacc(m, frozenset())],
+    ids=["dbt_to_rbt", "buchi_to_noacc"],
+)
+def test_constructions_reject_register_machine(mcr_sst, construction):
+    with pytest.raises(WrongMachineKind):
+        construction(mcr_sst)
 
 
 def test_pipeline_on_one_way_input(first_two_automaton, lassos_ab):

@@ -8,6 +8,7 @@ from omegatrans.compose import (
     FiniteRunSummary,
     NotReversible,
     compose,
+    compose_reachable,
     run_on_finite,
 )
 from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
@@ -17,6 +18,7 @@ from omegatrans.machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    WrongMachineKind,
     odd_sentinels,
     validate_reversible,
 )
@@ -97,6 +99,14 @@ def test_run_on_prefix_word_bounces_off_the_endmarker(mcr_rbt):
 def test_compose_requires_matching_alphabets(mcr_rbt, identity_ab):
     with pytest.raises(AlphabetMismatch):
         compose(identity_ab, mcr_rbt)
+
+
+@pytest.mark.parametrize("build", [compose, compose_reachable])
+def test_compose_rejects_register_machines(build, mcr_rbt, mcr_sst):
+    with pytest.raises(WrongMachineKind):
+        build(mcr_sst, mcr_rbt)
+    with pytest.raises(WrongMachineKind):
+        build(mcr_rbt, mcr_sst)
 
 
 def test_compose_requires_reversible(identity_ab):

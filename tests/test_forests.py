@@ -27,6 +27,7 @@ from omegatrans.machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    WrongMachineKind,
     validate_sst,
     validate_sst_machine,
 )
@@ -189,6 +190,11 @@ def test_state_cap_raises():
     machine = generate_two_way(4, n=3, k=1, ell=2)  # reaches three summaries
     with pytest.raises(StateExplosion):
         two_way_to_sst(machine, state_cap=1)
+
+
+def test_rejects_register_machine(mcr_sst):
+    with pytest.raises(WrongMachineKind):
+        two_way_to_sst(mcr_sst)
 
 
 def test_forest_content_matches_oracle_small_corpus():

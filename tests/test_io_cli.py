@@ -13,6 +13,7 @@ from omegatrans.dot import machine_to_dot
 from omegatrans.generate import generate_machine
 from omegatrans.io import (
     DocumentError,
+    document_to_machine,
     dumps_machine,
     format_lasso,
     loads_machine,
@@ -63,6 +64,39 @@ def test_loader_locates_unknown_state(mcr_rbt):
     doc["transitions"][0]["to"] = "nowhere"
     with pytest.raises(DocumentError, match="transition #0"):
         loads_machine(json.dumps(doc))
+
+
+def _without_initial(rbt_doc, sst_doc):
+    del rbt_doc["initial"]
+    return rbt_doc
+
+
+def _string_colors(rbt_doc, sst_doc):
+    rbt_doc["transitions"][0]["colors"] = ["0"]
+    return rbt_doc
+
+
+def _bare_register_token(rbt_doc, sst_doc):
+    update = sst_doc["transitions"][0]["update"]
+    update[sst_doc["out"]][0] = sst_doc["out"]
+    return sst_doc
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_without_initial, _string_colors, lambda rbt_doc, sst_doc: [1, 2], _bare_register_token],
+    ids=["no-initial", "string-colors", "not-an-object", "bare-register-token"],
+)
+def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):
+    doc = malform(
+        json.loads(dumps_machine(mcr_rbt)), json.loads(dumps_machine(mcr_sst))
+    )
+    with pytest.raises(DocumentError):
+        document_to_machine(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path), "(a)"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_lasso_syntax():

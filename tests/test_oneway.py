@@ -9,7 +9,7 @@ from omegatrans.evaluate import (
 )
 from omegatrans.generate import generate_one_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
-from omegatrans.machines import State, validate_reversible
+from omegatrans.machines import State, WrongMachineKind, validate_reversible
 from omegatrans.oneway import NotDeterministic, abv, one_way_to_reversible
 
 
@@ -33,6 +33,11 @@ def test_abv_none_when_map_injective(identity_ab):
 def test_rejects_two_way_input(mcr_rbt):
     with pytest.raises(NotDeterministic):
         one_way_to_reversible(mcr_rbt)
+
+
+def test_rejects_register_machine(mcr_sst):
+    with pytest.raises(WrongMachineKind):
+        one_way_to_reversible(mcr_sst)
 
 
 def test_language_preserved(first_two_automaton):

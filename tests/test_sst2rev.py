@@ -1,8 +1,14 @@
+import dataclasses
+import pathlib
+
 import pytest
 
 from omegatrans.builtin import map_copy_reverse_rbt, map_copy_reverse_sst
+from omegatrans.compose import compose, compose_reachable
 from omegatrans.evaluate import equiv_on_lassos
-from omegatrans.generate import generate_sst
+from omegatrans.forests import two_way_to_sst
+from omegatrans.generate import generate_sst, generate_two_way
+from omegatrans.io import load_machine
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
@@ -10,10 +16,13 @@ from omegatrans.machines import (
     SstTransition,
     State,
     Substitution,
+    prune_unreachable,
     reg,
     sym,
+    validate_machine,
     validate_reversible,
 )
+from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import (
     InvalidSst,
     build_register_walker,
@@ -230,3 +239,29 @@ def test_size_accounting(mcr_sst):
     n, m = len(stream_rev.states), len(mcr_sst.registers)
     rbt = sst_to_reversible(mcr_sst)
     assert len(rbt.states) <= n * 2 * m
+
+
+def test_rejects_two_way_machine(mcr_rbt):
+    with pytest.raises(InvalidSst):
+        sst_to_reversible(mcr_rbt)
+
+
+def _reference_ssts():
+    machines = pathlib.Path(__file__).resolve().parent.parent / "machines"
+    yield load_machine(str(machines / "mcr_sst.json"))
+    for seed in range(10):
+        yield two_way_to_sst(generate_two_way(seed, n=4, k=1, ell=2, alphabet_size=2))
+
+
+def test_reachable_composition_matches_pruned_full_product():
+    """compose + prune_unreachable is the reference the worklist builder
+    must reproduce; only ell may shrink, to the kept transitions' bound."""
+    for i, sst in enumerate(_reference_ssts()):
+        stream = one_way_to_reversible(sst_to_substitution_stream(sst))
+        walker = build_register_walker(sst)
+        out = compose_reachable(stream, walker)
+        pruned = prune_unreachable(compose(stream, walker))
+        assert out == dataclasses.replace(pruned, ell=out.ell), i
+        assert out.ell <= pruned.ell, i
+        assert validate_machine(out) == [], i
+        assert sst_to_reversible(sst) == out, i
