@@ -23,7 +23,6 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
-    validate_deterministic,
     validate_machine,
     validate_one_way,
     validate_sst_machine,
@@ -36,59 +35,14 @@ class DocumentError(ValueError):
     """Malformed machine document; carries transition-level locations."""
 
 
-def machine_to_document(machine: Machine) -> dict:
-    doc = {
-        "kind": "cpsst" if isinstance(machine, CopylessParitySST) else
-        ("1dpt" if machine.is_one_way() else "2dpt"),
-        "input_alphabet": list(machine.input_alphabet),
-        "output_alphabet": list(machine.output_alphabet),
-        "states": [
-            {"name": s.name, "polarity": "+" if s.forward else "-"} for s in machine.states
-        ],
-        "initial": machine.initial.name,
-        "k": machine.k,
-        "ell": machine.ell,
-    }
-    order = {s: i for i, s in enumerate(machine.states)}
-    entries = sorted(
-        machine.transitions.items(), key=lambda kv: (order[kv[0][0]], str(kv[0][1]))
-    )
-    if isinstance(machine, CopylessParitySST):
-        doc["registers"] = list(machine.registers)
-        doc["out"] = machine.out
-        doc["transitions"] = [
-            {
-                "from": src.name,
-                "letter": letter,
-                "to": tr.target.name,
-                "update": {
-                    r: [{kind: value} for kind, value in img]
-                    for r, img in tr.update.images
-                },
-                "colors": list(tr.colors),
-            }
-            for (src, letter), tr in entries
-        ]
-    else:
-        doc["transitions"] = [
-            {
-                "from": src.name,
-                "letter": letter,
-                "to": tr.target.name,
-                "output": list(tr.output),
-                "colors": list(tr.colors),
-            }
-            for (src, letter), tr in entries
-        ]
-    return doc
-
-
 def document_to_machine(doc: dict) -> Machine:
     """Machine described by a parsed JSON document.
 
     Every malformed document raises DocumentError: a missing field, or a
     value of the wrong type wherever it is first used, is reported here
-    rather than checked field by field.
+    rather than checked field by field.  A failure inside a transition
+    record names that record (``transition #i``), and the validators name
+    a bad transition by its (state, letter) key.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"a machine document is a JSON object, not a {type(doc).__name__}")
@@ -98,7 +52,7 @@ def document_to_machine(doc: dict) -> Machine:
         raise
     except KeyError as exc:
         raise DocumentError(f"missing field {exc}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed document: {exc}") from exc
 
 
@@ -113,54 +67,23 @@ def _build_machine(doc: dict) -> Machine:
     alphabet = tuple(doc["input_alphabet"])
     out_alphabet = tuple(doc["output_alphabet"])
     k, ell = int(doc["k"]), int(doc["ell"])
-
-    triples = []
-    for i, t in enumerate(doc["transitions"]):
-        where = f"transition #{i} ({t.get('from')!r} on {t.get('letter')!r})"
-        if t["from"] not in by_name:
-            raise DocumentError(f"{where}: unknown source state")
-        if t["to"] not in by_name:
-            raise DocumentError(f"{where}: unknown target state")
-        triples.append((t["from"], t["letter"], t["to"]))
-    if not validate_deterministic(triples):
-        raise DocumentError("duplicate (state, letter) transition keys")
-
+    transitions = _build_transitions(
+        doc["transitions"], by_name, _sst_transition if kind == "cpsst" else _two_way_transition
+    )
     if kind == "cpsst":
-        registers = tuple(doc["registers"])
-        transitions = {}
-        for i, t in enumerate(doc["transitions"]):
-            images = {}
-            for r, toks in t["update"].items():
-                img = []
-                for tok in toks:
-                    (tag, value), = tok.items()
-                    if tag not in ("reg", "sym"):
-                        raise DocumentError(
-                            f"transition #{i}: token tag must be reg or sym, got {tag!r}"
-                        )
-                    img.append((tag, value))
-                images[r] = tuple(img)
-            transitions[(by_name[t["from"]], t["letter"])] = SstTransition(
-                by_name[t["to"]], Substitution.from_dict(images), tuple(t["colors"])
-            )
         machine = CopylessParitySST(
             input_alphabet=alphabet,
             output_alphabet=out_alphabet,
             states=states,
             initial=by_name[doc["initial"]],
             transitions=transitions,
-            registers=registers,
+            registers=tuple(doc["registers"]),
             out=doc["out"],
             k=k,
             ell=ell,
         )
         problems = validate_sst_machine(machine)
     else:
-        transitions = {}
-        for t in doc["transitions"]:
-            transitions[(by_name[t["from"]], t["letter"])] = Transition(
-                by_name[t["to"]], tuple(t["output"]), tuple(t["colors"])
-            )
         machine = TwoWayParityTransducer(
             input_alphabet=alphabet,
             output_alphabet=out_alphabet,
@@ -178,8 +101,159 @@ def _build_machine(doc: dict) -> Machine:
     return machine
 
 
+def _build_transitions(records, by_name: dict, build) -> dict:
+    """The transition map of ``records``, in one pass.
+
+    ``build(record, target)`` makes one transition.  A record whose source
+    or target is undeclared, or whose (state, letter) key repeats with a
+    different target, raises DocumentError; a repeat with the same target
+    replaces the earlier record.  Any other failure inside a record is
+    caught once around the loop and reported with that record's location.
+    """
+    transitions: dict = {}
+    numbered = enumerate(records)  # a non-iterable fails here, unlocated
+    i, t = 0, None
+    try:
+        for i, t in numbered:
+            src = by_name.get(t["from"])
+            if src is None:
+                raise DocumentError(f"{_record_where(i, t)}: unknown source state")
+            target = by_name.get(t["to"])
+            if target is None:
+                raise DocumentError(f"{_record_where(i, t)}: unknown target state")
+            tr = build(t, target)
+            key = (src, t["letter"])
+            earlier = transitions.setdefault(key, tr)
+            if earlier is not tr:
+                if earlier.target != target:
+                    raise DocumentError(
+                        f"{_record_where(i, t)}: duplicate (state, letter) transition keys"
+                    )
+                transitions[key] = tr
+    except DocumentError:
+        raise
+    except KeyError as exc:
+        raise DocumentError(f"{_record_where(i, t)}: missing field {exc}") from exc
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"{_record_where(i, t)}: malformed transition: {exc}") from exc
+    return transitions
+
+
+def _record_where(i: int, record) -> str:
+    if isinstance(record, dict):
+        return f"transition #{i} ({record.get('from')!r} on {record.get('letter')!r})"
+    return f"transition #{i}"
+
+
+def _two_way_transition(t: dict, target: State) -> Transition:
+    return Transition(target, tuple(t["output"]), tuple(t["colors"]))
+
+
+def _sst_transition(t: dict, target: State) -> SstTransition:
+    images = {}
+    for r, toks in t["update"].items():
+        img = []
+        for tok in toks:
+            (tag, value), = tok.items()
+            if tag not in ("reg", "sym"):
+                raise ValueError(f"token tag must be reg or sym, got {tag!r}")
+            img.append((tag, value))
+        images[r] = tuple(img)
+    return SstTransition(target, Substitution.from_dict(images), tuple(t["colors"]))
+
+
+# ---------------------------------------------------------------------------
+# Writer
+#
+# dumps_machine writes the text json.dumps(doc, indent=2, sort_keys=True)
+# gives for the machine's document, without building the document or
+# running the pure-Python indenting encoder over it.  Each state and
+# transition record is a fixed template; the values inside a record (names,
+# letters, output words, colour vectors, register updates) repeat across
+# records, so each distinct value is encoded once, by json itself, and
+# reused.  Values that compare equal share one text (as 1 and True would).
+
+
+def _json_text(value, level: int) -> str:
+    """``value`` as it appears ``level`` deep in a document written with
+    ``indent=2, sort_keys=True``."""
+    if type(value) is str:
+        return _quote(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+_quote = json.encoder.encode_basestring_ascii  # as json.dumps with ensure_ascii
+
+
+class _Texts(dict):
+    """Memo of ``_json_text(plain(value), level)`` for each value seen."""
+
+    def __init__(self, level: int, plain=lambda value: value):
+        super().__init__()
+        self.level = level
+        self.plain = plain
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _json_text(self.plain(value), self.level)
+        return text
+
+
+def _update_document(update: Substitution) -> dict:
+    return {r: [{kind: value} for kind, value in img] for r, img in update.images}
+
+
+def _json_list(records: list[str]) -> str:
+    """A list of records already indented one level deep."""
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def dumps_machine(machine: Machine) -> str:
-    return json.dumps(machine_to_document(machine), indent=2, sort_keys=True) + "\n"
+    """The machine's JSON document, pretty-printed with sorted keys.
+
+    Transitions are listed in state order, then by ``str(letter)``.
+    """
+    sst = isinstance(machine, CopylessParitySST)
+    quoted, colors = _Texts(3), _Texts(3)
+    state_records = [
+        f'    {{\n      "name": {quoted[s.name]},\n      "polarity": "{"+" if s.forward else "-"}"\n    }}'
+        for s in machine.states
+    ]
+    order = {s: i for i, s in enumerate(machine.states)}
+    entries = sorted(
+        machine.transitions.items(), key=lambda kv: (order[kv[0][0]], str(kv[0][1]))
+    )
+    if sst:
+        updates = _Texts(3, _update_document)
+        records = [
+            f'    {{\n      "colors": {colors[tr.colors]},\n      "from": {quoted[src.name]},'
+            f'\n      "letter": {quoted[letter]},\n      "to": {quoted[tr.target.name]},'
+            f'\n      "update": {updates[tr.update]}\n    }}'
+            for (src, letter), tr in entries
+        ]
+    else:
+        outputs = _Texts(3)
+        records = [
+            f'    {{\n      "colors": {colors[tr.colors]},\n      "from": {quoted[src.name]},'
+            f'\n      "letter": {quoted[letter]},\n      "output": {outputs[tr.output]},'
+            f'\n      "to": {quoted[tr.target.name]}\n    }}'
+            for (src, letter), tr in entries
+        ]
+    fields = {
+        "ell": machine.ell,
+        "initial": machine.initial.name,
+        "input_alphabet": machine.input_alphabet,
+        "k": machine.k,
+        "kind": "cpsst" if sst else ("1dpt" if machine.is_one_way() else "2dpt"),
+        "output_alphabet": machine.output_alphabet,
+    }
+    if sst:
+        fields["out"] = machine.out
+        fields["registers"] = machine.registers
+    lines = {key: _json_text(value, 1) for key, value in fields.items()}
+    lines["states"] = _json_list(state_records)
+    lines["transitions"] = _json_list(records)
+    body = ",\n".join(f'  "{key}": {lines[key]}' for key in sorted(lines))
+    return "{\n" + body + "\n}\n"
 
 
 def loads_machine(text: str) -> Machine:

@@ -202,12 +202,6 @@ class CopylessParitySST:
 # Validators
 
 
-def _transition_triples(machine_or_triples):
-    if isinstance(machine_or_triples, (TwoWayParityTransducer, CopylessParitySST)):
-        return [(src, letter, t.target) for (src, letter), t in machine_or_triples.transitions.items()]
-    return list(machine_or_triples)
-
-
 def validate_deterministic(machine_or_triples) -> bool:
     """True iff no (source, letter) pair has two distinct targets.
 
@@ -215,8 +209,10 @@ def validate_deterministic(machine_or_triples) -> bool:
     construction) or raw (source, letter, target) triples as found in a
     document before loading.
     """
+    if isinstance(machine_or_triples, (TwoWayParityTransducer, CopylessParitySST)):
+        return True
     seen: dict[tuple, object] = {}
-    for src, letter, tgt in _transition_triples(machine_or_triples):
+    for src, letter, tgt in machine_or_triples:
         key = (src, letter)
         if key in seen and seen[key] != tgt:
             return False
@@ -226,8 +222,15 @@ def validate_deterministic(machine_or_triples) -> bool:
 
 def validate_codeterministic(machine_or_triples) -> bool:
     """True iff no (letter, target) pair has two distinct sources."""
+    if isinstance(machine_or_triples, (TwoWayParityTransducer, CopylessParitySST)):
+        # Keys are unique, so transitions sharing (letter, target) have
+        # distinct sources.
+        transitions = machine_or_triples.transitions
+        return len({(letter, tr.target) for (_, letter), tr in transitions.items()}) == len(
+            transitions
+        )
     seen: dict[tuple, object] = {}
-    for src, letter, tgt in _transition_triples(machine_or_triples):
+    for src, letter, tgt in machine_or_triples:
         key = (letter, tgt)
         if key in seen and seen[key] != src:
             return False
@@ -245,23 +248,27 @@ def validate_one_way(machine: TwoWayParityTransducer) -> bool:
     return all(letter != LEFT_END for (_, letter) in machine.transitions)
 
 
+def _where(src: State, letter: Letter) -> str:
+    """A transition's location in validator messages."""
+    return f"({src.name}, {letter!r})"
+
+
 def validate_sst(sst: CopylessParitySST) -> list[str]:
     """Empty iff every update is copyless and respects the out discipline."""
     violations = []
     for (src, letter), tr in sorted(sst.transitions.items(), key=lambda kv: (kv[0][0].name, str(kv[0][1]))):
-        where = f"({src.name}, {letter!r})"
         if not tr.update.is_copyless():
-            violations.append(f"{where}: update is not copyless")
+            violations.append(f"{_where(src, letter)}: update is not copyless")
         out_img = tr.update.image(sst.out)
         if not out_img or out_img[0] != ("reg", sst.out):
-            violations.append(f"{where}: image of {sst.out!r} must start with {sst.out!r}")
+            violations.append(f"{_where(src, letter)}: image of {sst.out!r} must start with {sst.out!r}")
         else:
             for kind, value in out_img[1:]:
                 if kind == "reg" and value == sst.out:
-                    violations.append(f"{where}: {sst.out!r} appears twice in its own image")
+                    violations.append(f"{_where(src, letter)}: {sst.out!r} appears twice in its own image")
         for r, img in tr.update.images:
             if r != sst.out and ("reg", sst.out) in img:
-                violations.append(f"{where}: {sst.out!r} appears in the image of {r!r}")
+                violations.append(f"{_where(src, letter)}: {sst.out!r} appears in the image of {r!r}")
     return violations
 
 
@@ -270,6 +277,9 @@ def _common_problems(machine) -> list[str]:
     reserved endmarker, transition states, letters and colors."""
     problems = []
     states = set(machine.states)
+    # Transitions normally hold the declared State objects themselves; an
+    # identity test spares hashing a State per transition end.
+    declared = {id(s) for s in machine.states}
     names = [s.name for s in machine.states]
     if len(set(names)) != len(names):
         problems.append("state names are not unique")
@@ -278,38 +288,42 @@ def _common_problems(machine) -> list[str]:
     alphabet = set(machine.input_alphabet)
     if LEFT_END in alphabet or LEFT_END in set(machine.output_alphabet):
         problems.append("the endmarker is reserved and cannot be an alphabet letter")
+    k, ell = machine.k, machine.ell
     for (src, letter), tr in machine.transitions.items():
-        where = f"({src.name}, {letter!r})"
-        if src not in states:
-            problems.append(f"{where}: unknown source state")
-        if tr.target not in states:
-            problems.append(f"{where}: unknown target state")
+        if id(src) not in declared and src not in states:
+            problems.append(f"{_where(src, letter)}: unknown source state")
+        if id(tr.target) not in declared and tr.target not in states:
+            problems.append(f"{_where(src, letter)}: unknown target state")
         if letter != LEFT_END and letter not in alphabet:
-            problems.append(f"{where}: letter not in the input alphabet")
-        if len(tr.colors) != machine.k:
-            problems.append(f"{where}: expected {machine.k} colors, got {len(tr.colors)}")
-        if any(c < 0 or c >= machine.ell for c in tr.colors):
-            problems.append(f"{where}: colors must lie below {machine.ell}")
+            problems.append(f"{_where(src, letter)}: letter not in the input alphabet")
+        if len(tr.colors) != k:
+            problems.append(f"{_where(src, letter)}: expected {k} colors, got {len(tr.colors)}")
+        try:
+            for c in tr.colors:
+                if c < 0 or c >= ell:
+                    problems.append(f"{_where(src, letter)}: colors must lie below {ell}")
+                    break
+        except TypeError:
+            problems.append(f"{_where(src, letter)}: colors must be integers, got {list(tr.colors)!r}")
     return problems
 
 
 def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
     """Structural well-formedness check; empty list means valid."""
     problems = _common_problems(machine)
-    if machine.initial in set(machine.states) and not machine.initial.forward:
+    if machine.initial in machine.states and not machine.initial.forward:
         problems.append("initial state must be forward")
     if not machine.input_alphabet:
         problems.append("input alphabet is empty")
     for (src, letter), tr in machine.transitions.items():
-        where = f"({src.name}, {letter!r})"
         if letter == LEFT_END:
             if src.forward:
-                problems.append(f"{where}: endmarker transitions need a backward source")
+                problems.append(f"{_where(src, letter)}: endmarker transitions need a backward source")
             if not tr.target.forward:
-                problems.append(f"{where}: endmarker transitions need a forward target")
+                problems.append(f"{_where(src, letter)}: endmarker transitions need a forward target")
         for b in tr.output:
             if b not in machine.output_alphabet:
-                problems.append(f"{where}: output letter {b!r} not in the output alphabet")
+                problems.append(f"{_where(src, letter)}: output letter {b!r} not in the output alphabet")
     return problems
 
 
@@ -324,17 +338,18 @@ def validate_sst_machine(sst: CopylessParitySST) -> list[str]:
         problems.append("the out register is not declared")
     regs = set(sst.registers)
     for (src, letter), tr in sst.transitions.items():
-        where = f"({src.name}, {letter!r})"
         if letter == LEFT_END:
-            problems.append(f"{where}: register machines cannot read the endmarker")
+            problems.append(f"{_where(src, letter)}: register machines cannot read the endmarker")
         for r, img in tr.update.images:
             if r not in regs:
-                problems.append(f"{where}: update writes unknown register {r!r}")
+                problems.append(f"{_where(src, letter)}: update writes unknown register {r!r}")
             for kind, value in img:
                 if kind == "reg" and value not in regs:
-                    problems.append(f"{where}: update reads unknown register {value!r}")
+                    problems.append(f"{_where(src, letter)}: update reads unknown register {value!r}")
                 if kind == "sym" and value not in sst.output_alphabet:
-                    problems.append(f"{where}: output letter {value!r} not in the output alphabet")
+                    problems.append(
+                        f"{_where(src, letter)}: output letter {value!r} not in the output alphabet"
+                    )
     problems.extend(validate_sst(sst))
     return problems
 

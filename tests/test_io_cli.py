@@ -1,7 +1,10 @@
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
+from omegatrans.buchi import dbt_to_rbt
 from omegatrans.builtin import (
     a_in_first_two_automaton,
     finitely_many_a_identity,
@@ -10,16 +13,30 @@ from omegatrans.builtin import (
 )
 from omegatrans.cli import main
 from omegatrans.dot import machine_to_dot
-from omegatrans.generate import generate_machine
+from omegatrans.generate import generate_machine, generate_two_way
 from omegatrans.io import (
     DocumentError,
     document_to_machine,
     dumps_machine,
     format_lasso,
+    load_machine,
     loads_machine,
     parse_lasso,
 )
 from omegatrans.lasso import LassoWord
+from omegatrans.machines import (
+    LEFT_END,
+    CopylessParitySST,
+    SstTransition,
+    State,
+    Substitution,
+    Transition,
+    TwoWayParityTransducer,
+    reg,
+    sym,
+)
+
+BUNDLED = sorted((pathlib.Path(__file__).resolve().parent.parent / "machines").glob("*.json"))
 
 
 ALL_BUILTINS = [
@@ -34,6 +51,124 @@ ALL_BUILTINS = [
 def test_round_trip(build):
     machine = build()
     assert loads_machine(dumps_machine(machine)) == machine
+
+
+# --- document format ----------------------------------------------------------
+
+
+def _canonical(text):
+    """What json writes for the same document: pretty, sorted keys, ASCII."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _assert_transition_order(text):
+    doc = json.loads(text)
+    rank = {s["name"]: i for i, s in enumerate(doc["states"])}
+    keys = [(rank[t["from"]], t["letter"]) for t in doc["transitions"]]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.name)
+def test_dumps_reproduces_bundled_files(path):
+    assert dumps_machine(load_machine(str(path))) == path.read_text()
+
+
+@pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
+def test_dumps_is_canonical_pretty_json(kind):
+    for seed in range(12):
+        machine = generate_machine(kind, seed, 5, alphabet_size=3)
+        text = dumps_machine(machine)
+        assert text == _canonical(text), seed
+        _assert_transition_order(text)
+        assert loads_machine(text) == machine, seed
+
+
+def test_dumps_is_canonical_on_reversible_outputs():
+    for seed in range(3):
+        machine = dbt_to_rbt(generate_two_way(seed, 3, alphabet_size=2, density=1.0))
+        text = dumps_machine(machine)
+        assert text == _canonical(text), seed
+        _assert_transition_order(text)
+        assert loads_machine(text) == machine, seed
+
+
+def _edge_two_way():
+    """k = 0, empty and non-ASCII outputs, quotes and backslashes in names."""
+    plain, quote, back = State("p", True), State('q"1', True), State("r\\2", False)
+    return TwoWayParityTransducer(
+        input_alphabet=("é", "a", "→"),
+        output_alphabet=("é", "ß"),
+        states=(plain, quote, back),
+        initial=plain,
+        transitions={
+            (back, LEFT_END): Transition(plain, ("é",), ()),
+            (back, "a"): Transition(back, (), ()),
+            (quote, "→"): Transition(back, ("ß", "é"), ()),
+            (plain, "é"): Transition(quote, (), ()),
+        },
+        k=0,
+        ell=1,
+    )
+
+
+def _edge_sst():
+    state = State('s"\\', True)
+    update = Substitution.from_dict({"out": [reg("out"), sym("ü")], "X": []})
+    return CopylessParitySST(
+        input_alphabet=("ü",),
+        output_alphabet=("ü",),
+        states=(state,),
+        initial=state,
+        transitions={(state, "ü"): SstTransition(state, update, ())},
+        registers=("out", "X"),
+        out="out",
+        k=0,
+        ell=1,
+    )
+
+
+def _edge_one_way():
+    machine = _edge_two_way()
+    forward = tuple(s for s in machine.states if s.forward)
+    transitions = {
+        key: tr for key, tr in machine.transitions.items() if key[0].forward and tr.target.forward
+    }
+    return replace(machine, states=forward, transitions=transitions)
+
+
+EDGE_MACHINES = {
+    "two-way": _edge_two_way,
+    "one-way": _edge_one_way,
+    "no-transitions": lambda: replace(_edge_two_way(), transitions={}),
+    "register": _edge_sst,
+    "register-two-colorings": lambda: replace(
+        _edge_sst(),
+        transitions={
+            key: replace(tr, colors=(0, 3)) for key, tr in _edge_sst().transitions.items()
+        },
+        k=2,
+        ell=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("build", EDGE_MACHINES.values(), ids=EDGE_MACHINES.keys())
+def test_dumps_is_canonical_on_edge_cases(build):
+    machine = build()
+    text = dumps_machine(machine)
+    assert text == _canonical(text)
+    assert text.isascii()
+    _assert_transition_order(text)
+    assert loads_machine(text) == machine
+
+
+def test_dumps_is_canonical_on_an_empty_update():
+    machine = _edge_sst()
+    (key, tr), = machine.transitions.items()
+    empty = replace(machine, transitions={key: replace(tr, update=Substitution(()))})
+    text = dumps_machine(empty)
+    assert text == _canonical(text)
+    assert '"update": {}' in text
 
 
 def test_loader_rejects_duplicate_keys(mcr_rbt):
@@ -82,6 +217,18 @@ def _bare_register_token(rbt_doc, sst_doc):
     return sst_doc
 
 
+def _first_transition_key(doc):
+    first = doc["transitions"][0]
+    return f"({first['from']}, {first['letter']!r})"
+
+
+# Where the error message must point, for the transition-level cases.
+_LOCATIONS = {
+    _string_colors: _first_transition_key,
+    _bare_register_token: lambda doc: "transition #0",
+}
+
+
 @pytest.mark.parametrize(
     "malform",
     [_without_initial, _string_colors, lambda rbt_doc, sst_doc: [1, 2], _bare_register_token],
@@ -91,12 +238,73 @@ def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, ma
     doc = malform(
         json.loads(dumps_machine(mcr_rbt)), json.loads(dumps_machine(mcr_sst))
     )
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as caught:
         document_to_machine(doc)
+    if malform in _LOCATIONS:
+        assert _LOCATIONS[malform](doc) in str(caught.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["eval", str(path), "(a)"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("output", 5, "malformed transition"),
+        ("output", None, "malformed transition"),
+        ("colors", 0, "malformed transition"),
+        ("colors", [None], "colors must be integers"),
+        ("to", "nowhere", "unknown target state"),
+    ],
+)
+def test_malformed_transition_is_located(mcr_rbt, field, value, message):
+    doc = json.loads(dumps_machine(mcr_rbt))
+    doc["transitions"][2][field] = value
+    with pytest.raises(DocumentError) as caught:
+        document_to_machine(doc)
+    third = doc["transitions"][2]
+    located = ("transition #2", f"({third['from']}, {third['letter']!r})")
+    assert any(where in str(caught.value) for where in located)
+    assert message in str(caught.value)
+
+
+def test_loader_locates_missing_transition_field(mcr_sst):
+    doc = json.loads(dumps_machine(mcr_sst))
+    del doc["transitions"][1]["update"]
+    with pytest.raises(DocumentError, match=r"transition #1 .*missing field 'update'"):
+        document_to_machine(doc)
+
+
+def test_loader_locates_a_bad_token_tag(mcr_sst):
+    doc = json.loads(dumps_machine(mcr_sst))
+    doc["transitions"][1]["update"]["X"] = [{"bad": "a"}]
+    with pytest.raises(DocumentError, match=r"transition #1 .*token tag must be reg or sym"):
+        document_to_machine(doc)
+
+
+@pytest.mark.parametrize("field", ["k", "ell"])
+def test_loader_rejects_infinite_counts(mcr_rbt, field, tmp_path, capsys):
+    text = dumps_machine(mcr_rbt).replace(f'"{field}": ', f'"{field}": Infinity, "x": ', 1)
+    with pytest.raises(DocumentError):
+        loads_machine(text)
+    path = tmp_path / "infinite.json"
+    path.write_text(text)
+    assert main(["eval", str(path), "(a)"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_loader_lets_a_repeated_key_with_the_same_target_replace_the_record(mcr_rbt):
+    doc = json.loads(dumps_machine(mcr_rbt))
+    first = doc["transitions"][0]
+    doc["transitions"].append(dict(first, colors=[1 - first["colors"][0]]))
+    machine = document_to_machine(doc)
+    (key, tr), = [
+        (key, tr) for key, tr in machine.transitions.items()
+        if (key[0].name, key[1]) == (first["from"], first["letter"])
+    ]
+    assert tr.colors == (1 - first["colors"][0],)
+    assert machine.transitions.keys() == mcr_rbt.transitions.keys()
 
 
 def test_lasso_syntax():

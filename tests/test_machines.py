@@ -257,3 +257,26 @@ def test_substitution_composition_stays_copyless_and_disciplined(s1, s2):
     composed = s1.then(s2)
     assert composed.is_copyless()
     assert composed.image("out")[0] == reg("out")
+
+
+def _triples(machine):
+    return [(src, letter, tr.target) for (src, letter), tr in machine.transitions.items()]
+
+
+def test_reversibility_checks_agree_on_machines_and_triples(first_two_automaton, mcr_rbt):
+    from omegatrans.generate import generate_machine
+    from omegatrans.oneway import one_way_to_reversible
+
+    machines = [first_two_automaton, mcr_rbt]
+    for seed in range(10):
+        machines.append(generate_machine("2dpt", seed, 4, alphabet_size=2))
+        machines.append(generate_machine("cpsst", seed, 3, alphabet_size=2))
+        machines.append(one_way_to_reversible(generate_machine("1dpt", seed, 3, alphabet_size=2)))
+    verdicts = set()
+    for machine in machines:
+        triples = _triples(machine)
+        for check in (validate_deterministic, validate_codeterministic, validate_reversible):
+            assert check(machine) == check(triples), (check.__name__, machine)
+        verdicts.add(validate_codeterministic(machine))
+    assert verdicts == {True, False}
+    assert not validate_codeterministic(_triples(first_two_automaton))
