@@ -12,7 +12,10 @@ decides parity acceptance and yields an exact output lasso.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .lasso import LassoWord, lasso_canonicalize, lasso_equal
@@ -32,6 +35,7 @@ REJECTED_PARITY = "rejected-parity"
 REJECTED_STUCK = "rejected-stuck"
 REJECTED_LOOP = "rejected-loop"
 BUDGET_EXCEEDED = "budget-exceeded"
+SHIFT_LOOP = "shift-loop"  # a TwoWayRun kind, classified further by _classify
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,91 +128,159 @@ class TwoWayRun:
     loop_end: int = -1
 
 
-def simulate_two_way(
-    machine: TwoWayParityTransducer, word: LassoWord, max_steps: int
-) -> TwoWayRun:
-    """Simulate until the run is classified or ``max_steps`` transitions ran."""
-    word = lasso_canonicalize(word)
-    plen = len(word.prefix)
-    vlen = len(word.period)
-    run = TwoWayRun(kind=BUDGET_EXCEEDED)
-    config = Configuration(machine.initial, 0)
-    run.configs.append(config)
-    visited = {config: 0}
+# Interning must be atomic for threads sharing a machine.  One lock for all
+# tables keeps them picklable along with the machine that caches them.
+_COMPILE_LOCK = threading.Lock()
+
+
+class _RunTable:
+    """A two-way machine's states interned as ints, by equality, in the
+    order runs reach them; ``rows[i][letter]`` is the compiled move
+    (target index, head offset, output, colors) of state ``i``.
+
+    A move is compiled the first time a run takes it: the oracle runs short
+    runs on large machines, so compiling every transition up front costs
+    more than the runs themselves.
+    """
+
+    __slots__ = ("index", "states", "rows", "back", "one_way")
+
+    def __init__(self, machine: TwoWayParityTransducer):
+        self.index: dict[State, int] = {}
+        self.states: list[State] = []
+        self.rows: list[dict] = []
+        self.back: list[int] = []  # 1 for a backward state: it reads at position - 1
+        self.one_way = machine.is_one_way()
+        self._intern(machine.initial)  # index 0: every run starts there
+
+    def _intern(self, state: State) -> int:
+        i = self.index.get(state)
+        if i is None:
+            i = len(self.states)
+            self.states.append(state)
+            self.rows.append({})
+            self.back.append(0 if state.forward else 1)
+            self.index[state] = i
+        return i
+
+    def compile(self, machine: TwoWayParityTransducer, i: int, letter):
+        """The move of state ``i`` on ``letter``, or None when undefined."""
+        step = advance(machine, self.states[i], 0, letter)
+        if step is None:
+            return None
+        tr, offset = step
+        with _COMPILE_LOCK:
+            move = (self._intern(tr.target), offset, tr.output, tr.colors)
+            self.rows[i][letter] = move
+        return move
+
+
+def _run_table(machine: TwoWayParityTransducer) -> _RunTable:
+    """The machine's run table, built on first use and kept on the instance
+    the way ``functools.cached_property`` keeps a value: machines are
+    immutable, and ``dataclasses.replace`` makes a new instance."""
+    table = machine.__dict__.get("_run_table")
+    if table is None:
+        table = machine.__dict__.setdefault("_run_table", _RunTable(machine))
+    return table
+
+
+def _run(machine: TwoWayParityTransducer, word: LassoWord, max_steps: int):
+    """Simulate on the canonical lasso ``word`` until the run is classified
+    or ``max_steps`` transitions ran.
+
+    Returns (kind, trail, moves, loop_start, loop_end): ``trail`` maps each
+    configuration (state index, position) to the step that first reached
+    it, in order; ``moves[t]`` is the compiled move from configuration t
+    to configuration t + 1.
+    """
+    table = _run_table(machine)
+    rows, back = table.rows, table.back
+    prefix, period = word.prefix, word.period
+    plen, vlen = len(prefix), len(period)
+    state = pos = read = 0
+    trail = {(0, 0): 0}
+    moves = []
     # Earliest periodic-region visit per (state, residue) since the head
     # last dipped below the prefix; cleared on every dip so the shift-loop
     # guard (head stays in the periodic region) holds by construction.
-    anchors: dict[tuple[State, int], tuple[int, int]] = {}
-    state, pos, read_pos = machine.initial, 0, 0
-    for t in range(max_steps):
-        step = advance(machine, state, pos, word.letter(read_pos) if read_pos >= 0 else LEFT_END)
-        if step is None:
-            run.kind = REJECTED_STUCK
-            return run
-        tr, pos = step
-        state = tr.target
-        config = Configuration(state, pos)
-        run.outputs.append(tr.output)
-        run.colors.append(tr.colors)
-        run.configs.append(config)
-        if config in visited:
-            run.kind = REJECTED_LOOP
-            run.loop_start = visited[config]
-            run.loop_end = t + 1
-            return run
-        visited[config] = t + 1
+    anchors: dict[tuple[int, int], tuple[int, int]] = {}
+    for t in range(1, max_steps + 1):
+        if read >= plen:
+            letter = period[(read - plen) % vlen]
+        else:
+            letter = prefix[read] if read >= 0 else LEFT_END
+        move = rows[state].get(letter)
+        if move is None:
+            move = table.compile(machine, state, letter)
+            if move is None:
+                return REJECTED_STUCK, trail, moves, -1, -1
+        moves.append(move)
+        state = move[0]
+        pos += move[1]
+        first = trail.setdefault((state, pos), t)
+        if first != t:
+            return REJECTED_LOOP, trail, moves, first, t
         # The loop argument needs every letter read inside the candidate
         # segment to come from the periodic region, and a backward state at
         # position p reads p - 1.
-        read_pos = pos if state.forward else pos - 1
-        if read_pos < plen:
+        read = pos - back[state]
+        if read < plen:
             anchors.clear()
             continue
         key = (state, (pos - plen) % vlen)
         prev = anchors.get(key)
         if prev is None:
-            anchors[key] = (t + 1, pos)
+            anchors[key] = (t, pos)
         elif pos > prev[1]:
-            run.kind = "shift-loop"
-            run.loop_start = prev[0]
-            run.loop_end = t + 1
-            return run
+            return SHIFT_LOOP, trail, moves, prev[0], t
         elif pos < prev[1]:
-            anchors[key] = (t + 1, pos)
-    return run
+            anchors[key] = (t, pos)
+    return BUDGET_EXCEEDED, trail, moves, -1, -1
 
 
-def _classify(machine: TwoWayParityTransducer, run: TwoWayRun, budget: EvalBudget) -> RunOutcome:
-    steps = len(run.outputs)
-    flat_prefix: list[str] = []
-    for out in run.outputs[: run.loop_start if run.loop_start >= 0 else steps]:
-        flat_prefix.extend(out)
-    if run.kind in (REJECTED_STUCK, REJECTED_LOOP, BUDGET_EXCEEDED):
-        return RunOutcome(
-            run.kind,
-            output_prefix=tuple(flat_prefix[: budget.max_output]),
-            steps=steps,
-        )
-    # Shift loop: transitions in [loop_start, loop_end) repeat forever.
-    mins = tuple(
-        min(run.colors[t][i] for t in range(run.loop_start, run.loop_end))
-        for i in range(machine.k)
+def simulate_two_way(
+    machine: TwoWayParityTransducer, word: LassoWord, max_steps: int
+) -> TwoWayRun:
+    """Simulate until the run is classified or ``max_steps`` transitions ran."""
+    kind, trail, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(word), max_steps)
+    states = _run_table(machine).states
+    configs = [Configuration(states[i], pos) for i, pos in trail]
+    if kind == REJECTED_LOOP:
+        configs.append(configs[loop_start])
+    return TwoWayRun(
+        kind, configs, [m[2] for m in moves], [m[3] for m in moves], loop_start, loop_end
     )
+
+
+def _classify(
+    k: int, kind: str, moves: list, loop_start: int, loop_end: int, budget: EvalBudget
+) -> RunOutcome:
+    steps = len(moves)
+    flat_prefix = _outputs(moves[: loop_start if loop_start >= 0 else steps])
+    if kind != SHIFT_LOOP:
+        return RunOutcome(kind, output_prefix=flat_prefix[: budget.max_output], steps=steps)
+    # Shift loop: moves in [loop_start, loop_end) repeat forever.
+    loop = moves[loop_start:loop_end]
+    mins = tuple(min(move[3][i] for move in loop) for i in range(k))
     if any(m % 2 == 1 for m in mins):
         return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=steps)
-    loop_out: list[str] = []
-    for t in range(run.loop_start, run.loop_end):
-        loop_out.extend(run.outputs[t])
+    loop_out = _outputs(loop)
     if not loop_out:
         return RunOutcome(
             ACCEPTED_FINITE,
-            output_prefix=tuple(flat_prefix[: budget.max_output]),
+            output_prefix=flat_prefix[: budget.max_output],
             min_colors=mins,
             steps=steps,
         )
-    lasso = lasso_canonicalize(LassoWord(tuple(flat_prefix), tuple(loop_out)))
-    prefix = (tuple(flat_prefix) + tuple(loop_out))[: budget.max_output]
+    lasso = lasso_canonicalize(LassoWord(flat_prefix, loop_out))
+    prefix = (flat_prefix + loop_out)[: budget.max_output]
     return RunOutcome(ACCEPTED, output=lasso, output_prefix=prefix, min_colors=mins, steps=steps)
+
+
+def _outputs(moves: list) -> tuple[str, ...]:
+    """The concatenated output words of ``moves``."""
+    return tuple(chain.from_iterable(map(itemgetter(2), moves)))
 
 
 def eval_two_way(
@@ -216,18 +288,20 @@ def eval_two_way(
 ) -> RunOutcome:
     """Classify the run of a two-way machine on ``w`` exactly."""
     budget = budget or default_budget()
-    run = simulate_two_way(machine, w, budget.max_steps)
-    return _classify(machine, run, budget)
+    kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
+    return _classify(machine.k, kind, moves, loop_start, loop_end, budget)
 
 
 def eval_one_way(machine: TwoWayParityTransducer, w: LassoWord) -> RunOutcome:
     """One-way specialization; the loop shows up within |u| + |Q|·|v| steps."""
-    if not machine.is_one_way():
+    if not _run_table(machine).one_way:
         raise ValueError("eval_one_way requires a one-way machine")
     w = lasso_canonicalize(w)
     steps = len(w.prefix) + (len(machine.states) + 2) * len(w.period) + 2
-    run = simulate_two_way(machine, w, steps)
-    return _classify(machine, run, EvalBudget(max_steps=steps, max_output=10**9))
+    kind, _, moves, loop_start, loop_end = _run(machine, w, steps)
+    return _classify(
+        machine.k, kind, moves, loop_start, loop_end, EvalBudget(max_steps=steps, max_output=10**9)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +311,23 @@ def eval_one_way(machine: TwoWayParityTransducer, w: LassoWord) -> RunOutcome:
 def _sst_automaton_loop(sst: CopylessParitySST, w: LassoWord):
     """Run the underlying one-way automaton; return (trace, loop bounds) or
     a stuck step index."""
-    plen, vlen = len(w.prefix), len(w.period)
+    prefix, period = w.prefix, w.period
+    plen, vlen = len(prefix), len(period)
     state = sst.initial
     trace: list[SstTransition] = []
     seen: dict[tuple[State, int], int] = {}
     t = 0
     while True:
         if t >= plen:
-            key = (state, (t - plen) % vlen)
+            residue = (t - plen) % vlen
+            key = (state, residue)
             if key in seen:
                 return trace, seen[key], t
             seen[key] = t
-        tr = sst.transitions.get((state, w.letter(t)))
+            letter = period[residue]
+        else:
+            letter = prefix[t]
+        tr = sst.transitions.get((state, letter))
         if tr is None:
             return trace, None, t
         trace.append(tr)
@@ -390,7 +469,7 @@ def eval_machine(machine, w: LassoWord, budget: Optional[EvalBudget] = None) -> 
     """Dispatch on the machine kind."""
     if isinstance(machine, CopylessParitySST):
         return eval_sst(machine, w, budget)
-    if machine.is_one_way():
+    if _run_table(machine).one_way:
         return eval_one_way(machine, w)
     return eval_two_way(machine, w, budget)
 

@@ -157,6 +157,8 @@ def _sst_transition(t: dict, target: State) -> SstTransition:
             (tag, value), = tok.items()
             if tag not in ("reg", "sym"):
                 raise ValueError(f"token tag must be reg or sym, got {tag!r}")
+            if not isinstance(value, str):
+                raise ValueError(f"{tag} token value must be a string, got {value!r}")
             img.append((tag, value))
         images[r] = tuple(img)
     return SstTransition(target, Substitution.from_dict(images), tuple(t["colors"]))

@@ -31,7 +31,10 @@ class LassoWord:
         return self.period[(position - len(self.prefix)) % len(self.period)]
 
     def unroll(self, length: int) -> tuple[Letter, ...]:
-        return tuple(self.letter(i) for i in range(length))
+        """The first ``length`` letters (none when ``length <= 0``)."""
+        length = max(length, 0)
+        reps = -(-(length - len(self.prefix)) // len(self.period))
+        return (self.prefix + self.period * reps)[:length]
 
     def __str__(self) -> str:
         if all(isinstance(x, str) and len(x) == 1 for x in self.prefix + self.period):

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,3 +308,145 @@ def test_random_machines_classify_without_budget(seed):
     for w in [lw("", "ab"), lw("a", "b"), lw("bb", "aab")]:
         out = eval_two_way(machine, w)
         assert out.verdict != "budget-exceeded"
+
+
+# --- run table ----------------------------------------------------------------
+
+
+def _stepped_configs(machine, w, steps):
+    """The configurations of ``steps`` plain ``step_two_way`` calls."""
+    config = Configuration(machine.initial, 0)
+    configs, outputs, colors = [config], [], []
+    for _ in range(steps):
+        step = step_two_way(machine, w, config)
+        if step is None:
+            break
+        config, out, col = step
+        configs.append(config)
+        outputs.append(out)
+        colors.append(col)
+    return configs, outputs, colors
+
+
+def _bundled_mcr_rbt():
+    from pathlib import Path
+
+    from omegatrans.io import load_machine
+
+    return load_machine(Path(__file__).resolve().parent.parent / "machines" / "mcr_rbt.json")
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(10)))
+def test_simulation_matches_single_steps(seed):
+    from omegatrans.lasso import lasso_canonicalize
+
+    machine = _bundled_mcr_rbt() if seed is None else generate_two_way(seed, n=4, k=1, ell=2)
+    for w in enumerate_lassos(machine.input_alphabet, 2, 3):
+        run = simulate_two_way(machine, w, 2_000)
+        steps = len(run.configs) - 1
+        configs, outputs, colors = _stepped_configs(machine, lasso_canonicalize(w), steps)
+        assert run.configs == configs
+        assert (run.outputs, run.colors) == (outputs, colors)
+        if run.kind == REJECTED_STUCK:
+            assert step_two_way(machine, lasso_canonicalize(w), configs[-1]) is None
+
+
+def test_equal_state_copies_are_one_state(mcr_rbt, lassos_ab_hash):
+    """Targets that are equal but distinct State objects name one state."""
+    copy = lambda s: State(s.name, s.forward)  # noqa: E731
+    twin = TwoWayParityTransducer(
+        mcr_rbt.input_alphabet,
+        mcr_rbt.output_alphabet,
+        mcr_rbt.states,
+        copy(mcr_rbt.initial),
+        {
+            key: Transition(copy(tr.target), tr.output, tr.colors)
+            for key, tr in mcr_rbt.transitions.items()
+        },
+        mcr_rbt.k,
+        mcr_rbt.ell,
+    )
+    for w in lassos_ab_hash:
+        run, twin_run = simulate_two_way(mcr_rbt, w, 10_000), simulate_two_way(twin, w, 10_000)
+        assert (twin_run.kind, twin_run.loop_start, twin_run.loop_end) == (
+            run.kind, run.loop_start, run.loop_end
+        )
+        assert eval_two_way(twin, w) == eval_two_way(mcr_rbt, w)
+
+
+def test_replaced_machine_gets_its_own_runs(mcr_rbt, lassos_ab_hash):
+    from dataclasses import fields, replace
+
+    before = [eval_machine(mcr_rbt, w) for w in lassos_ab_hash]
+    copy = mcr_rbt.states[0]
+    flipped = dict(mcr_rbt.transitions)
+    flipped[(copy, "a")] = Transition(copy, ("b",), (0,))
+    other = replace(mcr_rbt, transitions=flipped)
+    fresh = TwoWayParityTransducer(
+        **{f.name: getattr(mcr_rbt, f.name) for f in fields(mcr_rbt) if f.name != "transitions"},
+        transitions=flipped,
+    )
+    after = [eval_machine(other, w) for w in lassos_ab_hash]
+    assert after == [eval_machine(fresh, w) for w in lassos_ab_hash]
+    assert after != before
+    assert [eval_machine(mcr_rbt, w) for w in lassos_ab_hash] == before
+
+
+def test_evaluated_machine_pickles():
+    import pickle
+
+    machine = generate_two_way(3, n=4, k=1, ell=2)
+    lassos = enumerate_lassos(machine.input_alphabet, 2, 3)
+    before = [eval_machine(machine, w) for w in lassos]
+    again = pickle.loads(pickle.dumps(machine))
+    assert again == machine
+    assert [eval_machine(again, w) for w in lassos] == before
+
+
+class _YieldingName(str):
+    """A state name whose hashing lets other threads run, which widens any
+    window between looking a state up and interning it."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return str.__hash__(self)
+
+
+def _with_yielding_names(machine):
+    named = {s: State(_YieldingName(s.name), s.forward) for s in machine.states}
+    return TwoWayParityTransducer(
+        machine.input_alphabet,
+        machine.output_alphabet,
+        tuple(named.values()),
+        named[machine.initial],
+        {
+            (named[s], letter): Transition(named[tr.target], tr.output, tr.colors)
+            for (s, letter), tr in machine.transitions.items()
+        },
+        machine.k,
+        machine.ell,
+    )
+
+
+def test_threads_sharing_a_machine_agree():
+    """Threads compiling moves of one shared machine at once intern each
+    state once, so every thread gets the single-threaded verdicts."""
+    lassos = enumerate_lassos(("a", "b"), 2, 3)
+    for seed in range(10):
+        machine = generate_two_way(seed, n=8, k=1, ell=2)
+        expected = [eval_machine(machine, w) for w in lassos]
+        shared = _with_yielding_names(machine)
+        results = [None] * 4
+        start = threading.Barrier(len(results))
+
+        def work(slot):
+            start.wait(timeout=30)
+            results[slot] = [eval_machine(shared, w) for w in lassos]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * len(results)

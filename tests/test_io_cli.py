@@ -482,3 +482,13 @@ def test_bundled_machine_files(mcr_rbt):
     assert bundled == mcr_rbt
     for path in sorted(root.glob("*.json")):
         loads_machine(path.read_text())
+
+
+@pytest.mark.parametrize("token", [{"reg": [1]}, {"sym": 5}, {"reg": None}])
+def test_non_string_token_value_is_located(token):
+    doc = json.loads(BUNDLED[0].with_name("mcr_sst.json").read_text())
+    doc["transitions"][0]["update"]["out"].append(token)
+    with pytest.raises(DocumentError) as caught:
+        document_to_machine(doc)
+    assert "transition #0 ('q' on '#'): malformed transition:" in str(caught.value)
+    assert "must be a string" in str(caught.value)

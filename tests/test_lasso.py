@@ -110,3 +110,9 @@ def test_random_lassos_reproducible():
 def test_letter_indexing():
     w = lw("ab", "cd")
     assert [w.letter(i) for i in range(6)] == list("abcdcd")
+
+
+def test_unroll_matches_letter_by_letter():
+    for w in enumerate_lassos(("a", "b"), 3, 4):
+        for n in range(-1, 3 * (len(w.prefix) + len(w.period)) + 1):
+            assert w.unroll(n) == tuple(w.letter(i) for i in range(n))
