@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .buchi import buchi_to_noacc, dbt_to_rbt, drop_acceptance, marking_from_colors
-from .compose import compose
+from .compose import compose_reachable
 from .dot import machine_to_dot
 from .evaluate import (
     ACCEPTED,
@@ -124,7 +124,7 @@ def _emit_machine(machine, out_path: str) -> int:
 def cmd_compose(args) -> int:
     first = _load(args.first)
     second = _load(args.second)
-    return _emit_machine(compose(first, second), args.out)
+    return _emit_machine(compose_reachable(first, second), args.out)
 
 
 def cmd_1w2rev(args) -> int:
@@ -211,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("compose", help="compose two reversible transducers (first then second)")
+    p = sub.add_parser(
+        "compose", help="compose two reversible transducers (first then second), reachable pairs only"
+    )
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("out", nargs="?", default="-")

@@ -169,11 +169,11 @@ def _product(first, second, seeds) -> TwoWayParityTransducer:
                 moves[target] = []
                 frontier.append(target)
 
-    names = unique_names(f"{q.name}.{p.name}" for q in first.states for p in second.states)
+    emitted = sorted(moves)
     pair_state: dict[int, State] = {}
-    for i in sorted(moves):
+    for i, name in zip(emitted, _pair_names(first, second, emitted)):
         q, p = first.states[i // width], second.states[i % width]
-        pair_state[i] = State(names[i], q.forward == p.forward)
+        pair_state[i] = State(name, q.forward == p.forward)
     transitions: dict = {}
     for i, src in pair_state.items():
         for a, target, output, colors in moves[i]:
@@ -190,6 +190,28 @@ def _product(first, second, seeds) -> TwoWayParityTransducer:
         k=first.k + second.k,
         ell=ell,
     )
+
+
+def _pair_names(first, second, pairs: list[int]) -> list[str]:
+    """The names ``unique_names`` gives ``pairs`` among all Q×P "q.p" names.
+
+    Two such names coincide only when a machine repeats a state name, or
+    when a first-state name cut at one of its dots is another first-state
+    name ("a" + "." + "b.c" = "a.b" + "." + "c").  Otherwise every name is
+    its own and only the given pairs are formatted.
+    """
+    q_names = [q.name for q in first.states]
+    p_names = [p.name for p in second.states]
+    known = set(q_names)
+    if (
+        len(known) < len(q_names)
+        or len(set(p_names)) < len(p_names)
+        or any(name[:i] in known for name in q_names for i, c in enumerate(name) if c == ".")
+    ):
+        names = unique_names(f"{q}.{p}" for q in q_names for p in p_names)
+        return [names[i] for i in pairs]
+    width = len(p_names)
+    return [f"{q_names[i // width]}.{p_names[i % width]}" for i in pairs]
 
 
 def _compose_transition(

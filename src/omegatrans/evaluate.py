@@ -198,7 +198,10 @@ def _run(machine: TwoWayParityTransducer, word: LassoWord, max_steps: int):
     rows, back = table.rows, table.back
     prefix, period = word.prefix, word.period
     plen, vlen = len(prefix), len(period)
-    state = pos = read = 0
+    # A backward initial state reads the endmarker at position 0, as in
+    # ``step_two_way``.
+    state = pos = 0
+    read = -back[0]
     trail = {(0, 0): 0}
     moves = []
     # Earliest periodic-region visit per (state, residue) since the head

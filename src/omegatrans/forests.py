@@ -14,9 +14,9 @@ keeps the updates copyless.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .compose import run_on_finite
 from .machines import (
@@ -59,17 +59,6 @@ class ForestNode:
 MergingForest = tuple[ForestNode, ...]
 
 
-def forest_nodes(forest: MergingForest) -> int:
-    def count(node: ForestNode) -> int:
-        return 1 + sum(count(c) for c in node.children)
-
-    return sum(count(t) for t in forest)
-
-
-def forest_edges(forest: MergingForest) -> int:
-    return forest_nodes(forest) - len(forest)
-
-
 def forest_leaves(tree: ForestNode):
     if tree.is_leaf():
         yield tree
@@ -81,64 +70,167 @@ def forest_leaf_root_pairs(forest: MergingForest) -> set[tuple[str, str]]:
     return {(leaf.label, tree.label) for tree in forest for leaf in forest_leaves(tree)}
 
 
-def _min_leaf(node: ForestNode, order: dict[str, int]) -> int:
-    if node.is_leaf():
-        return order[node.label]
-    return min(_min_leaf(c, order) for c in node.children)
+# ---------------------------------------------------------------------------
+# Flat forests
+#
+# Inside the construction a forest is kept as its preorder: a flat tuple with
+# one (label, colors, child count) triple per node.  Equal forests have equal
+# preorders, so the tuple is the summary's hash key.  A node's id is its
+# position in the preorder, and the edges of a forest own the pool's
+# registers in preorder (traversal order meets pool order).
 
 
-def canonical_forest(forest: MergingForest, order: dict[str, int]) -> MergingForest:
-    """Sort sibling subtrees by least leaf label and trees by root label.
+def _preorder(forest: MergingForest) -> tuple:
+    flat: list = []
 
-    Sibling order carries no run semantics (only the nesting does), so this
-    makes structurally equal summaries compare and hash equal.
-    """
+    def visit(node: ForestNode):
+        flat.extend((node.label, node.colors, len(node.children)))
+        for child in node.children:
+            visit(child)
 
-    def canon(node: ForestNode) -> ForestNode:
-        children = tuple(
-            sorted((canon(c) for c in node.children), key=lambda n: _min_leaf(n, order))
-        )
-        return ForestNode(node.label, node.colors, children)
-
-    return tuple(sorted((canon(t) for t in forest), key=lambda n: order[n.label]))
+    for tree in forest:
+        visit(tree)
+    return tuple(flat)
 
 
-def _dfs_edge_paths(forest: MergingForest) -> list[tuple]:
-    """Edges in traversal order, keyed by the child node's path."""
-    paths: list[tuple] = []
+def _forest(preorder: tuple) -> MergingForest:
+    """The forest of ``preorder`` (inverse of ``_preorder``)."""
+    triples = zip(preorder[0::3], preorder[1::3], preorder[2::3])
 
-    def walk(node: ForestNode, path: tuple):
-        for i, child in enumerate(node.children):
-            paths.append(path + (i,))
-            walk(child, path + (i,))
+    def node() -> ForestNode:
+        label, colors, count = next(triples)
+        return ForestNode(label, colors, tuple(node() for _ in range(count)))
 
-    for t, tree in enumerate(forest):
-        walk(tree, (t,))
-    return paths
+    return tuple(
+        ForestNode(label, colors, tuple(node() for _ in range(count)))
+        for label, colors, count in triples
+    )
 
 
-def forest_registers(forest: MergingForest, pool: tuple[str, ...]) -> dict[tuple, str]:
-    """Canonical edge-to-register map: traversal order meets pool order."""
-    return {path: pool[i] for i, path in enumerate(_dfs_edge_paths(forest))}
+class _Flat(NamedTuple):
+    """A summary's forest as int nodes, shared by all letters read from it."""
+
+    edges: dict  # child id -> (parent id, register label), in pool order
+    leaf_of: dict  # backward-state label -> leaf id
+    root_of: dict  # forward-state label -> root id
+    climb: dict  # leaf id -> (root id, nodes from the leaf up to the root, label)
+
+
+def _flatten(preorder: tuple, reg_labels: tuple) -> _Flat:
+    """The climb from a leaf to its root reads the registers on the way up,
+    and its label carries the leaf's colors."""
+    edges: dict = {}
+    leaf_of: dict = {}
+    root_of: dict = {}
+    climb: dict = {}
+    up: list = []  # node id -> (root id, nodes up to the root, register tokens)
+    open_nodes: list[list[int]] = []  # [id, children still to come]
+    for node in range(len(preorder) // 3):
+        label, colors, count = preorder[3 * node : 3 * node + 3]
+        if open_nodes:
+            parent = open_nodes[-1]
+            reg_label = reg_labels[len(edges)]
+            edges[node] = (parent[0], reg_label)
+            root, path, tokens = up[parent[0]]
+            up.append((root, (node,) + path, reg_label[0] + tokens))
+            parent[1] -= 1
+            if not parent[1]:
+                open_nodes.pop()
+        else:
+            root_of[label] = node
+            up.append((node, (node,), ()))
+        if count:
+            open_nodes.append([node, count])
+        else:
+            leaf_of[label] = node
+            root, path, tokens = up[node]
+            climb[node] = (root, path, (tokens, colors))
+    return _Flat(edges, leaf_of, root_of, climb)
 
 
 # ---------------------------------------------------------------------------
 # The one-letter extension step
 
 
+class _Tables(NamedTuple):
+    """What a step reads of the machine and the register pool, built once
+    per conversion.  Edge labels are (tokens, colors): a forest edge's
+    tokens are its register, with colors None; a splice edge's tokens are
+    the output letters, with the transition's colors."""
+
+    moves: dict  # (state name, letter) -> (target name, target forward, out image, colors)
+    splices: dict  # letter -> [(origin, origin is a root name, dest, dest is a leaf name, label)]
+    entries: tuple  # boundary nodes of the backward states, in state order
+    exits: tuple  # boundary nodes of the forward states, in state order
+    order: dict  # state name -> position
+    reg_labels: tuple  # edge index -> label of the forest edge owning pool[index]
+    registers: tuple  # ("out",) + pool, sorted as Substitution stores them
+    out_slot: int
+    pool_slots: tuple  # position of pool[i] in ``registers``
+
+
+def _tables(
+    machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str, order: dict[str, int]
+) -> _Tables:
+    boundary = {s.name: ("c", s.name) for s in machine.states}
+    moves: dict = {}
+    splices: dict = {}
+    for (src, a), tr in machine.transitions.items():
+        target = tr.target
+        word = tuple(sym(b) for b in tr.output)
+        moves[src.name, a] = (target.name, target.forward, (reg(out),) + word, tr.colors)
+        splices.setdefault(a, []).append(
+            (
+                src.name if src.forward else boundary[src.name],
+                src.forward,
+                boundary[target.name] if target.forward else target.name,
+                not target.forward,
+                (word, tr.colors),
+            )
+        )
+    registers = tuple(sorted((out,) + pool))
+    return _Tables(
+        moves,
+        splices,
+        tuple(boundary[s.name] for s in machine.states if not s.forward),
+        tuple(boundary[s.name] for s in machine.states if s.forward),
+        order,
+        tuple(((reg(r),), None) for r in pool),
+        registers,
+        registers.index(out),
+        tuple(registers.index(r) for r in pool),
+    )
+
+
 @dataclass
 class TransitionGraph:
     """A forest plus the splice edges contributed by one input letter.
 
-    Nodes are forest-node paths and fresh ("c", state-name) boundary nodes.
-    Old edges are labeled ("reg", register); new ones ("word", output,
-    colors).  Every node has at most one outgoing edge, so maximal paths
-    are deterministic walks; cycles can appear and mark dying runs.
+    Nodes are forest-node ids (preorder positions) and ("c", state-name)
+    boundary nodes; ``out_edge`` maps a node to (next node, edge label).
+    Every node has at most one outgoing edge, so maximal paths are
+    deterministic walks; cycles can appear and mark dying runs.
     """
 
     out_edge: dict[object, tuple[object, object]]
-    leaf_of: dict[str, tuple]
-    node_info: dict[tuple, ForestNode]
+    leaf_of: dict[str, int]
+
+
+def _splices(flat: _Flat, a, tables: _Tables) -> dict:
+    """The splice edges of letter ``a`` that this forest's runs can take."""
+    jump: dict = {}
+    root_of, leaf_of = flat.root_of, flat.leaf_of
+    for origin, from_root, dest, to_leaf, label in tables.splices.get(a, ()):
+        if from_root:
+            origin = root_of.get(origin)
+            if origin is None:
+                continue
+        if to_leaf:
+            dest = leaf_of.get(dest)
+            if dest is None:
+                continue
+        jump[origin] = (dest, label)
+    return jump
 
 
 def build_graph(
@@ -147,68 +239,128 @@ def build_graph(
     machine: TwoWayParityTransducer,
     pool: tuple[str, ...],
 ) -> TransitionGraph:
-    registers = forest_registers(forest, pool)
-    out_edge: dict[object, tuple[object, object]] = {}
-    leaf_of: dict[str, tuple] = {}
-    node_info: dict[tuple, ForestNode] = {}
-    root_of: dict[str, tuple] = {}
-
-    def walk(node: ForestNode, path: tuple):
-        node_info[path] = node
-        if node.is_leaf():
-            leaf_of[node.label] = path
-        for i, child in enumerate(node.children):
-            child_path = path + (i,)
-            out_edge[child_path] = (path, ("reg", registers[child_path]))
-            walk(child, child_path)
-
-    for t, tree in enumerate(forest):
-        root_of[tree.label] = (t,)
-        walk(tree, (t,))
-
-    for (src, letter), tr in machine.transitions.items():
-        if letter != a:
-            continue
-        if src.forward:
-            origin = root_of.get(src.name)
-            if origin is None:
-                continue
-        else:
-            origin = ("c", src.name)
-        if tr.target.forward:
-            dest = ("c", tr.target.name)
-        else:
-            dest = leaf_of.get(tr.target.name)
-            if dest is None:
-                continue
-        out_edge[origin] = (dest, ("word", tr.output, tr.colors))
-    return TransitionGraph(out_edge, leaf_of, node_info)
+    tables = _tables(machine, pool, "out", _state_order(machine))
+    flat = _flatten(_preorder(forest), tables.reg_labels)
+    out_edge = dict(flat.edges)
+    out_edge.update(_splices(flat, a, tables))
+    return TransitionGraph(out_edge, flat.leaf_of)
 
 
-def _walk(graph: TransitionGraph, start):
-    """Follow out-edges from ``start``: (nodes, labels, end); end is None on a cycle."""
-    nodes = [start]
-    labels = []
-    seen = {start}
-    node = start
-    while node in graph.out_edge:
-        node, label = graph.out_edge[node]
+def _walk(jump: dict, climb: dict, node, nodes: list, labels: list):
+    """Extend the walk that reached ``node``: splice edges lead from a root or
+    an entry to a leaf or an exit, and each leaf climbs to its root.  Returns
+    the exit, or None when the walk dies: a root with no splice edge, or a
+    cycle (more leaves entered than the forest has)."""
+    for _ in range(len(climb) + 1):
+        edge = jump.get(node)
+        if edge is None:
+            return None
+        dest, label = edge
         labels.append(label)
-        if node in seen:
-            return nodes, labels, None
-        seen.add(node)
-        nodes.append(node)
-    return nodes, labels, node
+        if type(dest) is tuple:
+            nodes.append(dest)
+            return dest
+        node, path, label = climb[dest]
+        nodes.extend(path)
+        labels.append(label)
+    return None
 
 
-def _is_boundary(node) -> bool:
-    return isinstance(node, tuple) and len(node) == 2 and node[0] == "c"
+def _fold_colors(colors, labels: list):
+    """``colors`` folded by minimum with the colors of ``labels``."""
+    for _, more in labels:
+        if more is not None:
+            colors = more if colors is None else tuple(map(min, colors, more))
+    return colors
 
 
-def _fold_min(colors: tuple[int, ...], acc: Optional[tuple[int, ...]]) -> tuple[int, ...]:
-    if acc is None:
-        return colors
-    return tuple(min(x, y) for x, y in zip(acc, colors))
+def _step(q_name: str, flat: _Flat, a, tables: _Tables):
+    """``step`` on a flattened summary: (state, preorder, update, colors),
+    or None when the extended left-to-right run dies."""
+    move = tables.moves.get((q_name, a))
+    if move is None:
+        return None
+    target, target_forward, head, colors = move
+    jump = _splices(flat, a, tables)
+    climb = flat.climb
+    out_image = list(head)
+    if target_forward:
+        p_name = target
+    else:
+        leaf = flat.leaf_of.get(target)
+        if leaf is None:
+            return None
+        root, _, label = climb[leaf]
+        labels = [label]
+        end = _walk(jump, climb, root, [], labels)
+        if end is None:
+            return None
+        p_name = end[1]
+        colors = _fold_colors(colors, labels)
+        for tokens, _ in labels:
+            out_image.extend(tokens)
+
+    # Keep exactly the nodes on an entry-to-exit walk that does not reach
+    # the new endpoint: a run merging with the main run could only recur by
+    # looping on a finite prefix, so it is dropped (and its registers freed).
+    kept: set = set()
+    new_leaf_colors: dict = {}
+    for start in tables.entries:
+        if start not in jump:
+            continue
+        nodes = [start]
+        labels = []
+        end = _walk(jump, climb, start, nodes, labels)
+        if end is None or end[1] == p_name:
+            continue
+        kept.update(nodes)
+        # Color tuple of the new leaf: minimum over the whole summarized run.
+        new_leaf_colors[start] = _fold_colors(None, labels)
+
+    children: dict = {}
+    edges = flat.edges
+    for node in kept:
+        edge = edges.get(node) or jump.get(node)
+        if edge is not None:  # it leads on to the next node of its walk
+            children.setdefault(edge[0], []).append((node, edge[1]))
+
+    order = tables.order
+
+    def build(node):
+        """(least leaf position, preorder, edge images in preorder) of the
+        canonical subtree at ``node``; unary chains below it are contracted
+        into single edges."""
+        kids = []
+        for child, (image, _) in children[node]:
+            while type(child) is not tuple and len(children[child]) == 1:
+                (child, (tokens, _)), = children[child]
+                image = tokens + image
+            leaf_colors = new_leaf_colors.get(child)
+            if leaf_colors is None:
+                kids.append((*build(child), image))
+            else:
+                kids.append((order[child[1]], (child[1], leaf_colors, 0), (), image))
+        kids.sort(key=itemgetter(0))  # subtrees have disjoint leaves
+        preorder = (node[1] if type(node) is tuple else None, None, len(kids))
+        images: list[tuple[Token, ...]] = []
+        for _, sub_preorder, sub_images, image in kids:
+            preorder += sub_preorder
+            images.append(image)
+            images.extend(sub_images)
+        return kids[0][0], preorder, images
+
+    preorder: tuple = ()
+    slots: list = [()] * len(tables.registers)
+    slots[tables.out_slot] = tuple(out_image)
+    pool_slots = iter(tables.pool_slots)  # edges take registers in preorder
+    for root in tables.exits:
+        if root in kept:
+            _, tree, images = build(root)
+            preorder += tree
+            for image in images:
+                slots[next(pool_slots)] = image
+    update = Substitution(tuple(zip(tables.registers, slots)))
+    return p_name, preorder, update, colors
 
 
 def step(
@@ -226,135 +378,20 @@ def step(
     turns back into a run the forest no longer tracks.
     """
     q_name, forest = q_and_forest
-    by_name = {s.name: s for s in machine.states}
-    tr = machine.transitions.get((by_name[q_name], a))
-    if tr is None:
+    tables = _tables(machine, pool, out, order)
+    result = _step(q_name, _flatten(_preorder(forest), tables.reg_labels), a, tables)
+    if result is None:
         return None
-    graph = build_graph(forest, a, machine, pool)
-
-    out_image: list[Token] = [reg(out)] + [sym(b) for b in tr.output]
-    colors = list(tr.colors)
-    if tr.target.forward:
-        p_name = tr.target.name
-    else:
-        leaf = graph.leaf_of.get(tr.target.name)
-        if leaf is None:
-            return None
-        nodes, labels, end = _walk(graph, leaf)
-        if end is None or not _is_boundary(end):
-            return None
-        p_name = end[1]
-        for node in nodes:
-            info = graph.node_info.get(node)
-            if info is not None and info.is_leaf():
-                colors = [min(m, c) for m, c in zip(colors, info.colors)]
-        for label in labels:
-            if label[0] == "reg":
-                out_image.append(reg(label[1]))
-            else:
-                out_image.extend(sym(b) for b in label[1])
-                colors = [min(m, c) for m, c in zip(colors, label[2])]
-
-    # Keep exactly the nodes on an entry-to-exit walk that does not reach
-    # the new endpoint: a run merging with the main run could only recur by
-    # looping on a finite prefix, so it is dropped (and its registers freed).
-    kept: set = set()
-    entry_walks: dict[tuple, tuple] = {}
-    for s in machine.states:
-        if s.forward:
-            continue
-        start = ("c", s.name)
-        if start not in graph.out_edge:
-            continue
-        nodes, labels, end = _walk(graph, start)
-        if end is None or not _is_boundary(end) or end[1] == p_name:
-            continue
-        kept.update(nodes)
-        entry_walks[start] = (nodes, labels)
-
-    children: dict[object, list] = {}
-    for node in kept:
-        if node in graph.out_edge:
-            target, label = graph.out_edge[node]
-            if target in kept:
-                children.setdefault(target, []).append((node, label))
-
-    structural: set = set()
-    for node in kept:
-        if _is_boundary(node) or len(children.get(node, [])) >= 2:
-            structural.add(node)
-
-    # Color tuples of the new leaves: minimum over the whole summarized run.
-    leaf_colors: dict[tuple, tuple[int, ...]] = {}
-    for start, (nodes, labels) in entry_walks.items():
-        mins: Optional[tuple[int, ...]] = None
-        for node in nodes:
-            info = graph.node_info.get(node)
-            if info is not None and info.is_leaf():
-                mins = _fold_min(info.colors, mins)
-        for label in labels:
-            if label[0] == "word":
-                mins = _fold_min(label[2], mins)
-        leaf_colors[start] = mins if mins is not None else tuple()
-
-    def build(node) -> tuple[ForestNode, list[tuple[Token, ...]]]:
-        """Canonical subtree plus its edge images in traversal order."""
-        kids = []
-        for child, label in children.get(node, []):
-            chain = [label]
-            probe = child
-            while probe not in structural:
-                below = children.get(probe, [])
-                assert len(below) == 1, "dissolved nodes must be unary"
-                probe, lower = below[0]
-                chain.append(lower)
-            sub_node, sub_images = build(probe)
-            image: list[Token] = []
-            for lab in reversed(chain):
-                if lab[0] == "reg":
-                    image.append(reg(lab[1]))
-                else:
-                    image.extend(sym(b) for b in lab[1])
-            kids.append((sub_node, tuple(image), sub_images))
-        kids.sort(key=lambda item: _min_leaf(item[0], order))
-        if _is_boundary(node):
-            if by_name[node[1]].forward:
-                made = ForestNode(node[1], None, tuple(k[0] for k in kids))
-            else:
-                made = ForestNode(node[1], leaf_colors[node], ())
-        else:
-            made = ForestNode(None, None, tuple(k[0] for k in kids))
-        dfs_images: list[tuple[Token, ...]] = []
-        for sub_node, image, sub_images in kids:
-            dfs_images.append(image)
-            dfs_images.extend(sub_images)
-        return made, dfs_images
-
-    roots = sorted(
-        (n for n in structural if _is_boundary(n) and by_name[n[1]].forward),
-        key=lambda n: order[n[1]],
-    )
-    trees = []
-    all_images: list[tuple[Token, ...]] = []
-    for r in roots:
-        tree, imgs = build(r)
-        trees.append(tree)
-        all_images.extend(imgs)
-    new_forest: MergingForest = tuple(trees)
-
-    assignment = forest_registers(new_forest, pool)
-    edge_paths = _dfs_edge_paths(new_forest)
-    assert len(edge_paths) == len(all_images), "one image per contracted edge"
-    subst_images: dict[str, tuple[Token, ...]] = {out: tuple(out_image)}
-    for path, image in zip(edge_paths, all_images):
-        subst_images[assignment[path]] = image
-    for r in pool:
-        subst_images.setdefault(r, ())
-    return (p_name, new_forest), Substitution.from_dict(subst_images), tuple(colors)
+    p_name, preorder, update, colors = result
+    return (p_name, _forest(preorder)), update, colors
 
 
 # ---------------------------------------------------------------------------
 # Whole-machine conversion
+
+
+def _state_order(machine: TwoWayParityTransducer) -> dict[str, int]:
+    return {s.name: i for i, s in enumerate(machine.states)}
 
 
 def initial_state(machine: TwoWayParityTransducer):
@@ -365,7 +402,7 @@ def initial_state(machine: TwoWayParityTransducer):
     Bounces back into the initial state are omitted: a run using them
     revisits the initial configuration and loops.
     """
-    order = {s.name: i for i, s in enumerate(machine.states)}
+    order = _state_order(machine)
     by_root: dict[str, list[tuple[str, tuple, tuple]]] = {}
     for (src, letter), tr in machine.transitions.items():
         if letter != LEFT_END or tr.target == machine.initial:
@@ -380,12 +417,8 @@ def initial_state(machine: TwoWayParityTransducer):
         edge_productions.extend(prod for _, _, prod in entries)
     forest: MergingForest = tuple(trees)
     pool = _register_pool(len(machine.states))
-    assignment = forest_registers(forest, pool)
-    init_contents = {
-        assignment[path]: prod
-        for path, prod in zip(_dfs_edge_paths(forest), edge_productions)
-        if prod
-    }
+    # Edges own registers in traversal order, which lists each tree's leaves.
+    init_contents = {pool[i]: prod for i, prod in enumerate(edge_productions) if prod}
     return (machine.initial.name, forest), init_contents
 
 
@@ -411,54 +444,56 @@ def two_way_to_sst(
     n = len(machine.states)
     if n < 1:
         raise ValueError("machine needs at least one state")
-    order = {s.name: i for i, s in enumerate(machine.states)}
     pool = _register_pool(n)
     registers = ("out",) + pool
     out = "out"
+    tables = _tables(machine, pool, out, _state_order(machine))
 
     start, init_contents = initial_state(machine)
-    key_of: dict = {start: "s0"}
-    queue = deque([start])
-    sst_transitions: dict = {}
+    # Summaries are numbered in the order they are reached, and keyed by
+    # (endpoint, forest preorder); ``moves[i]`` lists the steps of summary i.
+    summaries = [(start[0], _preorder(start[1]))]
+    index_of = {summaries[0]: 0}
+    moves: list[list] = []
     max_nodes = 0
     max_edges = 0
-    while queue:
-        current = queue.popleft()
-        max_nodes = max(max_nodes, forest_nodes(current[1]))
-        max_edges = max(max_edges, forest_edges(current[1]))
+    while len(moves) < len(summaries):
+        q_name, preorder = summaries[len(moves)]
+        flat = _flatten(preorder, tables.reg_labels)
+        max_nodes = max(max_nodes, len(preorder) // 3)
+        max_edges = max(max_edges, len(flat.edges))
+        steps = []
         for a in machine.input_alphabet:
-            result = step(current, a, machine, pool, out, order)
+            result = _step(q_name, flat, a, tables)
             if result is None:
                 continue
-            target, update, colors = result
-            if target not in key_of:
-                if len(key_of) >= state_cap:
+            p_name, target_preorder, update, colors = result
+            target = (p_name, target_preorder)
+            j = index_of.get(target)
+            if j is None:
+                if len(summaries) >= state_cap:
                     raise StateExplosion(f"more than {state_cap} summaries reachable")
-                key_of[target] = f"s{len(key_of)}"
-                queue.append(target)
-            sst_transitions[(current, a)] = (target, update, colors)
+                j = index_of[target] = len(summaries)
+                summaries.append(target)
+            steps.append((a, j, update, colors))
+        moves.append(steps)
 
     ini = State("ini", True)
-    states = {key: State(f"{name}_{key[0]}", True) for key, name in key_of.items()}
+    states = [State(f"s{i}_{q_name}", True) for i, (q_name, _) in enumerate(summaries)]
     transitions: dict = {}
-    for (src_key, a), (tgt_key, update, colors) in sst_transitions.items():
-        transitions[(states[src_key], a)] = SstTransition(states[tgt_key], update, colors)
+    for i, steps in enumerate(moves):
+        for a, j, update, colors in steps:
+            transitions[(states[i], a)] = SstTransition(states[j], update, colors)
     # The synthetic initial state performs the first step with the initial
     # register contents substituted in, so no run ever returns to it.
-    for a in machine.input_alphabet:
-        result = sst_transitions.get((start, a))
-        if result is None:
-            continue
-        target, update, colors = result
+    for a, j, update, colors in moves[0]:
         inlined = {r: _inline(img, init_contents) for r, img in update.images}
-        transitions[(ini, a)] = SstTransition(
-            states[target], Substitution.from_dict(inlined), colors
-        )
+        transitions[(ini, a)] = SstTransition(states[j], Substitution.from_dict(inlined), colors)
 
     sst = CopylessParitySST(
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
-        states=(ini,) + tuple(states[k] for k in key_of),
+        states=(ini,) + tuple(states),
         initial=ini,
         transitions=transitions,
         registers=registers,
@@ -467,12 +502,15 @@ def two_way_to_sst(
         ell=machine.ell,
     )
     if details is not None:
-        details["state_map"] = {states[k].name: k for k in key_of}
+        details["state_map"] = {
+            state.name: (q_name, _forest(preorder))
+            for state, (q_name, preorder) in zip(states, summaries)
+        }
         details["start"] = start
         details["init_contents"] = init_contents
         details["max_forest_nodes"] = max_nodes
         details["max_forest_edges"] = max_edges
-        details["summary_count"] = len(key_of)
+        details["summary_count"] = len(summaries)
     return sst
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import itemgetter
 from typing import Union
 
 from .lasso import LassoWord
@@ -173,7 +174,10 @@ def _sst_transition(t: dict, target: State) -> SstTransition:
 # transition record is a fixed template; the values inside a record (names,
 # letters, output words, colour vectors, register updates) repeat across
 # records, so each distinct value is encoded once, by json itself, and
-# reused.  Values that compare equal share one text (as 1 and True would).
+# reused.  Colour vectors are memoized under their element types too:
+# (1,) and (True,) compare equal but print as [1] and [true].  The other
+# values are strings or made of strings in every machine a document can
+# describe, and equal strings print alike.
 
 
 def _json_text(value, level: int) -> str:
@@ -215,7 +219,7 @@ def dumps_machine(machine: Machine) -> str:
     Transitions are listed in state order, then by ``str(letter)``.
     """
     sst = isinstance(machine, CopylessParitySST)
-    quoted, colors = _Texts(3), _Texts(3)
+    quoted, colors = _Texts(3), _Texts(3, itemgetter(0))
     state_records = [
         f'    {{\n      "name": {quoted[s.name]},\n      "polarity": "{"+" if s.forward else "-"}"\n    }}'
         for s in machine.states
@@ -227,7 +231,7 @@ def dumps_machine(machine: Machine) -> str:
     if sst:
         updates = _Texts(3, _update_document)
         records = [
-            f'    {{\n      "colors": {colors[tr.colors]},\n      "from": {quoted[src.name]},'
+            f'    {{\n      "colors": {colors[(tr.colors, *map(type, tr.colors))]},\n      "from": {quoted[src.name]},'
             f'\n      "letter": {quoted[letter]},\n      "to": {quoted[tr.target.name]},'
             f'\n      "update": {updates[tr.update]}\n    }}'
             for (src, letter), tr in entries
@@ -235,7 +239,7 @@ def dumps_machine(machine: Machine) -> str:
     else:
         outputs = _Texts(3)
         records = [
-            f'    {{\n      "colors": {colors[tr.colors]},\n      "from": {quoted[src.name]},'
+            f'    {{\n      "colors": {colors[(tr.colors, *map(type, tr.colors))]},\n      "from": {quoted[src.name]},'
             f'\n      "letter": {quoted[letter]},\n      "output": {outputs[tr.output]},'
             f'\n      "to": {quoted[tr.target.name]}\n    }}'
             for (src, letter), tr in entries

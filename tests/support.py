@@ -2,13 +2,54 @@
 
 from omegatrans.evaluate import eval_machine
 from omegatrans.forests import (
+    ForestNode,
     forest_leaf_root_pairs,
     forest_leaves,
-    forest_registers,
     left_right_endpoint,
     right_right_runs,
 )
 from omegatrans.lasso import lasso_equal
+
+
+def _min_leaf(node, order):
+    if node.is_leaf():
+        return order[node.label]
+    return min(_min_leaf(c, order) for c in node.children)
+
+
+def canonical_forest(forest, order):
+    """Sort sibling subtrees by least leaf label and trees by root label.
+
+    Sibling order carries no run semantics (only the nesting does), so this
+    makes structurally equal summaries compare and hash equal.
+    """
+
+    def canon(node):
+        children = tuple(
+            sorted((canon(c) for c in node.children), key=lambda n: _min_leaf(n, order))
+        )
+        return ForestNode(node.label, node.colors, children)
+
+    return tuple(sorted((canon(t) for t in forest), key=lambda n: order[n.label]))
+
+
+def _dfs_edge_paths(forest):
+    """Edges in traversal order, keyed by the child node's path."""
+    paths = []
+
+    def walk(node, path):
+        for i, child in enumerate(node.children):
+            paths.append(path + (i,))
+            walk(child, path + (i,))
+
+    for t, tree in enumerate(forest):
+        walk(tree, (t,))
+    return paths
+
+
+def forest_registers(forest, pool):
+    """Reference edge-to-register map: traversal order meets pool order."""
+    return {path: pool[i] for i, path in enumerate(_dfs_edge_paths(forest))}
 
 
 def sst_summary_after(sst, details, word):

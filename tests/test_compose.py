@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from omegatrans.builtin import identity_transducer, map_copy_reverse_rbt
@@ -20,6 +22,8 @@ from omegatrans.machines import (
     TwoWayParityTransducer,
     WrongMachineKind,
     odd_sentinels,
+    prune_unreachable,
+    unique_names,
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
@@ -180,3 +184,39 @@ def test_two_stage_agreement_random_pairs(lassos_ab):
         assert len(composed.states) == len(first.states) * len(second.states)
         failures, _ = check_two_stage(first, second, composed, lassos_ab)
         assert failures == [], (seed, failures[:3])
+
+
+def _renamed(machine, names):
+    state = {s: State(name, s.forward) for s, name in zip(machine.states, names)}
+    transitions = {
+        (state[src], letter): replace(tr, target=state[tr.target])
+        for (src, letter), tr in machine.transitions.items()
+    }
+    return replace(
+        machine,
+        states=tuple(state.values()),
+        initial=state[machine.initial],
+        transitions=transitions,
+    )
+
+
+def test_colliding_pair_names_get_the_full_product_names(mcr_rbt):
+    """"a" + "." + "b.c" and "a.b" + "." + "c" spell the same name."""
+    first = _renamed(mcr_rbt, ["a", "a.b", "z"])
+    second = _renamed(mcr_rbt, ["b.c", "c", "y"])
+    full = compose(first, second)
+    expected = unique_names(f"{q.name}.{p.name}" for q in first.states for p in second.states)
+    assert [s.name for s in full.states] == expected
+    assert "a.b.c~2" in expected
+    reachable = compose_reachable(first, second)
+    pruned = prune_unreachable(full)
+    assert reachable.states == pruned.states
+    assert reachable.transitions == pruned.transitions
+
+
+def test_distinct_pair_names_are_formatted_directly(mcr_rbt):
+    first = _renamed(mcr_rbt, ["a", "b.x", "c"])
+    second = _renamed(mcr_rbt, ["c", "d.e", "f"])
+    names = [s.name for s in compose(first, second).states]
+    assert names == [f"{q.name}.{p.name}" for q in first.states for p in second.states]
+    assert len(set(names)) == len(names)

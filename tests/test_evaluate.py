@@ -450,3 +450,30 @@ def test_threads_sharing_a_machine_agree():
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * len(results)
+
+
+def test_backward_initial_state_reads_the_endmarker_first():
+    """A backward initial state at position 0 reads the endmarker, in the
+    run loop as in step_two_way."""
+    b, f = State("b", False), State("f", True)
+    machine = TwoWayParityTransducer(
+        input_alphabet=("a",),
+        output_alphabet=("x", "y"),
+        states=(b, f),
+        initial=b,
+        transitions={
+            (b, "a"): Transition(f, ("x",), (0,)),
+            (b, LEFT_END): Transition(f, ("y",), (0,)),
+            (f, "a"): Transition(f, (), (0,)),
+        },
+        k=1,
+        ell=2,
+    )
+    word = lw("", "a")
+    run = simulate_two_way(machine, word, 50)
+    config = Configuration(b, 0)
+    assert run.configs[0] == config
+    for t, output in enumerate(run.outputs):
+        config, out, _ = step_two_way(machine, word, config)
+        assert (config, out) == (run.configs[t + 1], output)
+    assert run.outputs[0] == ("y",)

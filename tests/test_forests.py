@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,20 +8,16 @@ from omegatrans.forests import (
     ForestNode,
     StateExplosion,
     build_graph,
-    canonical_forest,
-    forest_edges,
     forest_leaf_root_pairs,
     forest_leaves,
-    forest_nodes,
-    forest_registers,
     initial_state,
     left_right_endpoint,
     right_right_runs,
     step,
     two_way_to_sst,
-    _dfs_edge_paths,
 )
 from omegatrans.generate import generate_two_way
+from omegatrans.io import dumps_machine
 from omegatrans.lasso import enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
@@ -31,7 +28,7 @@ from omegatrans.machines import (
     validate_sst,
     validate_sst_machine,
 )
-from support import check_forest_against_runs
+from support import _dfs_edge_paths, canonical_forest, check_forest_against_runs, forest_registers
 
 
 def two_way(states, transitions, alphabet=("a", "b"), k=1, ell=2):
@@ -260,3 +257,52 @@ def test_no_acceptance_condition_drops_leaf_tuples():
             for tree in key[1]:
                 for leaf in forest_leaves(tree):
                     assert leaf.colors == ()
+
+
+# --- pinned output ------------------------------------------------------------
+
+# SHA-256 of dumps_machine(two_way_to_sst(m)), summary count and forest maxima
+# for generate_two_way(seed, n, 1, 2, alphabet_size, density=1.0).  A change
+# to how the construction runs must keep these bytes.
+PINNED_CONVERSIONS = [
+    (0, 7, 3, "1265792c4978e7aa59336991c7ff8ab8f9621870476495e0978927bc9ec25773", 4, 4, 2),
+    (1, 7, 3, "757d91f88799739335f1f1e400508e1ebb62939455a775a99882adc2d75eeed3", 25, 4, 2),
+    (2, 7, 3, "5221ae40ce89ed79794686037189b2d02eabaa0b8b925f3562d84f7a6c5ab1c6", 9, 7, 5),
+    (3, 7, 3, "d093dd582052690cdd24d47db5fc1896c991451e33e2ecaec2e392e063d13a65", 6, 5, 3),
+    (4, 7, 3, "5beb73c05be333f5312657f9926d74d46f8baef614074fd9f91cb81e929583cf", 7, 0, 0),
+    (5, 7, 3, "bb8a780cd557aff658518652283a92dd97bbc5afa714801f1f9dd2563c80a1db", 1, 0, 0),
+    (6, 7, 3, "dd050411a2aa3bafcc9aff90bb26f10916dd9e02aaa13db0a533a6325f5db0e8", 15, 6, 4),
+    (7, 7, 3, "8cb613157966505087e02e07f55b91cc09abda71987dc300d76d36180ac071d7", 6, 4, 2),
+    (8, 7, 3, "4d8de4d39880b868e72a0bf43d17cf95ce255588d16437ac716f1a73beefbc6a", 10, 4, 2),
+    (9, 7, 3, "6a2a29ea8984692566ba55dcbce725659a2977133c8a6b1ffed8cf0ad2483eff", 9, 4, 2),
+    (0, 22, 4, "2975ccb9a08c73d7b0cca5d3eeb79c0941be6d04b7d005fbe406b31fad65cbe9", 38, 19, 14),
+    (1, 22, 4, "b23ca6e6ba31b726e1bedb680d999b3687b55d453538f2f3a3add5c7ebc42eda", 104, 18, 13),
+    (2, 22, 4, "12a8a983de4165921c42720d9ecc99f34d1a4711031ff9a18ccf1837ab0e0389", 85, 21, 15),
+    (3, 22, 4, "9be33ba47aaaee658d641aec8e0f277532fea3a2eab60c1a89b9626b1ac36f72", 128, 22, 17),
+]
+
+
+def test_conversion_output_is_pinned():
+    for seed, n, size, digest, summaries, nodes, edges in PINNED_CONVERSIONS:
+        machine = generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0)
+        details = {}
+        text = dumps_machine(two_way_to_sst(machine, details=details))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, n)
+        found = (details["summary_count"], details["max_forest_nodes"], details["max_forest_edges"])
+        assert found == (summaries, nodes, edges), (seed, n)
+
+
+def test_step_matches_the_conversion():
+    """The public one-letter step gives the conversion's own transitions."""
+    machine = generate_two_way(2, 7, 1, 2, alphabet_size=3, density=1.0)
+    order = {s.name: i for i, s in enumerate(machine.states)}
+    details = {}
+    sst = two_way_to_sst(machine, details=details)
+    pool = tuple(r for r in sst.registers if r != sst.out)
+    summary_of = details["state_map"]
+    for (src, a), tr in sst.transitions.items():
+        if src.name == "ini":
+            continue
+        target, update, colors = step(summary_of[src.name], a, machine, pool, "out", order)
+        assert target == summary_of[tr.target.name]
+        assert (update, colors) == (tr.update, tr.colors)

@@ -12,8 +12,9 @@ from omegatrans.builtin import (
     map_copy_reverse_sst,
 )
 from omegatrans.cli import main
+from omegatrans.compose import compose
 from omegatrans.dot import machine_to_dot
-from omegatrans.generate import generate_machine, generate_two_way
+from omegatrans.generate import generate_machine, generate_one_way, generate_two_way
 from omegatrans.io import (
     DocumentError,
     document_to_machine,
@@ -24,6 +25,7 @@ from omegatrans.io import (
     parse_lasso,
 )
 from omegatrans.lasso import LassoWord
+from omegatrans.oneway import one_way_to_reversible
 from omegatrans.machines import (
     LEFT_END,
     CopylessParitySST,
@@ -32,11 +34,13 @@ from omegatrans.machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
+    prune_unreachable,
     reg,
     sym,
 )
 
-BUNDLED = sorted((pathlib.Path(__file__).resolve().parent.parent / "machines").glob("*.json"))
+MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
+BUNDLED = sorted(MACHINES.glob("*.json"))
 
 
 ALL_BUILTINS = [
@@ -90,6 +94,35 @@ def test_dumps_is_canonical_on_reversible_outputs():
         assert text == _canonical(text), seed
         _assert_transition_order(text)
         assert loads_machine(text) == machine, seed
+
+
+def test_dumps_keeps_equal_colors_of_different_types_apart():
+    """(1,) and (True,) compare equal, but json prints [1] and [true]."""
+    q = State("q", True)
+    colors = {"a": (1,), "b": (True,), "c": (1,)}
+    machine = TwoWayParityTransducer(
+        input_alphabet=("a", "b", "c"),
+        output_alphabet=("a",),
+        states=(q,),
+        initial=q,
+        transitions={(q, a): Transition(q, ("a",), c) for a, c in colors.items()},
+        k=1,
+        ell=2,
+    )
+    doc = {
+        "ell": 2,
+        "initial": "q",
+        "input_alphabet": ["a", "b", "c"],
+        "k": 1,
+        "kind": "1dpt",
+        "output_alphabet": ["a"],
+        "states": [{"name": "q", "polarity": "+"}],
+        "transitions": [
+            {"colors": list(c), "from": "q", "letter": a, "output": ["a"], "to": "q"}
+            for a, c in colors.items()
+        ],
+    }
+    assert dumps_machine(machine) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _edge_two_way():
@@ -446,6 +479,26 @@ def test_cli_compose(tmp_path, mcr_path, capsys):
     assert main(["compose", mcr_path, mcr_path, str(out_path)]) == 0
     twice = loads_machine(out_path.read_text())
     assert len(twice.states) == 9
+
+
+def _cli_compose(tmp_path, first, second):
+    paths = [tmp_path / "first.json", tmp_path / "second.json", tmp_path / "out.json"]
+    paths[0].write_text(dumps_machine(first))
+    paths[1].write_text(dumps_machine(second))
+    assert main(["compose"] + [str(p) for p in paths]) == 0
+    return loads_machine(paths[2].read_text())
+
+
+def test_cli_compose_builds_the_reachable_product(tmp_path):
+    mcr = load_machine(str(MACHINES / "mcr_rbt.json"))
+    first = one_way_to_reversible(generate_one_way(4, n=3, k=1, ell=2))
+    second = one_way_to_reversible(generate_one_way(5, n=3, k=1, ell=2))
+    for pair in [(mcr, mcr), (first, second)]:
+        composed = _cli_compose(tmp_path, *pair)
+        reference = prune_unreachable(compose(*pair))
+        assert composed.states == reference.states
+        assert composed.transitions == reference.transitions
+    assert len(composed.states) < len(first.states) * len(second.states)
 
 
 def test_cli_dot(tmp_path, mcr_path):
