@@ -24,6 +24,7 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
+    collector_paused,
     validate_machine,
     validate_one_way,
     validate_sst_machine,
@@ -262,17 +263,13 @@ def dumps_machine(machine: Machine) -> str:
     return "{\n" + body + "\n}\n"
 
 
+@collector_paused
 def loads_machine(text: str) -> Machine:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     return document_to_machine(doc)
-
-
-def save_machine(machine: Machine, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_machine(machine))
 
 
 def load_machine(path: str) -> Machine:

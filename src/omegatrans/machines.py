@@ -9,6 +9,8 @@ backward state to a forward state and never move the head.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Mapping
 
@@ -368,6 +370,28 @@ def require_two_way(machine, construction: str) -> None:
         raise WrongMachineKind(
             f"{construction}: expected a two-way transducer, got a {type(machine).__name__}"
         )
+
+
+def collector_paused(build):
+    """Run ``build`` with the cyclic garbage collector paused.
+
+    For builders that allocate many objects and leave no reference cycles:
+    a collection pass over them would find nothing to free.  The collector
+    is re-enabled on return, also by an exception, only if it was enabled
+    on entry.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def max_colors(machine: TwoWayParityTransducer) -> tuple[int, ...]:

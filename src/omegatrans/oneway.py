@@ -19,6 +19,7 @@ from .machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    collector_paused,
     max_colors,
     require_two_way,
     unique_names,
@@ -36,16 +37,10 @@ class NotDeterministic(ValueError):
 
 def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
     """Least state above ``q`` (declaration order) sharing its successor on ``a``."""
-    return _nearest(machine, a, q, machine.states)
-
-
-def _nearest(machine: TwoWayParityTransducer, a, q: State, order) -> Optional[State]:
-    """First state after ``q`` in ``order`` sharing its successor on ``a``;
-    the reversed declaration order gives the greatest state below ``q``."""
     tr = machine.transitions.get((q, a))
     if tr is None:
         return None
-    states = iter(order)
+    states = iter(machine.states)
     for q2 in states:
         if q2 == q:
             break
@@ -56,6 +51,40 @@ def _nearest(machine: TwoWayParityTransducer, a, q: State, order) -> Optional[St
     return None
 
 
+def _outline_step(src: tuple, row) -> Optional[tuple]:
+    """Outline successor of (tag1, p, tag2, q) on the letter of ``row``, a
+    letter table of ``one_way_to_reversible``."""
+    t1, p, t2, q = src
+    _, _, succ, above, below, least, greatest = row
+    if t1 == UNDER and t2 == OVER:
+        if above[p] >= 0:
+            return (OVER, above[p], OVER, q)
+        if below[q] >= 0:
+            return (UNDER, p, UNDER, below[q])
+        if succ[p] < 0 or succ[q] < 0:
+            return None
+        return (UNDER, succ[p], OVER, succ[q])
+    if t1 == OVER and t2 == UNDER:
+        if below[p] >= 0:
+            return (UNDER, below[p], UNDER, q)
+        if above[q] >= 0:
+            return (OVER, p, OVER, above[q])
+        if succ[p] < 0 or succ[q] < 0:
+            return None
+        return (OVER, succ[p], UNDER, succ[q])
+    # Equal tags rewind both heads, to the least preimage under OVER tags
+    # and to the greatest under UNDER tags, unless a head's branch starts
+    # here.
+    flip = UNDER if t1 == OVER else OVER
+    ends = least if t1 == OVER else greatest
+    if ends[p] < 0:
+        return (flip, p, t1, q)
+    if ends[q] < 0:
+        return (t1, p, flip, q)
+    return (t1, ends[p], t1, ends[q])
+
+
+@collector_paused
 def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Reversible two-way machine computing the same function.
 
@@ -68,124 +97,83 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     if not validate_deterministic(machine):
         raise NotDeterministic("input must be deterministic")
 
-    letters = tuple(machine.input_alphabet)
-    # Preimages per letter, in declaration order.
-    preimage: dict[tuple, list[State]] = {}
-    for a in letters:
-        for q in machine.states:
-            tr = machine.transitions.get((q, a))
-            if tr is not None:
-                preimage.setdefault((a, tr.target), []).append(q)
+    # Base states are numbered by declaration order; -1 stands for none.
+    states = machine.states
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    initial = index[machine.initial]
+    # One row per letter: (letter, transitions, successor, next above, next
+    # below, least preimage, greatest preimage), each indexed by state.
+    rows = []
+    for a in machine.input_alphabet:
+        base = [machine.transitions.get((q, a)) for q in states]
+        succ = [-1 if tr is None else index[tr.target] for tr in base]
+        # Preimages per target, in declaration order.  Within a preimage,
+        # the next state is the nearest above and the previous one the
+        # nearest below sharing the successor.
+        preimage: list[list[int]] = [[] for _ in states]
+        for p, t in enumerate(succ):
+            if t >= 0:
+                preimage[t].append(p)
+        above, below = [-1] * n, [-1] * n
+        for group in preimage:
+            for lo, hi in zip(group, group[1:]):
+                above[lo], below[hi] = hi, lo
+        least = [group[0] if group else -1 for group in preimage]
+        greatest = [group[-1] if group else -1 for group in preimage]
+        rows.append((a, base, succ, above, below, least, greatest))
+    # Only the initial state's branch continues into the endmarker.  Equal
+    # tags never pin one branch, so at most one head stands on it and its
+    # preimage is never followed.
+    stop = [-1] * n
+    stop[initial] = initial
+    end_row = (LEFT_END, None, None, None, None, stop, stop)
 
-    def pre_empty(a, q: State) -> bool:
-        if a == LEFT_END:
-            # Only the initial state's branch continues into the endmarker.
-            return q != machine.initial
-        return (a, q) not in preimage
-
-    def pre_min(a, q: State) -> State:
-        return preimage[(a, q)][0]
-
-    def pre_max(a, q: State) -> State:
-        return preimage[(a, q)][-1]
-
+    letter_rows = (rows + [end_row], rows)  # indexed by polarity
     global_max = max_colors(machine)
-    below = machine.states[::-1]
-
-    def delta(src: tuple, a):
-        """Outline successor of ((tag1, p), (tag2, q)) on letter ``a``."""
-        (t1, p), (t2, q) = src
-        if t1 == UNDER and t2 == OVER:
-            p2 = abv(machine, a, p)
-            if p2 is not None:
-                return ((OVER, p2), (OVER, q))
-            q2 = _nearest(machine, a, q, below)
-            if q2 is not None:
-                return ((UNDER, p), (UNDER, q2))
-            trp, trq = machine.transitions.get((p, a)), machine.transitions.get((q, a))
-            if trp is None or trq is None:
-                return None
-            return ((UNDER, trp.target), (OVER, trq.target))
-        if t1 == OVER and t2 == UNDER:
-            p2 = _nearest(machine, a, p, below)
-            if p2 is not None:
-                return ((UNDER, p2), (UNDER, q))
-            q2 = abv(machine, a, q)
-            if q2 is not None:
-                return ((OVER, p), (OVER, q2))
-            trp, trq = machine.transitions.get((p, a)), machine.transitions.get((q, a))
-            if trp is None or trq is None:
-                return None
-            return ((OVER, trp.target), (UNDER, trq.target))
-        if t1 == OVER and t2 == OVER:
-            if pre_empty(a, p):
-                return ((UNDER, p), (OVER, q))
-            if pre_empty(a, q):
-                return ((OVER, p), (UNDER, q))
-            return ((OVER, pre_min(a, p)), (OVER, pre_min(a, q)))
-        # both UNDER
-        if pre_empty(a, p):
-            return ((OVER, p), (UNDER, q))
-        if pre_empty(a, q):
-            return ((UNDER, p), (OVER, q))
-        return ((UNDER, pre_max(a, p)), (UNDER, pre_max(a, q)))
-
-    def polarity(pair: tuple) -> bool:
-        return pair[0][0] != pair[1][0]
-
-    def read_letters(pair: tuple):
-        return letters if polarity(pair) else letters + (LEFT_END,)
-
-    initial = ((UNDER, machine.initial), (OVER, machine.initial))
-    frontier = [initial]
-    seen = {initial}
-    discovered = [initial]
-    edges: list[tuple[tuple, object, tuple]] = []
-    while frontier:
-        src = frontier.pop(0)
-        for a in read_letters(src):
-            tgt = delta(src, a)
+    initial_pair = (UNDER, initial, OVER, initial)
+    seen = {initial_pair: 0}
+    discovered = [initial_pair]
+    edges: list[tuple[int, object, int, Optional[Transition]]] = []
+    for i, src in enumerate(discovered):  # breadth first: grows while read
+        t1, p, t2, q = src
+        diagonal = t1 == UNDER and t2 == OVER and p == q
+        for row in letter_rows[t1 != t2]:
+            tgt = _outline_step(src, row)
             if tgt is None:
                 continue
-            (x1, b1), (x2, b2) = tgt
+            x1, b1, x2, b2 = tgt
             if x1 == x2 and b1 == b2:
                 # The heads would land on the same side of the same branch.
                 # They sandwich the surviving run, so this only happens once
                 # the input is doomed; leaving the transition undefined
                 # rejects by sticking.
                 continue
-            edges.append((src, a, tgt))
-            if tgt not in seen:
-                seen.add(tgt)
+            j = seen.setdefault(tgt, len(discovered))
+            if j == len(discovered):
                 discovered.append(tgt)
-                frontier.append(tgt)
+            edges.append((i, row[0], j, row[1][p] if diagonal else None))
 
-    def pretty(pair: tuple) -> str:
-        (t1, p), (t2, q) = pair
-        mark = {UNDER: "_", OVER: "^"}
-        return f"{mark[t1]}{p.name}.{mark[t2]}{q.name}"
-
-    names = unique_names(pretty(pair) for pair in discovered)
-    out_state = {
-        pair: State(name, polarity(pair)) for pair, name in zip(discovered, names)
-    }
+    mark = {UNDER: "_", OVER: "^"}
+    names = unique_names(
+        f"{mark[t1]}{states[p].name}.{mark[t2]}{states[q].name}" for t1, p, t2, q in discovered
+    )
+    out_states = [
+        State(name, pair[0] != pair[2]) for pair, name in zip(discovered, names)
+    ]
 
     transitions: dict = {}
-    for src, a, tgt in edges:
-        (t1, p), (t2, q) = src
-        diagonal = t1 == UNDER and t2 == OVER and p == q
-        if diagonal:
-            base = machine.transitions[(p, a)]
-            output, colors = base.output, base.colors
-        else:
-            output, colors = (), global_max
-        transitions[(out_state[src], a)] = Transition(out_state[tgt], output, colors)
+    for i, a, j, base in edges:
+        # Only diagonal states, where both heads pin one base state,
+        # produce output and the real colors.
+        output, colors = ((), global_max) if base is None else (base.output, base.colors)
+        transitions[(out_states[i], a)] = Transition(out_states[j], output, colors)
 
     return TwoWayParityTransducer(
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
-        states=tuple(out_state[pair] for pair in discovered),
-        initial=out_state[initial],
+        states=tuple(out_states),
+        initial=out_states[0],
         transitions=transitions,
         k=machine.k,
         ell=machine.ell,

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from omegatrans.machines import (
     Transition,
     TwoWayParityTransducer,
     advance,
+    collector_paused,
     drop_left_end_into_initial,
     odd_sentinels,
     prune_unreachable,
@@ -280,3 +283,24 @@ def test_reversibility_checks_agree_on_machines_and_triples(first_two_automaton,
         verdicts.add(validate_codeterministic(machine))
     assert verdicts == {True, False}
     assert not validate_codeterministic(_triples(first_two_automaton))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_restores_the_entry_state(enabled):
+    @collector_paused
+    def build(fail):
+        assert not gc.isenabled()
+        if fail:
+            raise ValueError("bad input")
+        return "built"
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert build(False) == "built"
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="bad input"):
+            build(True)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
