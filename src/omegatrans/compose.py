@@ -115,8 +115,9 @@ def compose_reachable(
     """``compose`` restricted to the pairs reachable from the initial pair.
 
     States, their names and order, and transitions equal those of
-    ``prune_unreachable(compose(first, second))``; ``ell`` is one above the
-    largest color the kept transitions use, so it may be smaller.
+    ``prune_unreachable(compose(first, second))``, the reference the tests
+    keep; ``ell`` is one above the largest color the kept transitions use,
+    so it may be smaller.
     """
     return _product(first, second, [(first.initial, second.initial)])
 

@@ -14,7 +14,6 @@ keeps the updates copyless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -38,73 +37,17 @@ class StateExplosion(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ForestNode:
-    """Node of a merging forest.
-
-    Leaves carry a backward-state label and a per-coloring tuple of the
-    minimum colors along the summarized run; roots carry a forward-state
-    label; internal merge nodes are unlabeled and have at least two
-    children.
-    """
-
-    label: Optional[str]
-    colors: Optional[tuple[int, ...]]
-    children: tuple["ForestNode", ...]
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-MergingForest = tuple[ForestNode, ...]
-
-
-def forest_leaves(tree: ForestNode):
-    if tree.is_leaf():
-        yield tree
-    for c in tree.children:
-        yield from forest_leaves(c)
-
-
-def forest_leaf_root_pairs(forest: MergingForest) -> set[tuple[str, str]]:
-    return {(leaf.label, tree.label) for tree in forest for leaf in forest_leaves(tree)}
-
-
 # ---------------------------------------------------------------------------
-# Flat forests
+# Merging forests
 #
-# Inside the construction a forest is kept as its preorder: a flat tuple with
-# one (label, colors, child count) triple per node.  Equal forests have equal
-# preorders, so the tuple is the summary's hash key.  A node's id is its
-# position in the preorder, and the edges of a forest own the pool's
-# registers in preorder (traversal order meets pool order).
-
-
-def _preorder(forest: MergingForest) -> tuple:
-    flat: list = []
-
-    def visit(node: ForestNode):
-        flat.extend((node.label, node.colors, len(node.children)))
-        for child in node.children:
-            visit(child)
-
-    for tree in forest:
-        visit(tree)
-    return tuple(flat)
-
-
-def _forest(preorder: tuple) -> MergingForest:
-    """The forest of ``preorder`` (inverse of ``_preorder``)."""
-    triples = zip(preorder[0::3], preorder[1::3], preorder[2::3])
-
-    def node() -> ForestNode:
-        label, colors, count = next(triples)
-        return ForestNode(label, colors, tuple(node() for _ in range(count)))
-
-    return tuple(
-        ForestNode(label, colors, tuple(node() for _ in range(count)))
-        for label, colors, count in triples
-    )
+# A forest is kept as its preorder: a flat tuple with one (label, colors,
+# child count) triple per node.  Leaves carry a backward-state label and a
+# per-coloring tuple of the minimum colors along the summarized run; roots
+# carry a forward-state label; internal merge nodes are unlabeled and have
+# at least two children.  Equal forests have equal preorders, so the tuple
+# is the summary's hash key.  A node's id is its position in the preorder,
+# and the edges of a forest own the pool's registers in preorder (traversal
+# order meets pool order).
 
 
 class _Flat(NamedTuple):
@@ -202,20 +145,6 @@ def _tables(
     )
 
 
-@dataclass
-class TransitionGraph:
-    """A forest plus the splice edges contributed by one input letter.
-
-    Nodes are forest-node ids (preorder positions) and ("c", state-name)
-    boundary nodes; ``out_edge`` maps a node to (next node, edge label).
-    Every node has at most one outgoing edge, so maximal paths are
-    deterministic walks; cycles can appear and mark dying runs.
-    """
-
-    out_edge: dict[object, tuple[object, object]]
-    leaf_of: dict[str, int]
-
-
 def _splices(flat: _Flat, a, tables: _Tables) -> dict:
     """The splice edges of letter ``a`` that this forest's runs can take."""
     jump: dict = {}
@@ -231,19 +160,6 @@ def _splices(flat: _Flat, a, tables: _Tables) -> dict:
                 continue
         jump[origin] = (dest, label)
     return jump
-
-
-def build_graph(
-    forest: MergingForest,
-    a,
-    machine: TwoWayParityTransducer,
-    pool: tuple[str, ...],
-) -> TransitionGraph:
-    tables = _tables(machine, pool, "out", _state_order(machine))
-    flat = _flatten(_preorder(forest), tables.reg_labels)
-    out_edge = dict(flat.edges)
-    out_edge.update(_splices(flat, a, tables))
-    return TransitionGraph(out_edge, flat.leaf_of)
 
 
 def _walk(jump: dict, climb: dict, node, nodes: list, labels: list):
@@ -274,9 +190,37 @@ def _fold_colors(colors, labels: list):
     return colors
 
 
+def _subtree(node, children: dict, new_leaf_colors: dict, order: dict):
+    """(least leaf position, preorder, edge images in preorder) of the
+    canonical subtree at ``node`` of a step's kept nodes; unary chains below
+    it are contracted into single edges."""
+    kids = []
+    for child, (image, _) in children[node]:
+        while type(child) is not tuple and len(children[child]) == 1:
+            (child, (tokens, _)), = children[child]
+            image = tokens + image
+        leaf_colors = new_leaf_colors.get(child)
+        if leaf_colors is None:
+            kids.append((*_subtree(child, children, new_leaf_colors, order), image))
+        else:
+            kids.append((order[child[1]], (child[1], leaf_colors, 0), (), image))
+    kids.sort(key=itemgetter(0))  # subtrees have disjoint leaves
+    preorder = (node[1] if type(node) is tuple else None, None, len(kids))
+    images: list[tuple[Token, ...]] = []
+    for _, sub_preorder, sub_images, image in kids:
+        preorder += sub_preorder
+        images.append(image)
+        images.extend(sub_images)
+    return kids[0][0], preorder, images
+
+
 def _step(q_name: str, flat: _Flat, a, tables: _Tables):
-    """``step`` on a flattened summary: (state, preorder, update, colors),
-    or None when the extended left-to-right run dies."""
+    """Extend the summarized prefix by one letter.
+
+    Returns (state, preorder, substitution, colors), or None when the
+    extended left-to-right run dies: it loops, falls off a dead branch, or
+    turns back into a run the forest no longer tracks.
+    """
     move = tables.moves.get((q_name, a))
     if move is None:
         return None
@@ -324,66 +268,18 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
         if edge is not None:  # it leads on to the next node of its walk
             children.setdefault(edge[0], []).append((node, edge[1]))
 
-    order = tables.order
-
-    def build(node):
-        """(least leaf position, preorder, edge images in preorder) of the
-        canonical subtree at ``node``; unary chains below it are contracted
-        into single edges."""
-        kids = []
-        for child, (image, _) in children[node]:
-            while type(child) is not tuple and len(children[child]) == 1:
-                (child, (tokens, _)), = children[child]
-                image = tokens + image
-            leaf_colors = new_leaf_colors.get(child)
-            if leaf_colors is None:
-                kids.append((*build(child), image))
-            else:
-                kids.append((order[child[1]], (child[1], leaf_colors, 0), (), image))
-        kids.sort(key=itemgetter(0))  # subtrees have disjoint leaves
-        preorder = (node[1] if type(node) is tuple else None, None, len(kids))
-        images: list[tuple[Token, ...]] = []
-        for _, sub_preorder, sub_images, image in kids:
-            preorder += sub_preorder
-            images.append(image)
-            images.extend(sub_images)
-        return kids[0][0], preorder, images
-
     preorder: tuple = ()
     slots: list = [()] * len(tables.registers)
     slots[tables.out_slot] = tuple(out_image)
     pool_slots = iter(tables.pool_slots)  # edges take registers in preorder
     for root in tables.exits:
         if root in kept:
-            _, tree, images = build(root)
+            _, tree, images = _subtree(root, children, new_leaf_colors, tables.order)
             preorder += tree
             for image in images:
                 slots[next(pool_slots)] = image
     update = Substitution(tuple(zip(tables.registers, slots)))
     return p_name, preorder, update, colors
-
-
-def step(
-    q_and_forest: tuple[str, MergingForest],
-    a,
-    machine: TwoWayParityTransducer,
-    pool: tuple[str, ...],
-    out: str,
-    order: dict[str, int],
-):
-    """Extend the summarized prefix by one letter.
-
-    Returns ((state, forest), substitution, colors), or None when the
-    extended left-to-right run dies: it loops, falls off a dead branch, or
-    turns back into a run the forest no longer tracks.
-    """
-    q_name, forest = q_and_forest
-    tables = _tables(machine, pool, out, order)
-    result = _step(q_name, _flatten(_preorder(forest), tables.reg_labels), a, tables)
-    if result is None:
-        return None
-    p_name, preorder, update, colors = result
-    return (p_name, _forest(preorder)), update, colors
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +291,10 @@ def _state_order(machine: TwoWayParityTransducer) -> dict[str, int]:
 
 
 def initial_state(machine: TwoWayParityTransducer):
-    """Starting summary of the endmarker bounces: a depth-one tree per
-    bounce target, one leaf per bouncing backward state, each edge's
-    register initialized with the bounce's production.
+    """Starting summary (initial state, forest preorder) of the endmarker
+    bounces: a depth-one tree per bounce target, one leaf per bouncing
+    backward state, each edge's register initialized with the bounce's
+    production.
 
     Bounces back into the initial state are omitted: a run using them
     revisits the initial configuration and loops.
@@ -408,18 +305,18 @@ def initial_state(machine: TwoWayParityTransducer):
         if letter != LEFT_END or tr.target == machine.initial:
             continue
         by_root.setdefault(tr.target.name, []).append((src.name, tr.colors, tr.output))
-    trees = []
+    preorder: list = []
     edge_productions: list[tuple[str, ...]] = []
     for root_name in sorted(by_root, key=lambda r: order[r]):
         entries = sorted(by_root[root_name], key=lambda e: order[e[0]])
-        leaves = tuple(ForestNode(leaf, colors, ()) for leaf, colors, _ in entries)
-        trees.append(ForestNode(root_name, None, leaves))
-        edge_productions.extend(prod for _, _, prod in entries)
-    forest: MergingForest = tuple(trees)
+        preorder.extend((root_name, None, len(entries)))
+        for leaf, colors, prod in entries:
+            preorder.extend((leaf, colors, 0))
+            edge_productions.append(prod)
     pool = _register_pool(len(machine.states))
-    # Edges own registers in traversal order, which lists each tree's leaves.
+    # Edges own registers in preorder, which lists each tree's leaves.
     init_contents = {pool[i]: prod for i, prod in enumerate(edge_productions) if prod}
-    return (machine.initial.name, forest), init_contents
+    return (machine.initial.name, tuple(preorder)), init_contents
 
 
 def _register_pool(n: int) -> tuple[str, ...]:
@@ -437,8 +334,13 @@ def two_way_to_sst(
     updates inline the initial contents, keeping the standard all-empty
     starting valuation.  Exploration is breadth-first over reachable
     (endpoint, forest) summaries; exceeding ``state_cap`` raises
-    StateExplosion rather than truncating.  ``details``, when given, is
-    filled with the state map and observed forest maxima.
+    StateExplosion rather than truncating.
+
+    ``details``, when given, is filled with ``state_map`` (each state's name
+    to its (endpoint, forest preorder) summary), ``start`` and
+    ``init_contents`` (the summary and register contents before the first
+    letter, as ``initial_state`` gives them), ``summary_count`` and the
+    observed forest maxima ``max_forest_nodes`` and ``max_forest_edges``.
     """
     require_two_way(machine, "two_way_to_sst")
     n = len(machine.states)
@@ -452,7 +354,7 @@ def two_way_to_sst(
     start, init_contents = initial_state(machine)
     # Summaries are numbered in the order they are reached, and keyed by
     # (endpoint, forest preorder); ``moves[i]`` lists the steps of summary i.
-    summaries = [(start[0], _preorder(start[1]))]
+    summaries = [start]
     index_of = {summaries[0]: 0}
     moves: list[list] = []
     max_nodes = 0
@@ -502,10 +404,7 @@ def two_way_to_sst(
         ell=machine.ell,
     )
     if details is not None:
-        details["state_map"] = {
-            state.name: (q_name, _forest(preorder))
-            for state, (q_name, preorder) in zip(states, summaries)
-        }
+        details["state_map"] = {state.name: key for state, key in zip(states, summaries)}
         details["start"] = start
         details["init_contents"] = init_contents
         details["max_forest_nodes"] = max_nodes
@@ -556,9 +455,3 @@ def right_right_runs(machine: TwoWayParityTransducer, word: tuple) -> list[dict]
             )
     return results
 
-
-def left_right_endpoint(machine: TwoWayParityTransducer, word: tuple):
-    """State in which the main run exits the prefix ``word`` on the right,
-    or None if it gets stuck or loops inside."""
-    summary = run_on_finite(machine, (LEFT_END,) + tuple(word), machine.initial)
-    return summary.exit.name if isinstance(summary.exit, State) else None

@@ -432,28 +432,6 @@ def drop_left_end_into_initial(machine: TwoWayParityTransducer) -> TwoWayParityT
     return replace(machine, transitions=transitions)
 
 
-def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
-    """Restrict to states reachable from the initial state in the transition graph."""
-    succ: dict[State, list[State]] = {}
-    for (src, _), tr in machine.transitions.items():
-        succ.setdefault(src, []).append(tr.target)
-    reached = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        s = frontier.pop()
-        for t in succ.get(s, ()):
-            if t not in reached:
-                reached.add(t)
-                frontier.append(t)
-    states = tuple(s for s in machine.states if s in reached)
-    transitions = {
-        (src, letter): tr
-        for (src, letter), tr in machine.transitions.items()
-        if src in reached and tr.target in reached
-    }
-    return replace(machine, states=states, transitions=transitions)
-
-
 def unique_names(names: Iterable[str]) -> list[str]:
     """Disambiguate duplicates by appending ~2, ~3, ... suffixes."""
     seen: dict[str, int] = {}

@@ -23,7 +23,6 @@ from .machines import (
     max_colors,
     require_two_way,
     unique_names,
-    validate_deterministic,
     validate_one_way,
 )
 
@@ -94,8 +93,6 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     require_two_way(machine, "one_way_to_reversible")
     if not validate_one_way(machine):
         raise NotDeterministic("input must be a one-way machine")
-    if not validate_deterministic(machine):
-        raise NotDeterministic("input must be deterministic")
 
     # Base states are numbered by declaration order; -1 stands for none.
     states = machine.states

@@ -1,8 +1,8 @@
-"""Bundled example machines used by the tests, docs and the machines/ files."""
+"""Example machines used by the tests and bundled as the machines/ files."""
 
 from __future__ import annotations
 
-from .machines import (
+from omegatrans.machines import (
     LEFT_END,
     CopylessParitySST,
     SstTransition,

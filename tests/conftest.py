@@ -1,13 +1,13 @@
 import pytest
 
-from omegatrans.builtin import (
+from omegatrans.lasso import enumerate_lassos
+from builtin import (
     a_in_first_two_automaton,
     finitely_many_a_identity,
     identity_transducer,
     map_copy_reverse_rbt,
     map_copy_reverse_sst,
 )
-from omegatrans.lasso import enumerate_lassos
 
 
 @pytest.fixture(scope="session")

@@ -1,55 +1,91 @@
-"""Shared checking helpers for the construction test modules."""
+"""Shared checking helpers and reference constructions for the test modules."""
 
+from dataclasses import replace
+
+from omegatrans.compose import run_on_finite
 from omegatrans.evaluate import eval_machine
-from omegatrans.forests import (
-    ForestNode,
-    forest_leaf_root_pairs,
-    forest_leaves,
-    left_right_endpoint,
-    right_right_runs,
-)
+from omegatrans.forests import right_right_runs
 from omegatrans.lasso import lasso_equal
+from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer
 
 
-def _min_leaf(node, order):
-    if node.is_leaf():
-        return order[node.label]
-    return min(_min_leaf(c, order) for c in node.children)
+def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
+    """Restrict to states reachable from the initial state in the transition
+    graph: the reference ``compose_reachable`` is checked against."""
+    succ: dict[State, list[State]] = {}
+    for (src, _), tr in machine.transitions.items():
+        succ.setdefault(src, []).append(tr.target)
+    reached = {machine.initial}
+    frontier = [machine.initial]
+    while frontier:
+        s = frontier.pop()
+        for t in succ.get(s, ()):
+            if t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    states = tuple(s for s in machine.states if s in reached)
+    transitions = {
+        (src, letter): tr
+        for (src, letter), tr in machine.transitions.items()
+        if src in reached and tr.target in reached
+    }
+    return replace(machine, states=states, transitions=transitions)
 
 
-def canonical_forest(forest, order):
-    """Sort sibling subtrees by least leaf label and trees by root label.
-
-    Sibling order carries no run semantics (only the nesting does), so this
-    makes structurally equal summaries compare and hash equal.
-    """
-
-    def canon(node):
-        children = tuple(
-            sorted((canon(c) for c in node.children), key=lambda n: _min_leaf(n, order))
-        )
-        return ForestNode(node.label, node.colors, children)
-
-    return tuple(sorted((canon(t) for t in forest), key=lambda n: order[n.label]))
+def left_right_endpoint(machine: TwoWayParityTransducer, word: tuple):
+    """State in which the main run exits the prefix ``word`` on the right,
+    or None if it gets stuck or loops inside."""
+    summary = run_on_finite(machine, (LEFT_END,) + tuple(word), machine.initial)
+    return summary.exit.name if isinstance(summary.exit, State) else None
 
 
-def _dfs_edge_paths(forest):
-    """Edges in traversal order, keyed by the child node's path."""
-    paths = []
-
-    def walk(node, path):
-        for i, child in enumerate(node.children):
-            paths.append(path + (i,))
-            walk(child, path + (i,))
-
-    for t, tree in enumerate(forest):
-        walk(tree, (t,))
-    return paths
+# --- merging forests, read from their preorder --------------------------------
 
 
-def forest_registers(forest, pool):
-    """Reference edge-to-register map: traversal order meets pool order."""
-    return {path: pool[i] for i, path in enumerate(_dfs_edge_paths(forest))}
+def forest_nodes(preorder):
+    """Decode a forest preorder into one (label, colors, child count, parent)
+    per node, indexed by node id (preorder position); a root's parent is
+    None."""
+    nodes = []
+    open_nodes = []  # [node id, children still to come]
+    for i in range(0, len(preorder), 3):
+        label, colors, count = preorder[i : i + 3]
+        parent = None
+        if open_nodes:
+            parent = open_nodes[-1][0]
+            open_nodes[-1][1] -= 1
+            if not open_nodes[-1][1]:
+                open_nodes.pop()
+        if count:
+            open_nodes.append([len(nodes), count])
+        nodes.append((label, colors, count, parent))
+    assert not open_nodes, "preorder ends inside a tree"
+    return nodes
+
+
+def forest_runs(preorder):
+    """One (leaf label, root label, edges from the leaf up, leaf colors) per
+    leaf.  Edges are numbered in preorder of their child node, which is the
+    order in which they own the pool's registers."""
+    nodes = forest_nodes(preorder)
+    edge_of = {}
+    for node, (_, _, _, parent) in enumerate(nodes):
+        if parent is not None:
+            edge_of[node] = len(edge_of)
+    runs = []
+    for node, (label, colors, count, parent) in enumerate(nodes):
+        if count:
+            continue
+        edges = []
+        while parent is not None:
+            edges.append(edge_of[node])
+            node, parent = parent, nodes[parent][3]
+        runs.append((label, nodes[node][0], edges, colors))
+    return runs
+
+
+def forest_leaf_root_pairs(preorder):
+    return {(leaf, root) for leaf, root, _, _ in forest_runs(preorder)}
 
 
 def sst_summary_after(sst, details, word):
@@ -67,23 +103,6 @@ def sst_summary_after(sst, details, word):
     return details["state_map"].get(state.name), val
 
 
-def forest_run_contents(forest, valuation, pool):
-    """Per-leaf (production, colors) by concatenating the path registers."""
-    assignment = forest_registers(forest, pool)
-    runs = {}
-
-    def walk(node, path, regs):
-        if node.is_leaf():
-            production = tuple(b for r in regs for b in valuation.get(r, ()))
-            runs[node.label] = (production, node.colors)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,), [assignment[path + (i,)]] + regs)
-
-    for t, tree in enumerate(forest):
-        walk(tree, (t,), [])
-    return runs
-
-
 def check_forest_against_runs(machine, sst, details, word):
     """Forest content must equal the completed right-right runs that do not
     merge into the main run (those exit at its endpoint), production and
@@ -98,7 +117,7 @@ def check_forest_against_runs(machine, sst, details, word):
     if endpoint is None:
         complaints.append(f"{word}: summary alive but the main run died")
         return complaints
-    state, forest = key
+    state, preorder = key
     if state != endpoint:
         complaints.append(f"{word}: endpoint {state} != {endpoint}")
         return complaints
@@ -107,19 +126,17 @@ def check_forest_against_runs(machine, sst, details, word):
         for r in right_right_runs(machine, word)
         if r["exit"] != endpoint
     }
-    if forest_leaf_root_pairs(forest) != set(oracle):
+    if forest_leaf_root_pairs(preorder) != set(oracle):
         complaints.append(f"{word}: run set mismatch")
         return complaints
     pool = tuple(r for r in sst.registers if r != sst.out)
-    runs = forest_run_contents(forest, val, pool)
-    for tree in forest:
-        for leaf in forest_leaves(tree):
-            production, colors = runs[leaf.label]
-            want_production, want_colors = oracle[(leaf.label, tree.label)]
-            if production != want_production:
-                complaints.append(f"{word}: production of {leaf.label} differs")
-            if tuple(colors) != want_colors:
-                complaints.append(f"{word}: colors of {leaf.label} differ")
+    for leaf, root, edges, colors in forest_runs(preorder):
+        production = tuple(b for e in edges for b in val.get(pool[e], ()))
+        want_production, want_colors = oracle[(leaf, root)]
+        if production != want_production:
+            complaints.append(f"{word}: production of {leaf} differs")
+        if tuple(colors) != want_colors:
+            complaints.append(f"{word}: colors of {leaf} differ")
     return complaints
 
 

@@ -10,11 +10,6 @@ import time
 import pytest
 
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, marking_from_colors
-from omegatrans.builtin import (
-    a_in_first_two_automaton,
-    finitely_many_a_identity,
-    map_copy_reverse_rbt,
-)
 from omegatrans.compose import compose
 from omegatrans.evaluate import eval_machine, eval_one_way, eval_two_way, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
@@ -22,6 +17,11 @@ from omegatrans.generate import generate_one_way, generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import validate_reversible, validate_sst
 from omegatrans.oneway import one_way_to_reversible
+from builtin import (
+    a_in_first_two_automaton,
+    finitely_many_a_identity,
+    map_copy_reverse_rbt,
+)
 from support import check_forest_against_runs, check_two_stage, output_prefix
 
 

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import pytest
 
-from omegatrans.builtin import identity_transducer, map_copy_reverse_rbt
 from omegatrans.compose import (
     LOOPING,
     STUCK,
@@ -22,13 +21,13 @@ from omegatrans.machines import (
     TwoWayParityTransducer,
     WrongMachineKind,
     odd_sentinels,
-    prune_unreachable,
     unique_names,
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.generate import generate_one_way
-from support import check_two_stage
+from builtin import identity_transducer, map_copy_reverse_rbt
+from support import check_two_stage, prune_unreachable
 
 
 def lw(prefix, period):

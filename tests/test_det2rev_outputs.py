@@ -138,3 +138,14 @@ def test_paused_builders_leave_no_cyclic_garbage(stages, builder):
     with collector(False):
         build(*args)
         assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_two_way_to_sst_leaves_no_cyclic_garbage(seed):
+    """The forest step makes no reference cycles, so the cyclic collector
+    has nothing to free after a conversion."""
+    machine = source(seed)
+    gc.collect()
+    with collector(False):
+        two_way_to_sst(machine)
+        assert gc.collect() == 0

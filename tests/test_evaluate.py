@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatrans.builtin import map_copy_reverse_sst
 from omegatrans.evaluate import (
     ACCEPTED,
     ACCEPTED_FINITE,
@@ -35,6 +34,7 @@ from omegatrans.machines import (
     sym,
 )
 from omegatrans.generate import generate_two_way
+from builtin import map_copy_reverse_sst
 
 
 def lw(prefix, period):

@@ -5,15 +5,11 @@ import pytest
 
 from omegatrans.evaluate import equiv_on_lassos
 from omegatrans.forests import (
-    ForestNode,
     StateExplosion,
-    build_graph,
-    forest_leaf_root_pairs,
-    forest_leaves,
+    _flatten,
+    _splices,
+    _tables,
     initial_state,
-    left_right_endpoint,
-    right_right_runs,
-    step,
     two_way_to_sst,
 )
 from omegatrans.generate import generate_two_way
@@ -28,7 +24,12 @@ from omegatrans.machines import (
     validate_sst,
     validate_sst_machine,
 )
-from support import _dfs_edge_paths, canonical_forest, check_forest_against_runs, forest_registers
+from support import (
+    check_forest_against_runs,
+    forest_leaf_root_pairs,
+    forest_nodes,
+    forest_runs,
+)
 
 
 def two_way(states, transitions, alphabet=("a", "b"), k=1, ell=2):
@@ -89,7 +90,8 @@ def test_initial_two_bounces_to_distinct_targets():
     )
     (_, forest), contents = initial_state(machine)
     assert forest_leaf_root_pairs(forest) == {("p1", "r1"), ("p2", "r2")}
-    assert len(forest) == 2 and sorted(contents.values()) == [("a",), ("b",)]
+    roots = [node for node in forest_nodes(forest) if node[3] is None]
+    assert len(roots) == 2 and sorted(contents.values()) == [("a",), ("b",)]
 
 
 def test_initial_merged_bounces_share_a_root():
@@ -101,15 +103,27 @@ def test_initial_merged_bounces_share_a_root():
         ],
     )
     (_, forest), _ = initial_state(machine)
-    assert len(forest) == 1 and len(forest[0].children) == 2
+    roots = [node for node in forest_nodes(forest) if node[3] is None]
+    assert [(label, count) for label, _, count, _ in roots] == [("r", 2)]
 
 
 # --- graph building ---------------------------------------------------------
 
 
+def letter_graph(forest, a, machine, pool):
+    """The forest's edges plus the splice edges of letter ``a``: each node to
+    (next node, edge label)."""
+    order = {s.name: i for i, s in enumerate(machine.states)}
+    tables = _tables(machine, pool, "out", order)
+    flat = _flatten(forest, tables.reg_labels)
+    out_edge = dict(flat.edges)
+    out_edge.update(_splices(flat, a, tables))
+    return out_edge, flat.leaf_of
+
+
 def test_graph_without_backward_states(first_two_automaton):
-    graph = build_graph((), "a", first_two_automaton, ())
-    for origin, (dest, label) in graph.out_edge.items():
+    out_edge, _ = letter_graph((), "a", first_two_automaton, ())
+    for origin, (dest, label) in out_edge.items():
         assert origin[0] == "c" and dest[0] == "c"
 
 
@@ -123,45 +137,39 @@ def test_graph_acquires_cycle():
         ],
     )
     (_, forest), _ = initial_state(machine)
-    graph = build_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
+    out_edge, leaf_of = letter_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
     # from the old leaf: up to its root f, back into the leaf via f's a-move
-    node = graph.leaf_of["b"]
+    node = leaf_of["b"]
     seen = set()
     cyclic = False
-    while node in graph.out_edge:
+    while node in out_edge:
         if node in seen:
             cyclic = True
             break
         seen.add(node)
-        node = graph.out_edge[node][0]
+        node = out_edge[node][0]
     assert cyclic
 
 
 def test_forward_only_step_keeps_forest_empty(first_two_automaton):
-    order = {s.name: i for i, s in enumerate(first_two_automaton.states)}
-    result = step(("1", ()), "b", first_two_automaton, (), "out", order)
-    (state, forest), update, colors = result
-    assert state == "2" and forest == ()
-    assert update.image("out") == (("reg", "out"),)
-    assert colors == (1,)
+    details = {}
+    sst = two_way_to_sst(first_two_automaton, details=details)
+    assert details["start"] == ("1", ())
+    tr = sst.transitions[State("s0_1", True), "b"]  # summary 0 is the start
+    assert details["state_map"][tr.target.name] == ("2", ())
+    assert tr.update.image("out") == (("reg", "out"),)
+    assert tr.colors == (1,)
 
 
-# --- canonical form and registers -------------------------------------------
-
-
-def test_canonical_forest_sorts_siblings():
-    order = {"a": 0, "b": 1, "c": 2, "root": 3}
-    la, lb = ForestNode("a", (0,), ()), ForestNode("b", (0,), ())
-    left = ForestNode("root", None, (la, lb))
-    right = ForestNode("root", None, (lb, la))
-    assert canonical_forest((left,), order) == canonical_forest((right,), order)
+# --- registers ----------------------------------------------------------------
 
 
 def test_register_assignment_is_traversal_ordered():
-    leaf1, leaf2 = ForestNode("p", (0,), ()), ForestNode("q", (0,), ())
-    tree = ForestNode("r", None, (ForestNode(None, None, (leaf1, leaf2)),))
-    regs = forest_registers((tree,), ("r1", "r2", "r3", "r4"))
-    assert [regs[p] for p in _dfs_edge_paths((tree,))] == ["r1", "r2", "r3"]
+    # root r, one merge node below it, leaves p and q below the merge node
+    forest = ("r", None, 1, None, None, 2, "p", (0,), 0, "q", (0,), 0)
+    pool = ("r1", "r2", "r3", "r4")
+    runs = {leaf: [pool[e] for e in edges] for leaf, _, edges, _ in forest_runs(forest)}
+    assert runs == {"p": ["r2", "r1"], "q": ["r3", "r1"]}
 
 
 # --- whole conversions ------------------------------------------------------
@@ -253,10 +261,9 @@ def test_no_acceptance_condition_drops_leaf_tuples():
         sst = two_way_to_sst(machine, details=details)
         assert sst.k == 0
         assert details["summary_count"] <= n * (2 * n - 1) ** (2 * n - 3)
-        for key in details["state_map"].values():
-            for tree in key[1]:
-                for leaf in forest_leaves(tree):
-                    assert leaf.colors == ()
+        for _, forest in details["state_map"].values():
+            for _, _, _, colors in forest_runs(forest):
+                assert colors == ()
 
 
 # --- pinned output ------------------------------------------------------------
@@ -290,19 +297,3 @@ def test_conversion_output_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, n)
         found = (details["summary_count"], details["max_forest_nodes"], details["max_forest_edges"])
         assert found == (summaries, nodes, edges), (seed, n)
-
-
-def test_step_matches_the_conversion():
-    """The public one-letter step gives the conversion's own transitions."""
-    machine = generate_two_way(2, 7, 1, 2, alphabet_size=3, density=1.0)
-    order = {s.name: i for i, s in enumerate(machine.states)}
-    details = {}
-    sst = two_way_to_sst(machine, details=details)
-    pool = tuple(r for r in sst.registers if r != sst.out)
-    summary_of = details["state_map"]
-    for (src, a), tr in sst.transitions.items():
-        if src.name == "ini":
-            continue
-        target, update, colors = step(summary_of[src.name], a, machine, pool, "out", order)
-        assert target == summary_of[tr.target.name]
-        assert (update, colors) == (tr.update, tr.colors)

@@ -5,12 +5,6 @@ from dataclasses import replace
 import pytest
 
 from omegatrans.buchi import dbt_to_rbt
-from omegatrans.builtin import (
-    a_in_first_two_automaton,
-    finitely_many_a_identity,
-    map_copy_reverse_rbt,
-    map_copy_reverse_sst,
-)
 from omegatrans.cli import main
 from omegatrans.compose import compose
 from omegatrans.dot import machine_to_dot
@@ -34,10 +28,16 @@ from omegatrans.machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
-    prune_unreachable,
     reg,
     sym,
 )
+from builtin import (
+    a_in_first_two_automaton,
+    finitely_many_a_identity,
+    map_copy_reverse_rbt,
+    map_copy_reverse_sst,
+)
+from support import prune_unreachable
 
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 BUNDLED = sorted(MACHINES.glob("*.json"))
@@ -417,7 +417,7 @@ def test_cli_equiv_detects_difference(tmp_path, mcr_path, capsys):
     other_path = tmp_path / "other.json"
     other_path.write_text(dumps_machine(other))
     # different alphabets would be a usage error; use a same-alphabet machine
-    from omegatrans.builtin import identity_transducer
+    from builtin import identity_transducer
 
     ident = tmp_path / "ident.json"
     ident.write_text(dumps_machine(identity_transducer("ab#")))

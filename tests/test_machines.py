@@ -16,7 +16,6 @@ from omegatrans.machines import (
     collector_paused,
     drop_left_end_into_initial,
     odd_sentinels,
-    prune_unreachable,
     reg,
     sym,
     unique_names,
@@ -26,6 +25,7 @@ from omegatrans.machines import (
     validate_reversible,
     validate_sst,
 )
+from support import prune_unreachable
 
 
 def test_deterministic_on_triples():

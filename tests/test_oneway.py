@@ -1,6 +1,5 @@
 import pytest
 
-from omegatrans.builtin import identity_transducer
 from omegatrans.evaluate import (
     eval_one_way,
     eval_two_way,
@@ -11,6 +10,7 @@ from omegatrans.generate import generate_one_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import State, WrongMachineKind, validate_reversible
 from omegatrans.oneway import NotDeterministic, abv, one_way_to_reversible
+from builtin import identity_transducer
 
 
 def lw(prefix, period):

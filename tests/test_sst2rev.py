@@ -3,7 +3,6 @@ import pathlib
 
 import pytest
 
-from omegatrans.builtin import map_copy_reverse_rbt, map_copy_reverse_sst
 from omegatrans.compose import compose, compose_reachable
 from omegatrans.evaluate import equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
@@ -16,7 +15,6 @@ from omegatrans.machines import (
     SstTransition,
     State,
     Substitution,
-    prune_unreachable,
     reg,
     sym,
     validate_machine,
@@ -30,6 +28,8 @@ from omegatrans.sst2rev import (
     sst_to_substitution_stream,
     substitution_alphabet,
 )
+from builtin import map_copy_reverse_rbt, map_copy_reverse_sst
+from support import prune_unreachable
 
 
 def lw(prefix, period):
@@ -217,7 +217,7 @@ def test_append_only_sst_is_identity(lassos_ab):
         ("out",), "out", 1, 1,
     )
     rbt = sst_to_reversible(sst)
-    from omegatrans.builtin import identity_transducer
+    from builtin import identity_transducer
 
     assert equiv_on_lassos(rbt, identity_transducer("ab"), lassos_ab).ok
 

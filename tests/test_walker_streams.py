@@ -5,11 +5,11 @@ as input letters; these tests run the walker as an ordinary two-way machine
 over such lassos.
 """
 
-from omegatrans.builtin import map_copy_reverse_sst
 from omegatrans.evaluate import eval_sst, eval_two_way
 from omegatrans.lasso import LassoWord, lasso_equal
 from omegatrans.machines import validate_machine
 from omegatrans.sst2rev import build_register_walker, sst_to_substitution_stream
+from builtin import map_copy_reverse_sst
 
 
 def mcr_updates():
