@@ -11,7 +11,6 @@ decides parity acceptance and yields an exact output lasso.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,7 +23,6 @@ from .machines import (
     CopylessParitySST,
     SstTransition,
     State,
-    Substitution,
     TwoWayParityTransducer,
     advance,
 )
@@ -48,15 +46,6 @@ class EvalBudget:
             raise ValueError("budgets must be positive")
 
 
-def default_budget() -> EvalBudget:
-    """Budget from the OMEGA_TRANS_BUDGET environment variable, if set."""
-    raw = os.environ.get("OMEGA_TRANS_BUDGET")
-    if raw:
-        n = int(raw)
-        return EvalBudget(max_steps=n, max_output=n)
-    return EvalBudget()
-
-
 @dataclass(frozen=True, slots=True)
 class Configuration:
     """Head state and position; a forward state reads the letter at
@@ -71,16 +60,15 @@ class Configuration:
 class RunOutcome:
     """Verdict of evaluating a machine on a lasso.
 
-    ``output`` is the exact output lasso for accepted runs with infinite
-    output; ``output_prefix`` always carries the produced finite prefix (up
-    to the output budget).  ``prefix_only`` marks accepted runs whose
-    output could only be certified as a prefix.
+    ``output`` is the exact output lasso of every ``ACCEPTED`` run;
+    ``output_prefix`` carries the produced finite prefix (up to the output
+    budget).  A run whose output cannot be certified within the budget is
+    ``BUDGET_EXCEEDED``.
     """
 
     verdict: str
     output: Optional[LassoWord] = None
     output_prefix: tuple[str, ...] = ()
-    prefix_only: bool = False
     min_colors: Optional[tuple[int, ...]] = None
     steps: int = 0
 
@@ -290,7 +278,7 @@ def eval_two_way(
     machine: TwoWayParityTransducer, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
     """Classify the run of a two-way machine on ``w`` exactly."""
-    budget = budget or default_budget()
+    budget = budget or EvalBudget()
     kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
     return _classify(machine.k, kind, moves, loop_start, loop_end, budget)
 
@@ -338,23 +326,15 @@ def _sst_automaton_loop(sst: CopylessParitySST, w: LassoWord):
         t += 1
 
 
-def _nonempty_after(update: Substitution, nonempty: frozenset[str], registers) -> frozenset[str]:
-    new = set()
-    for r in registers:
-        for kind, value in update.image(r):
-            if kind == "sym" or value in nonempty:
-                new.add(r)
-                break
-    return frozenset(new)
-
-
 def eval_sst(
     sst: CopylessParitySST, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
-    """Classify an SST run: exact parity verdict, exact unboundedness verdict
-    for the out register, and an exact output lasso whenever the non-out
-    register contents become literally periodic over the automaton loop."""
-    budget = budget or default_budget()
+    """Classify a register machine's run exactly: the parity verdict over
+    the automaton loop, and the output from the first literal repeat of the
+    registers feeding ``out`` across loop iterations.  An empty appended
+    block means finite output; otherwise the output is an exact lasso.
+    Outgrowing ``max_output`` first is ``BUDGET_EXCEEDED``."""
+    budget = budget or EvalBudget()
     w = lasso_canonicalize(w)
     trace, loop_start, loop_end = _sst_automaton_loop(sst, w)
     valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
@@ -380,22 +360,6 @@ def eval_sst(
         loop_update = loop_update.then(trace[t].update)
     out_tail = loop_update.image(sst.out)[1:]  # image is out · tail
 
-    # Decide unboundedness of out on the emptiness abstraction of the loop.
-    nonempty = frozenset(r for r, v in valuation.items() if v)
-    seen_vectors = {nonempty: 0}
-    vectors = [nonempty]
-    while True:
-        nxt = _nonempty_after(loop_update, vectors[-1], sst.registers)
-        if nxt in seen_vectors:
-            cycle_from = seen_vectors[nxt]
-            break
-        seen_vectors[nxt] = len(vectors)
-        vectors.append(nxt)
-    gains = [
-        any(kind == "sym" or value in vec for kind, value in out_tail) for vec in vectors
-    ]
-    unbounded = any(gains[cycle_from:])
-
     # Registers feeding out, closed under the loop update's own flow; their
     # contents evolve autonomously, so a literal repeat proves the appended
     # blocks periodic forever.
@@ -408,33 +372,30 @@ def eval_sst(
             break
         feeding = grown
     others = tuple(r for r in sst.registers if r in feeding and r != sst.out)
-    if not unbounded:
-        # Out stabilizes once the emptiness vector enters its cycle.
-        settle = len(vectors) + 1
-        for _ in range(settle):
-            valuation = loop_update.apply(valuation)
-        return RunOutcome(
-            ACCEPTED_FINITE,
-            output_prefix=valuation[sst.out][: budget.max_output],
-            min_colors=mins,
-            steps=loop_end,
-        )
 
-    # Try for an exact lasso: literal repetition of the non-out contents
-    # across loop iterations makes the appended blocks periodic forever.
+    # The loop update is copyless and out is read only by itself, so each
+    # feeding register is read by exactly one register: the feeding
+    # registers form a forest hanging off out's tail.  A register at height
+    # h no longer depends on the starting valuation after h + 1 iterations,
+    # so the contents are constant from iteration len(others) on and repeat
+    # by iteration len(others) + 1.  A machine that is not copyless may
+    # miss this bound; it then gets BUDGET_EXCEEDED, never a pass.
     seen_contents: dict[tuple, int] = {tuple(valuation[r] for r in others): 0}
     boundary_outputs = [valuation[sst.out]]
-    max_iters = max(2 ** len(sst.registers) + 4, 16)
-    it = 0
-    while it < max_iters:
+    for it in range(1, len(others) + 2):
         valuation = loop_update.apply(valuation)
-        it += 1
         boundary_outputs.append(valuation[sst.out])
         key = tuple(valuation[r] for r in others)
         if key in seen_contents:
-            j1 = seen_contents[key]
-            prefix = boundary_outputs[j1]
+            prefix = boundary_outputs[seen_contents[key]]
             block = boundary_outputs[it][len(prefix):]
+            if not block:
+                return RunOutcome(
+                    ACCEPTED_FINITE,
+                    output_prefix=prefix[: budget.max_output],
+                    min_colors=mins,
+                    steps=loop_end,
+                )
             lasso = lasso_canonicalize(LassoWord(prefix, block))
             shown = min(budget.max_output, max(2000, len(prefix) + len(block)))
             return RunOutcome(
@@ -447,20 +408,8 @@ def eval_sst(
         seen_contents[key] = it
         if sum(len(valuation[r]) for r in sst.registers) > budget.max_output:
             break
-    # Certified prefix only; iterate further so comparisons have enough
-    # letters to be meaningful, without chasing the whole output budget.
-    target = min(budget.max_output, max(5 * MIN_PREFIX_COMPARE, 2000))
-    hard_cap = it + 4 * target
-    while len(valuation[sst.out]) < target and it < hard_cap:
-        valuation = loop_update.apply(valuation)
-        it += 1
     return RunOutcome(
-        ACCEPTED,
-        output=None,
-        output_prefix=valuation[sst.out][: budget.max_output],
-        prefix_only=True,
-        min_colors=mins,
-        steps=loop_end,
+        BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=loop_end
     )
 
 
@@ -495,28 +444,6 @@ class EquivReport:
         )
 
 
-MIN_PREFIX_COMPARE = 1000
-
-
-def _compare_outputs(o1: RunOutcome, o2: RunOutcome):
-    """None when outputs agree, 'inconclusive:...' or a disagreement string."""
-    if not o1.prefix_only and not o2.prefix_only:
-        if lasso_equal(o1.output, o2.output):
-            return None
-        return f"outputs differ: {o1.output} vs {o2.output}"
-    n = min(
-        len(o1.output_prefix) if o1.prefix_only else MIN_PREFIX_COMPARE + len(o1.output_prefix),
-        len(o2.output_prefix) if o2.prefix_only else MIN_PREFIX_COMPARE + len(o2.output_prefix),
-    )
-    p1 = o1.output_prefix[:n] if o1.prefix_only else o1.output.unroll(n)
-    p2 = o2.output_prefix[:n] if o2.prefix_only else o2.output.unroll(n)
-    if n < MIN_PREFIX_COMPARE:
-        return "inconclusive:prefix too short to certify"
-    if p1 != p2:
-        return f"output prefixes differ at length {n}"
-    return None
-
-
 def equiv_on_lassos(
     m1,
     m2,
@@ -534,10 +461,10 @@ def equiv_on_lassos(
     trades the acceptance condition for output finiteness.
 
     Budget exhaustion on either side marks the lasso inconclusive, never a
-    pass; prefix-only outputs are compared up to the shorter certified
-    prefix and require at least MIN_PREFIX_COMPARE letters.
+    pass.  Every other outcome is exact, so outputs in the domain are
+    compared as lassos.
     """
-    budget = budget or default_budget()
+    budget = budget or EvalBudget()
     report = EquivReport()
     for w in lassos:
         report.checked += 1
@@ -553,14 +480,8 @@ def equiv_on_lassos(
         if require_class and c1 != c2:
             report.disagreements.append((w, f"verdict classes differ: {c1} vs {c2}"))
             continue
-        if c1 == "inf":
-            diff = _compare_outputs(o1, o2)
-            if diff is None:
-                report.passed += 1
-            elif diff.startswith("inconclusive:"):
-                report.inconclusive.append((w, diff.split(":", 1)[1]))
-            else:
-                report.disagreements.append((w, diff))
+        if c1 == "inf" and not lasso_equal(o1.output, o2.output):
+            report.disagreements.append((w, f"outputs differ: {o1.output} vs {o2.output}"))
         else:
             report.passed += 1
     return report

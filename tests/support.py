@@ -140,17 +140,11 @@ def check_forest_against_runs(machine, sst, details, word):
     return complaints
 
 
-def output_prefix(outcome, length):
-    if outcome.prefix_only or outcome.output is None:
-        return outcome.output_prefix[:length]
-    return outcome.output.unroll(length)
-
-
 def check_two_stage(first, second, composed, lassos, budget=None):
     """Direct evaluation of the composition vs running the stages in series.
 
     Returns (failures, inconclusive_count); lassos where any stage ran out
-    of budget or produced only an output prefix count as inconclusive.
+    of budget count as inconclusive.
     """
     failures = []
     inconclusive = 0
@@ -164,9 +158,6 @@ def check_two_stage(first, second, composed, lassos, budget=None):
             if direct.in_domain():
                 failures.append((w, "composition accepts outside the stage-1 domain"))
             continue
-        if stage1.prefix_only:
-            inconclusive += 1
-            continue
         stage2 = eval_machine(second, stage1.output, budget)
         if stage2.domain_class() == "inconclusive":
             inconclusive += 1
@@ -174,9 +165,6 @@ def check_two_stage(first, second, composed, lassos, budget=None):
         if stage2.in_domain() != direct.in_domain():
             failures.append((w, f"domains differ: {stage2.verdict} vs {direct.verdict}"))
             continue
-        if stage2.in_domain():
-            if stage2.prefix_only or direct.prefix_only:
-                inconclusive += 1
-            elif not lasso_equal(stage2.output, direct.output):
-                failures.append((w, f"outputs differ: {stage2.output} vs {direct.output}"))
+        if stage2.in_domain() and not lasso_equal(stage2.output, direct.output):
+            failures.append((w, f"outputs differ: {stage2.output} vs {direct.output}"))
     return failures, inconclusive

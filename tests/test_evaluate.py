@@ -1,5 +1,8 @@
+import hashlib
 import threading
 import time
+from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from omegatrans.evaluate import (
     ACCEPTED,
     ACCEPTED_FINITE,
+    BUDGET_EXCEEDED,
     REJECTED_LOOP,
     REJECTED_PARITY,
     REJECTED_STUCK,
@@ -33,7 +37,8 @@ from omegatrans.machines import (
     reg,
     sym,
 )
-from omegatrans.generate import generate_two_way
+from omegatrans.forests import two_way_to_sst
+from omegatrans.generate import generate_sst, generate_two_way
 from builtin import map_copy_reverse_sst
 
 
@@ -248,20 +253,64 @@ def test_sst_stuck():
     assert eval_sst(sst, lw("b", "a")).verdict == REJECTED_STUCK
 
 
+def _equiv_corpus_ssts():
+    """Register machines converted from perfbench's equiv corpus."""
+    for seed in range(30):
+        yield two_way_to_sst(generate_two_way(seed, 4, 1, 2, alphabet_size=2, density=1.0))
+
+
 def test_sst_outputs_are_certified_exactly():
     """Copylessness keeps the registers feeding out on an acyclic flow, so
     their contents settle and accepted outputs always come out as exact
-    lassos, never as mere prefixes."""
-    from omegatrans.generate import generate_sst
-    from omegatrans.lasso import enumerate_lassos
-
-    for seed in range(25):
-        sst = generate_sst(seed, n=3, k=1, ell=2, n_registers=4)
-        for w in enumerate_lassos(("a", "b"), 2, 3):
+    lassos."""
+    generated = [
+        generate_sst(seed, n=3, k=1, ell=2, n_registers=registers)
+        for seed in range(25)
+        for registers in range(2, 7)
+    ]
+    for sst in chain(generated, _equiv_corpus_ssts()):
+        for w in enumerate_lassos(sst.input_alphabet, 2, 3):
             out = eval_sst(sst, w)
+            assert out.verdict != BUDGET_EXCEEDED
             if out.verdict == ACCEPTED:
-                assert not out.prefix_only
                 assert out.output is not None
+
+
+def test_sst_output_outgrowing_the_budget_is_inconclusive(mcr_sst):
+    """A run whose output cannot be certified within ``max_output`` is
+    inconclusive, never accepted on a prefix."""
+    budget = EvalBudget(max_steps=100_000, max_output=4)
+    out = eval_sst(mcr_sst, LassoWord(("a", "b"), ("#", "a")), budget)
+    assert out.verdict == BUDGET_EXCEEDED
+    assert out.domain_class() == "inconclusive"
+
+
+# SHA-256 over the outcomes of ``eval_sst`` on two corpora at the default
+# budget; any change to a verdict, output, prefix, colour or step count
+# shows here.
+PINNED_SST_OUTCOMES = (29_330, "cd33b675db2e0bd9a7b7788748239107e1b5ebe28997ab3bc8201ed09db0eeb6")
+
+
+def test_sst_outcomes_are_pinned():
+    generated = (
+        generate_sst(
+            s, n=2 + s % 4, k=1 + s % 2, ell=2 + s % 3, alphabet_size=2 + s % 2,
+            n_registers=2 + s % 5, density=0.9,
+        )
+        for s in range(100)
+    )
+    runs = chain(
+        ((sst, enumerate_lassos(sst.input_alphabet, 3, 5)) for sst in _equiv_corpus_ssts()),
+        ((sst, enumerate_lassos(sst.input_alphabet, 2, 3)) for sst in generated),
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for sst, lassos in runs:
+        for w in lassos:
+            o = eval_sst(sst, w)
+            digest.update(repr((o.verdict, o.output, o.output_prefix, o.min_colors, o.steps)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == PINNED_SST_OUTCOMES
 
 
 # --- equivalence driver -----------------------------------------------------
@@ -336,11 +385,21 @@ def _bundled_mcr_rbt():
     return load_machine(Path(__file__).resolve().parent.parent / "machines" / "mcr_rbt.json")
 
 
-@pytest.mark.parametrize("seed", [None] + list(range(10)))
-def test_simulation_matches_single_steps(seed):
+# Keyed by test id; "None" is the bundled mcr_rbt.
+SIMULATED_MACHINES = {
+    "None": _bundled_mcr_rbt,
+    **{str(seed): partial(generate_two_way, seed, n=4, k=1, ell=2) for seed in range(10)},
+    # Its run on (ab) revisits a (state, residue) further left, which moves
+    # the shift-loop anchor.
+    "15-dense": partial(generate_two_way, 15, n=3, k=1, ell=2, alphabet_size=2, density=1.0),
+}
+
+
+@pytest.mark.parametrize("build", SIMULATED_MACHINES.values(), ids=SIMULATED_MACHINES.keys())
+def test_simulation_matches_single_steps(build):
     from omegatrans.lasso import lasso_canonicalize
 
-    machine = _bundled_mcr_rbt() if seed is None else generate_two_way(seed, n=4, k=1, ell=2)
+    machine = build()
     for w in enumerate_lassos(machine.input_alphabet, 2, 3):
         run = simulate_two_way(machine, w, 2_000)
         steps = len(run.configs) - 1

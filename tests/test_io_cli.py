@@ -250,22 +250,101 @@ def _bare_register_token(rbt_doc, sst_doc):
     return sst_doc
 
 
+def _backward_register_state(rbt_doc, sst_doc):
+    sst_doc["states"][0]["polarity"] = "-"
+    return sst_doc
+
+
+def _repeated_register(rbt_doc, sst_doc):
+    sst_doc["registers"].append(sst_doc["registers"][-1])
+    return sst_doc
+
+
+def _undeclared_out(rbt_doc, sst_doc):
+    sst_doc["out"] = "Y"
+    return sst_doc
+
+
+def _first_update(sst_doc):
+    return sst_doc["transitions"][0]["update"]
+
+
+def _writes_unknown_register(rbt_doc, sst_doc):
+    _first_update(sst_doc)["Y"] = []
+    return sst_doc
+
+
+def _reads_unknown_register(rbt_doc, sst_doc):
+    _first_update(sst_doc)["X"] = [{"reg": "Y"}]
+    return sst_doc
+
+
+def _foreign_output_symbol(rbt_doc, sst_doc):
+    _first_update(sst_doc)["X"] = [{"sym": "z"}]
+    return sst_doc
+
+
+def _out_in_other_image(rbt_doc, sst_doc):
+    _first_update(sst_doc)["X"] = [{"reg": "out"}]
+    return sst_doc
+
+
+def _repeated_state_name(rbt_doc, sst_doc):
+    rbt_doc["states"].append(rbt_doc["states"][0])
+    return rbt_doc
+
+
 def _first_transition_key(doc):
     first = doc["transitions"][0]
     return f"({first['from']}, {first['letter']!r})"
 
 
-# Where the error message must point, for the transition-level cases.
-_LOCATIONS = {
+# What the error message must say: where it points, for the
+# transition-level cases, and which check fired for the validator cases.
+_MESSAGES = {
     _string_colors: _first_transition_key,
     _bare_register_token: lambda doc: "transition #0",
+    _backward_register_state: lambda doc: "all states must be forward",
+    _repeated_register: lambda doc: "register names are not unique",
+    _undeclared_out: lambda doc: "the out register is not declared",
+    _writes_unknown_register: lambda doc: "update writes unknown register 'Y'",
+    _reads_unknown_register: lambda doc: "update reads unknown register 'Y'",
+    _foreign_output_symbol: lambda doc: "output letter 'z' not in the output alphabet",
+    _out_in_other_image: lambda doc: "'out' appears in the image of 'X'",
+    _repeated_state_name: lambda doc: "state names are not unique",
 }
 
 
 @pytest.mark.parametrize(
     "malform",
-    [_without_initial, _string_colors, lambda rbt_doc, sst_doc: [1, 2], _bare_register_token],
-    ids=["no-initial", "string-colors", "not-an-object", "bare-register-token"],
+    [
+        _without_initial,
+        _string_colors,
+        lambda rbt_doc, sst_doc: [1, 2],
+        _bare_register_token,
+        _backward_register_state,
+        _repeated_register,
+        _undeclared_out,
+        _writes_unknown_register,
+        _reads_unknown_register,
+        _foreign_output_symbol,
+        _out_in_other_image,
+        _repeated_state_name,
+    ],
+    ids=[
+        "no-initial",
+        "string-colors",
+        "not-an-object",
+        "bare-register-token",
+        "backward-register-state",
+        "repeated-register",
+        "undeclared-out",
+        "writes-unknown-register",
+        "reads-unknown-register",
+        "foreign-output-symbol",
+        "out-in-other-image",
+        "repeated-state-name",
+    ],
 )
 def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):
     doc = malform(
@@ -273,8 +352,8 @@ def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, ma
     )
     with pytest.raises(DocumentError) as caught:
         document_to_machine(doc)
-    if malform in _LOCATIONS:
-        assert _LOCATIONS[malform](doc) in str(caught.value)
+    if malform in _MESSAGES:
+        assert _MESSAGES[malform](doc) in str(caught.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["eval", str(path), "(a)"]) == 3
@@ -515,16 +594,6 @@ def test_cli_parse_error(tmp_path, capsys):
 
 def test_cli_usage_error():
     assert main(["equiv", "a", "b"]) == 3  # missing lasso selection
-
-
-def test_budget_env_override(monkeypatch):
-    from omegatrans.evaluate import default_budget
-
-    monkeypatch.setenv("OMEGA_TRANS_BUDGET", "1234")
-    budget = default_budget()
-    assert budget.max_steps == 1234 and budget.max_output == 1234
-    monkeypatch.delenv("OMEGA_TRANS_BUDGET")
-    assert default_budget().max_steps == 100_000
 
 
 def test_bundled_machine_files(mcr_rbt):
