@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Seconds per stage of the det2rev pipeline over a seeded corpus.
+
+A job is what ``omegatrans det2rev`` does plus the checks the benchmark's
+det2rev workload makes: load the source document, ``two_way_to_sst``,
+``sst_to_reversible``, ``validate_reversible``, ``dumps_machine``, load
+the output, compare it with the built machine (``==``), and run the
+oracle on lassos (1,2).  The corpus is ``generate_two_way(seed, 7, 1, 2,
+alphabet_size=3, density=1.0)`` for seeds 0 .. N-1.  The cyclic collector
+is left as the pipeline leaves it.
+
+Each column is a library source directory, ``--src NAME=DIR`` (default:
+this checkout's ``src``).  A repeat runs one fresh process per column, in
+alternating order, all with the same PYTHONHASHSEED.  The report gives
+each stage's total seconds over the corpus as median and quartiles over
+the repeats, next to the counts, which must repeat exactly: output states
+and transitions, and distinct transition objects of the built output.
+
+    python scripts/stage_times.py --seeds 30 --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_records.json
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = (
+    "load source",
+    "two_way_to_sst",
+    "sst_to_reversible",
+    "validate_reversible",
+    "dumps_machine",
+    "load output",
+    "==",
+    "oracle",
+)
+
+
+def one_pass(seeds: int) -> dict:
+    """Seconds per stage and counts of one pass over the corpus."""
+    from omegatrans.evaluate import EvalBudget, equiv_on_lassos
+    from omegatrans.forests import two_way_to_sst
+    from omegatrans.generate import generate_two_way
+    from omegatrans.io import dumps_machine, loads_machine
+    from omegatrans.lasso import enumerate_lassos
+    from omegatrans.machines import validate_reversible
+    from omegatrans.sst2rev import sst_to_reversible
+
+    sources = [
+        generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(seeds)
+    ]
+    docs = [dumps_machine(source) for source in sources]
+    lassos = enumerate_lassos(sources[0].input_alphabet, 1, 2)
+    seconds = dict.fromkeys(STAGES, 0.0)
+    counts = {"output_states": 0, "output_transitions": 0, "distinct_transitions": 0}
+
+    def timed(stage, build, *args):
+        start = time.perf_counter()
+        result = build(*args)
+        seconds[stage] += time.perf_counter() - start
+        return result
+
+    for seed, doc in enumerate(docs):
+        source = timed("load source", loads_machine, doc)
+        sst = timed("two_way_to_sst", two_way_to_sst, source)
+        built = timed("sst_to_reversible", sst_to_reversible, sst)
+        reversible = timed("validate_reversible", validate_reversible, built)
+        text = timed("dumps_machine", dumps_machine, built)
+        loaded = timed("load output", loads_machine, text)
+        same = timed("==", loaded.__eq__, built)
+        report = timed("oracle", equiv_on_lassos, source, built, lassos, EvalBudget())
+        if not (reversible and same and not report.disagreements and not report.inconclusive):
+            raise SystemExit(f"seed {seed}: the det2rev output failed a check")
+        counts["output_states"] += len(built.states)
+        counts["output_transitions"] += len(built.transitions)
+        counts["distinct_transitions"] += len({id(tr) for tr in built.transitions.values()})
+    return {"seconds": seconds, "counts": counts}
+
+
+def run_worker(src: str, seeds: int, hash_seed: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    done = subprocess.run(
+        [sys.executable, __file__, "--seeds", str(seeds), "--worker", src],
+        env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"worker on {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def spread(values: list) -> dict:
+    """Median and quartiles (the median alone for one value)."""
+    if len(values) < 2:
+        return {"median": round(values[0], 4)}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--seeds", type=int, default=30, help="corpus size")
+    parser.add_argument("--repeats", type=int, default=1, help="fresh processes per column")
+    parser.add_argument("--src", action="append", metavar="NAME=DIR", help="a column to measure")
+    parser.add_argument("--out", help="write the report here instead of printing it")
+    parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.worker:
+        sys.path.insert(0, args.worker)
+        import omegatrans
+
+        found = Path(omegatrans.__file__).resolve().parent.parent
+        if found != Path(args.worker).resolve():
+            raise SystemExit(f"omegatrans imported from {found}, not from {args.worker}")
+        print(json.dumps(one_pass(args.seeds)))
+        return
+
+    columns = dict(spec.split("=", 1) for spec in args.src or [f"change={ROOT / 'src'}"])
+    passes: dict = {name: [] for name in columns}
+    for repeat in range(args.repeats):
+        names = list(columns) if repeat % 2 == 0 else list(reversed(columns))
+        for name in names:
+            passes[name].append(run_worker(columns[name], args.seeds, repeat))
+    report = {
+        "corpus": "generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0)"
+        f", seeds 0-{args.seeds - 1}",
+        "lassos": "enumerate_lassos(alphabet, 1, 2)",
+        "repeats": args.repeats,
+        "python": sys.version.split()[0],
+        "cpus": os.cpu_count(),
+        "columns": {},
+    }
+    for name, runs in passes.items():
+        counts = runs[0]["counts"]
+        if any(run["counts"] != counts for run in runs):
+            raise SystemExit(f"{name}: counts differ between repeats")
+        seconds = {stage: spread([run["seconds"][stage] for run in runs]) for stage in STAGES}
+        seconds["total"] = spread([sum(run["seconds"].values()) for run in runs])
+        report["columns"][name] = {"seconds": seconds, "counts": counts}
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        print(text, end="")
+
+
+if __name__ == "__main__":
+    main()

@@ -40,7 +40,7 @@ def drop_acceptance(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Remove all colorings: the domain widens to every input whose run
     reads the whole word and produces an infinite output, and outputs are
     unchanged where both machines are defined."""
-    transitions = {key: replace(tr, colors=()) for key, tr in machine.transitions.items()}
+    transitions = {key: tr._replace(colors=()) for key, tr in machine.transitions.items()}
     return replace(machine, transitions=transitions, k=0, ell=1)
 
 
@@ -50,7 +50,7 @@ def buchi_as_parity(
     """Encode a transition marking as one two-color condition: marked
     transitions get color 0, the rest color 1."""
     transitions = {
-        key: replace(tr, colors=(0,) if key in marking else (1,))
+        key: tr._replace(colors=(0,) if key in marking else (1,))
         for key, tr in machine.transitions.items()
     }
     return replace(machine, transitions=transitions, k=1, ell=2)

@@ -23,6 +23,7 @@ from .machines import (
     CopylessParitySST,
     SstTransition,
     State,
+    Substitution,
     TwoWayParityTransducer,
     advance,
 )
@@ -372,6 +373,11 @@ def eval_sst(
             break
         feeding = grown
     others = tuple(r for r in sst.registers if r in feeding and r != sst.out)
+    # Only out and its feeding registers are updated and charged against the
+    # budget: the other registers never reach the output.
+    kept = (sst.out, *others)
+    loop_update = Substitution.from_dict({r: loop_update.image(r) for r in kept})
+    valuation = {r: valuation[r] for r in kept}
 
     # The loop update is copyless and out is read only by itself, so each
     # feeding register is read by exactly one register: the feeding
@@ -406,7 +412,7 @@ def eval_sst(
                 steps=loop_end,
             )
         seen_contents[key] = it
-        if sum(len(valuation[r]) for r in sst.registers) > budget.max_output:
+        if sum(map(len, valuation.values())) > budget.max_output:
             break
     return RunOutcome(
         BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=loop_end

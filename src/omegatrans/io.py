@@ -171,22 +171,36 @@ def _sst_transition(t: dict, target: State) -> SstTransition:
 #
 # dumps_machine writes the text json.dumps(doc, indent=2, sort_keys=True)
 # gives for the machine's document, without building the document or
-# running the pure-Python indenting encoder over it.  Each state and
-# transition record is a fixed template; the values inside a record (names,
-# letters, output words, colour vectors, register updates) repeat across
-# records, so each distinct value is encoded once, by json itself, and
-# reused.  Colour vectors are memoized under their element types too:
-# (1,) and (True,) compare equal but print as [1] and [true].  The other
-# values are strings or made of strings in every machine a document can
-# describe, and equal strings print alike.
+# running json's pure-Python indenting encoder, whose nested closures leave
+# reference cycles behind.  Each state and transition record is a fixed
+# template; the values inside a record (names, letters, output words,
+# colour vectors, register updates) repeat across records, so each distinct
+# value is encoded once and reused.  Colour vectors are memoized under their
+# element types too: (1,) and (True,) compare equal but print as [1] and
+# [true].  The other values are strings or made of strings in every
+# machine a document can describe, and equal strings print alike.
 
 
 def _json_text(value, level: int) -> str:
     """``value`` as it appears ``level`` deep in a document written with
-    ``indent=2, sort_keys=True``."""
+    ``indent=2, sort_keys=True``: lists and dicts are laid out here, and
+    json writes the scalars."""
     if type(value) is str:
         return _quote(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    if isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        items = [_json_text(item, level + 1) for item in value]
+    elif isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [
+            f"{_quote(key)}: {_json_text(item, level + 1)}" for key, item in sorted(value.items())
+        ]
+    else:
+        return json.dumps(value)
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
 
 
 _quote = json.encoder.encode_basestring_ascii  # as json.dumps with ensure_ascii
@@ -225,25 +239,31 @@ def dumps_machine(machine: Machine) -> str:
         f'    {{\n      "name": {quoted[s.name]},\n      "polarity": "{"+" if s.forward else "-"}"\n    }}'
         for s in machine.states
     ]
-    order = {s: i for i, s in enumerate(machine.states)}
-    entries = sorted(
-        machine.transitions.items(), key=lambda kv: (order[kv[0][0]], str(kv[0][1]))
-    )
+    # One int sort key per transition, the source's position and then the
+    # letter's rank by str, and the sort moves the existing keys: it leaves
+    # no new tuples per transition for the cyclic collector to trace.
+    transitions = machine.transitions
+    letters = {letter for _, letter in transitions}
+    rank = {text: i for i, text in enumerate(sorted({str(a) for a in letters}))}
+    rank_of = {a: rank[str(a)] for a in letters}
+    row = {s: i * len(rank) for i, s in enumerate(machine.states)}
+    keys = sorted(transitions, key=lambda key: row[key[0]] + rank_of[key[1]])
+    entries = zip(keys, map(transitions.__getitem__, keys))
     if sst:
         updates = _Texts(3, _update_document)
         records = [
-            f'    {{\n      "colors": {colors[(tr.colors, *map(type, tr.colors))]},\n      "from": {quoted[src.name]},'
-            f'\n      "letter": {quoted[letter]},\n      "to": {quoted[tr.target.name]},'
-            f'\n      "update": {updates[tr.update]}\n    }}'
-            for (src, letter), tr in entries
+            f'    {{\n      "colors": {colors[(c, *map(type, c))]},\n      "from": {quoted[src.name]},'
+            f'\n      "letter": {quoted[letter]},\n      "to": {quoted[target.name]},'
+            f'\n      "update": {updates[update]}\n    }}'
+            for (src, letter), (target, update, c) in entries
         ]
     else:
         outputs = _Texts(3)
         records = [
-            f'    {{\n      "colors": {colors[(tr.colors, *map(type, tr.colors))]},\n      "from": {quoted[src.name]},'
-            f'\n      "letter": {quoted[letter]},\n      "output": {outputs[tr.output]},'
-            f'\n      "to": {quoted[tr.target.name]}\n    }}'
-            for (src, letter), tr in entries
+            f'    {{\n      "colors": {colors[(c, *map(type, c))]},\n      "from": {quoted[src.name]},'
+            f'\n      "letter": {quoted[letter]},\n      "output": {outputs[output]},'
+            f'\n      "to": {quoted[target.name]}\n    }}'
+            for (src, letter), (target, output, c) in entries
         ]
     fields = {
         "ell": machine.ell,

@@ -5,6 +5,13 @@ strings, except for the substitution-stream machines where whole
 substitutions act as letters.  The reserved left endmarker ``LEFT_END``
 lives outside every alphabet: transitions keyed on it must go from a
 backward state to a forward state and never move the head.
+
+The records built once per state and per transition (``State``,
+``Transition``, ``SstTransition``) are immutable named tuples, so that
+building, hashing and comparing them runs in C: the constructions emit
+them by the hundred thousand.  ``record._replace(field=...)`` makes a
+changed copy.  Being tuples, they also equal plain tuples of the same
+fields; no table in the library keys both on records and on plain tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, replace
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 # Reserved endmarker token; rejected by the loader as an alphabet letter.
 LEFT_END = "$lend"
@@ -20,8 +27,7 @@ LEFT_END = "$lend"
 Letter = Hashable
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     """A control state with a head-direction polarity."""
 
     name: str
@@ -31,8 +37,7 @@ class State:
         return f"{self.name}{'+' if self.forward else '-'}"
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
     target: State
     output: tuple[str, ...]
     colors: tuple[int, ...]
@@ -173,8 +178,7 @@ class Substitution:
         return self.display()
 
 
-@dataclass(frozen=True, slots=True)
-class SstTransition:
+class SstTransition(NamedTuple):
     target: State
     update: Substitution
     colors: tuple[int, ...]
@@ -279,9 +283,6 @@ def _common_problems(machine) -> list[str]:
     reserved endmarker, transition states, letters and colors."""
     problems = []
     states = set(machine.states)
-    # Transitions normally hold the declared State objects themselves; an
-    # identity test spares hashing a State per transition end.
-    declared = {id(s) for s in machine.states}
     names = [s.name for s in machine.states]
     if len(set(names)) != len(names):
         problems.append("state names are not unique")
@@ -292,9 +293,9 @@ def _common_problems(machine) -> list[str]:
         problems.append("the endmarker is reserved and cannot be an alphabet letter")
     k, ell = machine.k, machine.ell
     for (src, letter), tr in machine.transitions.items():
-        if id(src) not in declared and src not in states:
+        if src not in states:
             problems.append(f"{_where(src, letter)}: unknown source state")
-        if id(tr.target) not in declared and tr.target not in states:
+        if tr.target not in states:
             problems.append(f"{_where(src, letter)}: unknown target state")
         if letter != LEFT_END and letter not in alphabet:
             problems.append(f"{_where(src, letter)}: letter not in the input alphabet")

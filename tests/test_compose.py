@@ -188,7 +188,7 @@ def test_two_stage_agreement_random_pairs(lassos_ab):
 def _renamed(machine, names):
     state = {s: State(name, s.forward) for s, name in zip(machine.states, names)}
     transitions = {
-        (state[src], letter): replace(tr, target=state[tr.target])
+        (state[src], letter): tr._replace(target=state[tr.target])
         for (src, letter), tr in machine.transitions.items()
     }
     return replace(

@@ -149,3 +149,14 @@ def test_two_way_to_sst_leaves_no_cyclic_garbage(seed):
     with collector(False):
         two_way_to_sst(machine)
         assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("kind", ["2dpt", "cpsst"])
+def test_dumps_machine_leaves_no_cyclic_garbage(outputs, kind):
+    """The writer lays out nested values itself, so it makes no reference
+    cycles on either machine kind."""
+    machine = outputs[7] if kind == "2dpt" else two_way_to_sst(source(7))
+    gc.collect()
+    with collector(False):
+        dumps_machine(machine)
+        assert gc.collect() == 0

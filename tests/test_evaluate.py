@@ -285,6 +285,15 @@ def test_sst_output_outgrowing_the_budget_is_inconclusive(mcr_sst):
     assert out.domain_class() == "inconclusive"
 
 
+def test_sst_budget_charges_only_registers_feeding_out():
+    """Registers that never reach ``out`` may grow without bound; they are
+    neither updated nor charged while the output is certified."""
+    sst = generate_sst(89, n=3, k=2, ell=4, alphabet_size=3, n_registers=6, density=0.9)
+    out = eval_sst(sst, LassoWord(("b", "a"), ("c", "b", "b")), EvalBudget(max_output=20))
+    assert out.verdict == ACCEPTED_FINITE
+    assert out.output_prefix == tuple("caabb")
+
+
 # SHA-256 over the outcomes of ``eval_sst`` on two corpora at the default
 # budget; any change to a verdict, output, prefix, colour or step count
 # shows here.

@@ -177,7 +177,7 @@ EDGE_MACHINES = {
     "register-two-colorings": lambda: replace(
         _edge_sst(),
         transitions={
-            key: replace(tr, colors=(0, 3)) for key, tr in _edge_sst().transitions.items()
+            key: tr._replace(colors=(0, 3)) for key, tr in _edge_sst().transitions.items()
         },
         k=2,
         ell=4,
@@ -198,7 +198,7 @@ def test_dumps_is_canonical_on_edge_cases(build):
 def test_dumps_is_canonical_on_an_empty_update():
     machine = _edge_sst()
     (key, tr), = machine.transitions.items()
-    empty = replace(machine, transitions={key: replace(tr, update=Substitution(()))})
+    empty = replace(machine, transitions={key: tr._replace(update=Substitution(()))})
     text = dumps_machine(empty)
     assert text == _canonical(text)
     assert '"update": {}' in text

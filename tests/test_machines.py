@@ -304,3 +304,35 @@ def test_collector_paused_restores_the_entry_state(enabled):
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+
+# Each record kind: how to make one, and a field with a different value.
+RECORDS = {
+    "State": (lambda: State("q", False), "name", "r"),
+    "Transition": (lambda: Transition(State("q", True), ("a", "b"), (1,)), "output", ()),
+    "SstTransition": (
+        lambda: SstTransition(State("p", True), Substitution.from_dict({"o": [reg("o")]}), (0,)),
+        "target",
+        State("q", True),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, field, other", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_values(make, field, other):
+    """Machine records are immutable, compare and hash by their fields, and
+    ``_replace`` builds a new record.  That colours (1,) and (True,) still
+    print apart is pinned by test_dumps_keeps_equal_colors_of_different_types_apart."""
+    record, same = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, other)
+    assert record == same and hash(record) == hash(same)
+    changed = record._replace(**{field: other})
+    assert type(changed) is type(record) and getattr(changed, field) == other
+    assert record == same and changed != record
+
+
+def test_state_repr_shows_polarity():
+    assert repr(State("q", False)) == "q-"
+    assert repr(State("q", True)) == "q+"

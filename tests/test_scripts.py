@@ -8,7 +8,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["size_report.py", "fuzz_pipeline.py"])
+@pytest.mark.parametrize("script", ["size_report.py", "fuzz_pipeline.py", "stage_times.py"])
 def test_script_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
