@@ -32,13 +32,12 @@ from .evaluate import (
     Configuration,
     step_two_way,
     eval_two_way,
-    eval_one_way,
     eval_sst,
     equiv_on_lassos,
 )
 from .compose import FiniteRunSummary, run_on_finite, compose, compose_reachable
-from .oneway import abv, one_way_to_reversible
-from .forests import two_way_to_sst, right_right_runs, StateExplosion
+from .oneway import one_way_to_reversible
+from .forests import two_way_to_sst, StateExplosion
 from .sst2rev import sst_to_substitution_stream, build_register_walker, sst_to_reversible
 from .buchi import dbt_to_rbt, drop_acceptance, buchi_as_parity, buchi_to_noacc
 
@@ -66,17 +65,14 @@ __all__ = [
     "Configuration",
     "step_two_way",
     "eval_two_way",
-    "eval_one_way",
     "eval_sst",
     "equiv_on_lassos",
     "FiniteRunSummary",
     "run_on_finite",
     "compose",
     "compose_reachable",
-    "abv",
     "one_way_to_reversible",
     "two_way_to_sst",
-    "right_right_runs",
     "StateExplosion",
     "sst_to_substitution_stream",
     "build_register_walker",

@@ -65,8 +65,8 @@ def _load(path: str):
 def _budget(args) -> EvalBudget:
     base = EvalBudget()
     return EvalBudget(
-        max_steps=args.max_steps or base.max_steps,
-        max_output=args.max_output or base.max_output,
+        max_steps=base.max_steps if args.max_steps is None else args.max_steps,
+        max_output=base.max_output if args.max_output is None else args.max_output,
     )
 
 

@@ -1,18 +1,22 @@
 """Exact evaluation of machines on ultimately periodic words.
 
-Two-way runs are classified by simulation with two loop detectors: an exact
-configuration repeat proves the run never reads the whole word, and a
-guarded shift loop (same state, positive position shift by a multiple of
-the period length, head staying inside the periodic region in between)
-proves the run continues forever as shifted copies of one segment.  The
-transitions of that segment are exactly those taken infinitely often, which
-decides parity acceptance and yields an exact output lasso.
+Every machine kind runs through one loop, ``_run``, under one step budget:
+one-way transducers and register machines are run as two-way machines whose
+head only moves right.  The loop has two detectors: an exact configuration
+repeat proves the run never reads the whole word, and a guarded shift loop
+(same state, positive position shift by a multiple of the period length,
+head staying inside the periodic region in between) proves the run
+continues forever as shifted copies of one segment.  The transitions of
+that segment are exactly those taken infinitely often, which decides parity
+acceptance.  A transducer's segment yields an exact output lasso; a register
+machine's output is decided from the segment's composed update.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -21,7 +25,6 @@ from .lasso import LassoWord, lasso_canonicalize, lasso_equal
 from .machines import (
     LEFT_END,
     CopylessParitySST,
-    SstTransition,
     State,
     Substitution,
     TwoWayParityTransducer,
@@ -123,23 +126,24 @@ _COMPILE_LOCK = threading.Lock()
 
 
 class _RunTable:
-    """A two-way machine's states interned as ints, by equality, in the
-    order runs reach them; ``rows[i][letter]`` is the compiled move
-    (target index, head offset, output, colors) of state ``i``.
+    """A machine's states interned as ints, by equality, in the order runs
+    reach them; ``rows[i][letter]`` is the compiled move (target index, head
+    offset, emitted, colors) of state ``i``.  A transition is unpacked by
+    position, so ``emitted`` is a transducer's output word or a register
+    machine's update.
 
     A move is compiled the first time a run takes it: the oracle runs short
     runs on large machines, so compiling every transition up front costs
     more than the runs themselves.
     """
 
-    __slots__ = ("index", "states", "rows", "back", "one_way")
+    __slots__ = ("index", "states", "rows", "back")
 
-    def __init__(self, machine: TwoWayParityTransducer):
+    def __init__(self, machine):
         self.index: dict[State, int] = {}
         self.states: list[State] = []
         self.rows: list[dict] = []
         self.back: list[int] = []  # 1 for a backward state: it reads at position - 1
-        self.one_way = machine.is_one_way()
         self._intern(machine.initial)  # index 0: every run starts there
 
     def _intern(self, state: State) -> int:
@@ -152,19 +156,19 @@ class _RunTable:
             self.index[state] = i
         return i
 
-    def compile(self, machine: TwoWayParityTransducer, i: int, letter):
+    def compile(self, machine, i: int, letter):
         """The move of state ``i`` on ``letter``, or None when undefined."""
         step = advance(machine, self.states[i], 0, letter)
         if step is None:
             return None
-        tr, offset = step
+        (target, emitted, colors), offset = step
         with _COMPILE_LOCK:
-            move = (self._intern(tr.target), offset, tr.output, tr.colors)
+            move = (self._intern(target), offset, emitted, colors)
             self.rows[i][letter] = move
         return move
 
 
-def _run_table(machine: TwoWayParityTransducer) -> _RunTable:
+def _run_table(machine) -> _RunTable:
     """The machine's run table, built on first use and kept on the instance
     the way ``functools.cached_property`` keeps a value: machines are
     immutable, and ``dataclasses.replace`` makes a new instance."""
@@ -174,9 +178,9 @@ def _run_table(machine: TwoWayParityTransducer) -> _RunTable:
     return table
 
 
-def _run(machine: TwoWayParityTransducer, word: LassoWord, max_steps: int):
-    """Simulate on the canonical lasso ``word`` until the run is classified
-    or ``max_steps`` transitions ran.
+def _run(machine, word: LassoWord, max_steps: int):
+    """Simulate any machine kind on the canonical lasso ``word`` until the
+    run is classified or ``max_steps`` transitions ran.
 
     Returns (kind, trail, moves, loop_start, loop_end): ``trail`` maps each
     configuration (state index, position) to the step that first reached
@@ -195,8 +199,12 @@ def _run(machine: TwoWayParityTransducer, word: LassoWord, max_steps: int):
     moves = []
     # Earliest periodic-region visit per (state, residue) since the head
     # last dipped below the prefix; cleared on every dip so the shift-loop
-    # guard (head stays in the periodic region) holds by construction.
+    # guard (head stays in the periodic region) holds by construction.  The
+    # start configuration is one when it already reads the periodic region,
+    # that is when the prefix is empty.
     anchors: dict[tuple[int, int], tuple[int, int]] = {}
+    if read >= plen:
+        anchors[0, 0] = (0, 0)
     for t in range(1, max_steps + 1):
         if read >= plen:
             letter = period[(read - plen) % vlen]
@@ -245,28 +253,31 @@ def simulate_two_way(
     )
 
 
+def _loop_colors(loop: list) -> tuple[int, ...]:
+    """Per-coloring minimum color over the moves of a shift loop: the
+    minimum among the transitions taken infinitely often."""
+    return tuple(map(min, zip(*map(itemgetter(3), loop))))
+
+
 def _classify(
-    k: int, kind: str, moves: list, loop_start: int, loop_end: int, budget: EvalBudget
+    kind: str, moves: list, loop_start: int, loop_end: int, max_output: int
 ) -> RunOutcome:
     steps = len(moves)
     flat_prefix = _outputs(moves[: loop_start if loop_start >= 0 else steps])
     if kind != SHIFT_LOOP:
-        return RunOutcome(kind, output_prefix=flat_prefix[: budget.max_output], steps=steps)
+        return RunOutcome(kind, output_prefix=flat_prefix[:max_output], steps=steps)
     # Shift loop: moves in [loop_start, loop_end) repeat forever.
     loop = moves[loop_start:loop_end]
-    mins = tuple(min(move[3][i] for move in loop) for i in range(k))
+    mins = _loop_colors(loop)
     if any(m % 2 == 1 for m in mins):
         return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=steps)
     loop_out = _outputs(loop)
     if not loop_out:
         return RunOutcome(
-            ACCEPTED_FINITE,
-            output_prefix=flat_prefix[: budget.max_output],
-            min_colors=mins,
-            steps=steps,
+            ACCEPTED_FINITE, output_prefix=flat_prefix[:max_output], min_colors=mins, steps=steps
         )
     lasso = lasso_canonicalize(LassoWord(flat_prefix, loop_out))
-    prefix = (flat_prefix + loop_out)[: budget.max_output]
+    prefix = (flat_prefix + loop_out)[:max_output]
     return RunOutcome(ACCEPTED, output=lasso, output_prefix=prefix, min_colors=mins, steps=steps)
 
 
@@ -278,53 +289,14 @@ def _outputs(moves: list) -> tuple[str, ...]:
 def eval_two_way(
     machine: TwoWayParityTransducer, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
-    """Classify the run of a two-way machine on ``w`` exactly."""
+    """Classify the run of a two-way (or one-way) machine on ``w`` exactly."""
     budget = budget or EvalBudget()
     kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
-    return _classify(machine.k, kind, moves, loop_start, loop_end, budget)
-
-
-def eval_one_way(machine: TwoWayParityTransducer, w: LassoWord) -> RunOutcome:
-    """One-way specialization; the loop shows up within |u| + |Q|·|v| steps."""
-    if not _run_table(machine).one_way:
-        raise ValueError("eval_one_way requires a one-way machine")
-    w = lasso_canonicalize(w)
-    steps = len(w.prefix) + (len(machine.states) + 2) * len(w.period) + 2
-    kind, _, moves, loop_start, loop_end = _run(machine, w, steps)
-    return _classify(
-        machine.k, kind, moves, loop_start, loop_end, EvalBudget(max_steps=steps, max_output=10**9)
-    )
+    return _classify(kind, moves, loop_start, loop_end, budget.max_output)
 
 
 # ---------------------------------------------------------------------------
 # Register machines
-
-
-def _sst_automaton_loop(sst: CopylessParitySST, w: LassoWord):
-    """Run the underlying one-way automaton; return (trace, loop bounds) or
-    a stuck step index."""
-    prefix, period = w.prefix, w.period
-    plen, vlen = len(prefix), len(period)
-    state = sst.initial
-    trace: list[SstTransition] = []
-    seen: dict[tuple[State, int], int] = {}
-    t = 0
-    while True:
-        if t >= plen:
-            residue = (t - plen) % vlen
-            key = (state, residue)
-            if key in seen:
-                return trace, seen[key], t
-            seen[key] = t
-            letter = period[residue]
-        else:
-            letter = prefix[t]
-        tr = sst.transitions.get((state, letter))
-        if tr is None:
-            return trace, None, t
-        trace.append(tr)
-        state = tr.target
-        t += 1
 
 
 def eval_sst(
@@ -334,31 +306,26 @@ def eval_sst(
     the automaton loop, and the output from the first literal repeat of the
     registers feeding ``out`` across loop iterations.  An empty appended
     block means finite output; otherwise the output is an exact lasso.
-    Outgrowing ``max_output`` first is ``BUDGET_EXCEEDED``."""
+    Outgrowing ``max_output`` or ``max_steps`` first is ``BUDGET_EXCEEDED``."""
     budget = budget or EvalBudget()
-    w = lasso_canonicalize(w)
-    trace, loop_start, loop_end = _sst_automaton_loop(sst, w)
+    kind, _, moves, loop_start, loop_end = _run(sst, lasso_canonicalize(w), budget.max_steps)
     valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
-    produced = 0
-    for i, tr in enumerate(trace[: loop_start if loop_start is not None else len(trace)]):
-        valuation = tr.update.apply(valuation)
-        produced = sum(len(v) for v in valuation.values())
-        if produced > budget.max_output:
-            return RunOutcome(BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=i)
-    if loop_start is None:
+    for i, move in enumerate(moves[: loop_start if kind == SHIFT_LOOP else len(moves)]):
+        valuation = move[2].apply(valuation)
+        if sum(map(len, valuation.values())) > budget.max_output:
+            return RunOutcome(
+                BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=i
+            )
+    if kind != SHIFT_LOOP:  # stuck, or out of steps
         return RunOutcome(
-            REJECTED_STUCK, output_prefix=valuation[sst.out][: budget.max_output], steps=loop_end
+            kind, output_prefix=valuation[sst.out][: budget.max_output], steps=len(moves)
         )
-    mins = tuple(
-        min(trace[t].colors[i] for t in range(loop_start, loop_end))
-        for i in range(sst.k)
-    )
+    loop = moves[loop_start:loop_end]
+    mins = _loop_colors(loop)
     if any(m % 2 == 1 for m in mins):
         return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=loop_end)
 
-    loop_update = trace[loop_start].update
-    for t in range(loop_start + 1, loop_end):
-        loop_update = loop_update.then(trace[t].update)
+    loop_update = reduce(Substitution.then, map(itemgetter(2), loop))
     out_tail = loop_update.image(sst.out)[1:]  # image is out · tail
 
     # Registers feeding out, closed under the loop update's own flow; their
@@ -427,8 +394,6 @@ def eval_machine(machine, w: LassoWord, budget: Optional[EvalBudget] = None) -> 
     """Dispatch on the machine kind."""
     if isinstance(machine, CopylessParitySST):
         return eval_sst(machine, w, budget)
-    if _run_table(machine).one_way:
-        return eval_one_way(machine, w)
     return eval_two_way(machine, w, budget)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .compose import run_on_finite
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -26,7 +25,6 @@ from .machines import (
     Substitution,
     Token,
     TwoWayParityTransducer,
-    odd_sentinels,
     reg,
     require_two_way,
     sym,
@@ -423,35 +421,3 @@ def _inline(image: tuple[Token, ...], contents: dict[str, tuple[str, ...]]) -> t
         else:
             expanded.append((kind, value))
     return tuple(expanded)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def right_right_runs(machine: TwoWayParityTransducer, word: tuple) -> list[dict]:
-    """All completed right-to-right runs over the finite prefix ``word``.
-
-    A run enters at the right end in a backward state and completes when it
-    exits at the right end in a forward state; runs that get stuck, loop,
-    or never return are omitted.  Each result carries the entry and exit
-    state names, the production, and the per-coloring minimum color.
-    """
-    prefix = (LEFT_END,) + tuple(word)
-    sentinels = odd_sentinels(machine)
-    results = []
-    for entry in machine.states:
-        if entry.forward:
-            continue
-        summary = run_on_finite(machine, prefix, entry, sentinels)
-        if isinstance(summary.exit, State):
-            results.append(
-                {
-                    "entry": entry.name,
-                    "exit": summary.exit.name,
-                    "production": summary.production,
-                    "min_colors": summary.min_colors,
-                }
-            )
-    return results
-

@@ -82,7 +82,8 @@ def advance(machine: TwoWayParityTransducer, state: State, pos: int, letter: Let
     Returns the transition taken and the new head position, or None when
     the transition is undefined.  Forward-to-forward moves right,
     backward-to-backward moves left, polarity flips keep the head in place;
-    on the endmarker the head never moves.
+    on the endmarker the head never moves.  Register machines, whose states
+    are all forward, move by the same rule.
     """
     tr = machine.transitions.get((state, letter))
     if tr is None:
@@ -127,9 +128,6 @@ class Substitution:
             if r == register:
                 return img
         return ()
-
-    def registers(self) -> tuple[str, ...]:
-        return tuple(r for r, _ in self.images)
 
     def is_copyless(self) -> bool:
         seen: set[str] = set()
@@ -208,44 +206,22 @@ class CopylessParitySST:
 # Validators
 
 
-def validate_deterministic(machine_or_triples) -> bool:
-    """True iff no (source, letter) pair has two distinct targets.
-
-    Accepts a machine (where the map representation makes this hold by
-    construction) or raw (source, letter, target) triples as found in a
-    document before loading.
-    """
-    if isinstance(machine_or_triples, (TwoWayParityTransducer, CopylessParitySST)):
-        return True
-    seen: dict[tuple, object] = {}
-    for src, letter, tgt in machine_or_triples:
-        key = (src, letter)
-        if key in seen and seen[key] != tgt:
-            return False
-        seen[key] = tgt
+def validate_deterministic(machine) -> bool:
+    """True iff no (source, letter) pair has two distinct targets, which
+    the map representation makes hold for every machine by construction."""
     return True
 
 
-def validate_codeterministic(machine_or_triples) -> bool:
+def validate_codeterministic(machine) -> bool:
     """True iff no (letter, target) pair has two distinct sources."""
-    if isinstance(machine_or_triples, (TwoWayParityTransducer, CopylessParitySST)):
-        # Keys are unique, so transitions sharing (letter, target) have
-        # distinct sources.
-        transitions = machine_or_triples.transitions
-        return len({(letter, tr.target) for (_, letter), tr in transitions.items()}) == len(
-            transitions
-        )
-    seen: dict[tuple, object] = {}
-    for src, letter, tgt in machine_or_triples:
-        key = (letter, tgt)
-        if key in seen and seen[key] != src:
-            return False
-        seen[key] = src
-    return True
+    # Keys are unique, so transitions sharing (letter, target) have
+    # distinct sources.
+    transitions = machine.transitions
+    return len({(letter, tr.target) for (_, letter), tr in transitions.items()}) == len(transitions)
 
 
-def validate_reversible(machine_or_triples) -> bool:
-    return validate_deterministic(machine_or_triples) and validate_codeterministic(machine_or_triples)
+def validate_reversible(machine) -> bool:
+    return validate_deterministic(machine) and validate_codeterministic(machine)
 
 
 def validate_one_way(machine: TwoWayParityTransducer) -> bool:

@@ -34,22 +34,6 @@ class NotDeterministic(ValueError):
     pass
 
 
-def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
-    """Least state above ``q`` (declaration order) sharing its successor on ``a``."""
-    tr = machine.transitions.get((q, a))
-    if tr is None:
-        return None
-    states = iter(machine.states)
-    for q2 in states:
-        if q2 == q:
-            break
-    for q2 in states:
-        tr2 = machine.transitions.get((q2, a))
-        if tr2 is not None and tr2.target == tr.target:
-            return q2
-    return None
-
-
 def _outline_step(src: tuple, row) -> Optional[tuple]:
     """Outline successor of (tag1, p, tag2, q) on the letter of ``row``, a
     letter table of ``one_way_to_reversible``."""

@@ -63,8 +63,8 @@ def sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer
 
 
 def _occurrence(update: Substitution, register: str):
-    """Where ``register`` occurs across the images: (holder, index) or None.
-    Copylessness makes the occurrence unique."""
+    """Where ``register`` occurs across the images: (holder, holder's image,
+    index in that image) or None.  Copylessness makes the occurrence unique."""
     for holder, img in update.images:
         for i, (kind, value) in enumerate(img):
             if kind == "reg" and value == register:

@@ -1,12 +1,60 @@
 """Shared checking helpers and reference constructions for the test modules."""
 
 from dataclasses import replace
+from typing import Optional
 
 from omegatrans.compose import run_on_finite
 from omegatrans.evaluate import eval_machine
-from omegatrans.forests import right_right_runs
 from omegatrans.lasso import lasso_equal
-from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer
+from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer, odd_sentinels
+
+
+# --- reversibility on raw (source, letter, target) triples ---------------------
+
+
+def deterministic_triples(triples) -> bool:
+    """True iff no (source, letter) pair has two distinct targets: the
+    reference for ``validate_deterministic`` on machines."""
+    seen: dict[tuple, object] = {}
+    for src, letter, tgt in triples:
+        key = (src, letter)
+        if key in seen and seen[key] != tgt:
+            return False
+        seen[key] = tgt
+    return True
+
+
+def codeterministic_triples(triples) -> bool:
+    """True iff no (letter, target) pair has two distinct sources: the
+    reference for ``validate_codeterministic`` on machines."""
+    seen: dict[tuple, object] = {}
+    for src, letter, tgt in triples:
+        key = (letter, tgt)
+        if key in seen and seen[key] != src:
+            return False
+        seen[key] = src
+    return True
+
+
+def reversible_triples(triples) -> bool:
+    return deterministic_triples(triples) and codeterministic_triples(triples)
+
+
+def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
+    """Least state above ``q`` (declaration order) sharing its successor on
+    ``a``: the "above" map of the one-way construction, by brute force."""
+    tr = machine.transitions.get((q, a))
+    if tr is None:
+        return None
+    states = iter(machine.states)
+    for q2 in states:
+        if q2 == q:
+            break
+    for q2 in states:
+        tr2 = machine.transitions.get((q2, a))
+        if tr2 is not None and tr2.target == tr.target:
+            return q2
+    return None
 
 
 def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
@@ -40,6 +88,34 @@ def left_right_endpoint(machine: TwoWayParityTransducer, word: tuple):
 
 
 # --- merging forests, read from their preorder --------------------------------
+
+
+def right_right_runs(machine: TwoWayParityTransducer, word: tuple) -> list[dict]:
+    """All completed right-to-right runs over the finite prefix ``word``, by
+    brute force: the reference the merging forests are checked against.
+
+    A run enters at the right end in a backward state and completes when it
+    exits at the right end in a forward state; runs that get stuck, loop,
+    or never return are omitted.  Each result carries the entry and exit
+    state names, the production, and the per-coloring minimum color.
+    """
+    prefix = (LEFT_END,) + tuple(word)
+    sentinels = odd_sentinels(machine)
+    results = []
+    for entry in machine.states:
+        if entry.forward:
+            continue
+        summary = run_on_finite(machine, prefix, entry, sentinels)
+        if isinstance(summary.exit, State):
+            results.append(
+                {
+                    "entry": entry.name,
+                    "exit": summary.exit.name,
+                    "production": summary.production,
+                    "min_colors": summary.min_colors,
+                }
+            )
+    return results
 
 
 def forest_nodes(preorder):

@@ -11,7 +11,7 @@ import pytest
 
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, marking_from_colors
 from omegatrans.compose import compose
-from omegatrans.evaluate import eval_machine, eval_one_way, eval_two_way, equiv_on_lassos
+from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_one_way, generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos, lasso_equal
@@ -111,7 +111,7 @@ def test_criterion_2_first_two_membership_table():
     ok = {(''.join(w.prefix), ''.join(w.period)) for w in lassos} == set(FIRST_TWO_TABLE)
     for w in lassos:
         expected = FIRST_TWO_TABLE[("".join(w.prefix), "".join(w.period))]
-        if eval_one_way(machine, w).automaton_accepts() != expected:
+        if eval_two_way(machine, w).automaton_accepts() != expected:
             ok = False
     crit.finish(ok)
 

@@ -18,7 +18,6 @@ from omegatrans.evaluate import (
     Configuration,
     EvalBudget,
     eval_machine,
-    eval_one_way,
     eval_sst,
     eval_two_way,
     equiv_on_lassos,
@@ -157,25 +156,12 @@ def test_shift_loop_soundness(mcr_rbt):
                 assert outputs[t1 + repeat * span + offset] == outputs[t1 + offset]
 
 
-def test_one_way_agrees_with_two_way(first_two_automaton, lassos_ab):
-    for w in lassos_ab:
-        assert (
-            eval_one_way(first_two_automaton, w).verdict
-            == eval_two_way(first_two_automaton, w).verdict
-        )
-
-
-def test_one_way_requires_one_way(mcr_rbt):
-    with pytest.raises(ValueError):
-        eval_one_way(mcr_rbt, lw("", "a"))
-
-
 def test_single_state_odd_color_rejects_everything():
     q = State("q", True)
     machine = TwoWayParityTransducer(
         ("a",), ("a",), (q,), q, {(q, "a"): Transition(q, ("a",), (1,))}, 1, 2
     )
-    assert eval_one_way(machine, lw("", "a")).verdict == REJECTED_PARITY
+    assert eval_two_way(machine, lw("", "a")).verdict == REJECTED_PARITY
 
 
 def test_single_state_identity_output_length():
@@ -184,9 +170,34 @@ def test_single_state_identity_output_length():
         ("a", "b"), ("x",), (q,), q,
         {(q, a): Transition(q, ("x",), (0,)) for a in "ab"}, 1, 1,
     )
-    out = eval_one_way(machine, lw("", "ab"))
+    out = eval_two_way(machine, lw("", "ab"))
     assert out.verdict == ACCEPTED
     assert out.output == lw("", "x")
+
+
+def _echo_x(kind):
+    """One state q looping on each letter with output x: a one-way
+    transducer, or a register machine with out := out·x."""
+    q = State("q", True)
+    if kind == "one-way":
+        transitions = {(q, a): Transition(q, ("x",), (0,)) for a in "ab"}
+        return TwoWayParityTransducer(("a", "b"), ("x",), (q,), q, transitions, 1, 1)
+    update = Substitution.from_dict({"out": (reg("out"), sym("x"))})
+    transitions = {(q, a): SstTransition(q, update, (0,)) for a in "ab"}
+    return CopylessParitySST(("a", "b"), ("x",), (q,), q, transitions, ("out",), "out", 1, 1)
+
+
+@pytest.mark.parametrize("kind", ["one-way", "register"])
+def test_every_kind_anchors_the_start_configuration(kind):
+    # On an empty prefix the loop is found as [0, 1), whatever the kind.
+    out = eval_machine(_echo_x(kind), lw("", "a"))
+    assert (out.verdict, out.output, out.steps) == (ACCEPTED, lw("", "x"), 1)
+
+
+@pytest.mark.parametrize("kind", ["one-way", "register"])
+def test_every_kind_honours_the_step_budget(kind):
+    out = eval_machine(_echo_x(kind), lw("b" * 50, "a"), EvalBudget(max_steps=3))
+    assert out.verdict == BUDGET_EXCEEDED
 
 
 # --- register machines ------------------------------------------------------

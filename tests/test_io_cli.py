@@ -485,6 +485,13 @@ def test_cli_eval_budget(mcr_path, capsys):
     assert main(["eval", mcr_path, "(ab#)", "--max-steps", "2"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-output"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_non_positive_budget_is_a_usage_error(mcr_path, flag, value, capsys):
+    assert main(["eval", mcr_path, "(ab#)", flag, value]) == 3
+    assert "budgets must be positive" in capsys.readouterr().err
+
+
 def test_cli_equiv(mcr_path, mcr_sst_path, capsys):
     assert main(["equiv", mcr_path, mcr_sst_path, "--exhaustive", "2", "2"]) == 0
     out = capsys.readouterr().out

@@ -25,13 +25,18 @@ from omegatrans.machines import (
     validate_reversible,
     validate_sst,
 )
-from support import prune_unreachable
+from support import (
+    codeterministic_triples,
+    deterministic_triples,
+    prune_unreachable,
+    reversible_triples,
+)
 
 
 def test_deterministic_on_triples():
-    assert validate_deterministic([(1, "a", 2), (1, "b", 3)])
-    assert not validate_deterministic([(1, "a", 2), (1, "a", 3)])
-    assert validate_deterministic([])
+    assert deterministic_triples([(1, "a", 2), (1, "b", 3)])
+    assert not deterministic_triples([(1, "a", 2), (1, "a", 3)])
+    assert deterministic_triples([])
 
 
 def test_deterministic_on_machine(first_two_automaton):
@@ -47,7 +52,7 @@ def test_codeterministic(first_two_automaton, identity_ab):
 def test_reversible(mcr_rbt, first_two_automaton):
     assert validate_reversible(mcr_rbt)
     assert not validate_reversible(first_two_automaton)
-    assert not validate_reversible([(1, "a", 2), (1, "a", 3)])
+    assert not reversible_triples([(1, "a", 2), (1, "a", 3)])
 
 
 def test_validate_sst_accepts_golden(mcr_sst):
@@ -278,11 +283,15 @@ def test_reversibility_checks_agree_on_machines_and_triples(first_two_automaton,
     verdicts = set()
     for machine in machines:
         triples = _triples(machine)
-        for check in (validate_deterministic, validate_codeterministic, validate_reversible):
-            assert check(machine) == check(triples), (check.__name__, machine)
+        for check, reference in (
+            (validate_deterministic, deterministic_triples),
+            (validate_codeterministic, codeterministic_triples),
+            (validate_reversible, reversible_triples),
+        ):
+            assert check(machine) == reference(triples), (check.__name__, machine)
         verdicts.add(validate_codeterministic(machine))
     assert verdicts == {True, False}
-    assert not validate_codeterministic(_triples(first_two_automaton))
+    assert not codeterministic_triples(_triples(first_two_automaton))
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,7 +1,6 @@
 import pytest
 
 from omegatrans.evaluate import (
-    eval_one_way,
     eval_two_way,
     equiv_on_lassos,
     simulate_two_way,
@@ -9,8 +8,9 @@ from omegatrans.evaluate import (
 from omegatrans.generate import generate_one_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import State, WrongMachineKind, validate_reversible
-from omegatrans.oneway import NotDeterministic, abv, one_way_to_reversible
+from omegatrans.oneway import NotDeterministic, one_way_to_reversible
 from builtin import identity_transducer
+from support import abv
 
 
 def lw(prefix, period):
@@ -45,7 +45,7 @@ def test_language_preserved(first_two_automaton):
     assert validate_reversible(rev)
     for w in enumerate_lassos(("a", "b"), 3, 3):
         want = w.letter(0) == "a" or w.letter(1) == "a"
-        assert eval_one_way(first_two_automaton, w).automaton_accepts() == want
+        assert eval_two_way(first_two_automaton, w).automaton_accepts() == want
         assert eval_two_way(rev, w).automaton_accepts() == want
 
 
@@ -95,7 +95,7 @@ def test_visits_diagonal_states_in_run_order(first_two_automaton):
     one-way run configuration by configuration."""
     rev = one_way_to_reversible(first_two_automaton)
     for w in [lw("", "ab"), lw("a", "b"), lw("ba", "ab")]:
-        if not eval_one_way(first_two_automaton, w).automaton_accepts():
+        if not eval_two_way(first_two_automaton, w).automaton_accepts():
             continue
         visits, run = diagonal_visits(rev, w, 5_000)
         state, expected = first_two_automaton.initial, []
@@ -114,7 +114,7 @@ def test_order_preservation_on_random_corpus(lassos_ab):
         machine = generate_one_way(seed, n=3, k=1, ell=2)
         rev = one_way_to_reversible(machine)
         for w in lassos_ab[:10]:
-            if not eval_one_way(machine, w).automaton_accepts():
+            if not eval_two_way(machine, w).automaton_accepts():
                 continue
             visits, _ = diagonal_visits(rev, w, 5_000)
             state = machine.initial
