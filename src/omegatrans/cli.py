@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .buchi import buchi_to_noacc, dbt_to_rbt, drop_acceptance, marking_from_colors
 from .compose import compose_reachable
@@ -102,54 +103,44 @@ def cmd_eval(args) -> int:
     return INCONCLUSIVE if outcome.verdict == BUDGET_EXCEEDED else OK
 
 
-def _emit_machine(machine, out_path: str) -> int:
-    _write(out_path, dumps_machine(machine))
-    return OK
+_MARKINGS = {
+    "color0": marking_from_colors,
+    "all": lambda machine: frozenset(machine.transitions),
+    "none": lambda machine: frozenset(),
+}
+_CAP = ("--cap", dict(type=int, default=10**6, help="explored state cap"))
+_MARKING = ("--marking", dict(
+    choices=list(_MARKINGS), default="color0",
+    help="marked transitions: those of color 0, all, or none",
+))
+
+# The build commands, one row each: name, help text, machine arguments,
+# flags as (flag, add_argument options), and the text written to the
+# optional ``out`` argument, computed from (args, *machines).
+BUILD_COMMANDS = (
+    ("compose", "compose two reversible transducers (first then second), reachable pairs only",
+     ("first", "second"), (), lambda args, a, b: dumps_machine(compose_reachable(a, b))),
+    ("1w2rev", "one-way deterministic to reversible two-way",
+     ("machine",), (), lambda args, m: dumps_machine(one_way_to_reversible(m))),
+    ("2w2sst", "deterministic two-way to copyless register machine",
+     ("machine",), (_CAP,), lambda args, m: dumps_machine(two_way_to_sst(m, state_cap=args.cap))),
+    ("sst2rev", "copyless register machine to reversible two-way",
+     ("machine",), (), lambda args, m: dumps_machine(sst_to_reversible(m))),
+    ("det2rev", "deterministic two-way to reversible two-way",
+     ("machine",), (_CAP,), lambda args, m: dumps_machine(dbt_to_rbt(m, state_cap=args.cap))),
+    ("buchi2rt", "fold a marked reversible machine into one with no condition", ("machine",),
+     (_MARKING,), lambda args, m: dumps_machine(buchi_to_noacc(m, _MARKINGS[args.marking](m)))),
+    ("dropacc", "drop all colorings from a machine",
+     ("machine",), (), lambda args, m: dumps_machine(drop_acceptance(m))),
+    ("dot", "render a machine as Graphviz DOT text",
+     ("machine",), (), lambda args, m: machine_to_dot(m)),
+)
 
 
-def cmd_compose(args) -> int:
-    first = _load(args.first)
-    second = _load(args.second)
-    return _emit_machine(compose_reachable(first, second), args.out)
-
-
-def cmd_1w2rev(args) -> int:
-    machine = _load(args.machine)
-    return _emit_machine(one_way_to_reversible(machine), args.out)
-
-
-def cmd_2w2sst(args) -> int:
-    machine = _load(args.machine)
-    return _emit_machine(two_way_to_sst(machine, state_cap=args.cap), args.out)
-
-
-def cmd_sst2rev(args) -> int:
-    machine = _load(args.machine)
-    return _emit_machine(sst_to_reversible(machine), args.out)
-
-
-def cmd_det2rev(args) -> int:
-    machine = _load(args.machine)
-    return _emit_machine(dbt_to_rbt(machine, state_cap=args.cap), args.out)
-
-
-def cmd_buchi2rt(args) -> int:
-    machine = _load(args.machine)
-    if args.marking == "color0":
-        marking = marking_from_colors(machine)
-    elif args.marking == "all":
-        marking = frozenset(machine.transitions)
-    else:
-        marking = frozenset()
-    return _emit_machine(buchi_to_noacc(machine, marking), args.out)
-
-
-def cmd_dropacc(args) -> int:
-    return _emit_machine(drop_acceptance(_load(args.machine)), args.out)
-
-
-def cmd_dot(args) -> int:
-    _write(args.out, machine_to_dot(_load(args.machine)))
+def _build(inputs: tuple[str, ...], text, args) -> int:
+    """Run one build command: load its machine arguments in order, then
+    write the row's text (nothing is written when the build fails)."""
+    _write(args.out, text(args, *[_load(getattr(args, name)) for name in inputs]))
     return OK
 
 
@@ -197,54 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser(
-        "compose", help="compose two reversible transducers (first then second), reachable pairs only"
-    )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("out", nargs="?", default="-")
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("1w2rev", help="one-way deterministic to reversible two-way")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.set_defaults(fn=cmd_1w2rev)
-
-    p = sub.add_parser("2w2sst", help="deterministic two-way to copyless register machine")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.add_argument("--cap", type=int, default=10**6, help="explored state cap")
-    p.set_defaults(fn=cmd_2w2sst)
-
-    p = sub.add_parser("sst2rev", help="copyless register machine to reversible two-way")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.set_defaults(fn=cmd_sst2rev)
-
-    p = sub.add_parser("det2rev", help="deterministic two-way to reversible two-way")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.add_argument("--cap", type=int, default=10**6, help="explored state cap")
-    p.set_defaults(fn=cmd_det2rev)
-
-    p = sub.add_parser("buchi2rt", help="fold a marked reversible machine into one with no condition")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.add_argument(
-        "--marking", choices=["color0", "all", "none"], default="color0",
-        help="marked transitions: those of color 0, all, or none",
-    )
-    p.set_defaults(fn=cmd_buchi2rt)
-
-    p = sub.add_parser("dropacc", help="drop all colorings from a machine")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.set_defaults(fn=cmd_dropacc)
-
-    p = sub.add_parser("dot", help="render a machine as Graphviz DOT text")
-    p.add_argument("machine")
-    p.add_argument("out", nargs="?", default="-")
-    p.set_defaults(fn=cmd_dot)
+    for name, help_text, inputs, flags, text in BUILD_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for machine in inputs:
+            p.add_argument(machine)
+        p.add_argument("out", nargs="?", default="-")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=partial(_build, inputs, text))
 
     p = sub.add_parser("gen", help="generate a seeded random machine")
     p.add_argument("--seed", type=int, required=True)

@@ -306,16 +306,14 @@ def eval_sst(
     the automaton loop, and the output from the first literal repeat of the
     registers feeding ``out`` across loop iterations.  An empty appended
     block means finite output; otherwise the output is an exact lasso.
-    Outgrowing ``max_output`` or ``max_steps`` first is ``BUDGET_EXCEEDED``."""
+    As for transducers, ``max_output`` only cuts ``output_prefix`` of a
+    classified run.  Running out of ``max_steps``, or of ``max_output``
+    during the repeat search, is ``BUDGET_EXCEEDED``."""
     budget = budget or EvalBudget()
     kind, _, moves, loop_start, loop_end = _run(sst, lasso_canonicalize(w), budget.max_steps)
     valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
-    for i, move in enumerate(moves[: loop_start if kind == SHIFT_LOOP else len(moves)]):
+    for move in moves[: loop_start if kind == SHIFT_LOOP else len(moves)]:
         valuation = move[2].apply(valuation)
-        if sum(map(len, valuation.values())) > budget.max_output:
-            return RunOutcome(
-                BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=i
-            )
     if kind != SHIFT_LOOP:  # stuck, or out of steps
         return RunOutcome(
             kind, output_prefix=valuation[sst.out][: budget.max_output], steps=len(moves)

@@ -385,10 +385,13 @@ def two_way_to_sst(
         for a, j, update, colors in steps:
             transitions[(states[i], a)] = SstTransition(states[j], update, colors)
     # The synthetic initial state performs the first step with the initial
-    # register contents substituted in, so no run ever returns to it.
+    # register contents substituted in (``then`` maps every other register
+    # to ε), so no run ever returns to it.
+    preset = Substitution.from_dict(
+        {out: (reg(out),), **{r: tuple(map(sym, word)) for r, word in init_contents.items()}}
+    )
     for a, j, update, colors in moves[0]:
-        inlined = {r: _inline(img, init_contents) for r, img in update.images}
-        transitions[(ini, a)] = SstTransition(states[j], Substitution.from_dict(inlined), colors)
+        transitions[(ini, a)] = SstTransition(states[j], preset.then(update), colors)
 
     sst = CopylessParitySST(
         input_alphabet=machine.input_alphabet,
@@ -409,15 +412,3 @@ def two_way_to_sst(
         details["max_forest_edges"] = max_edges
         details["summary_count"] = len(summaries)
     return sst
-
-
-def _inline(image: tuple[Token, ...], contents: dict[str, tuple[str, ...]]) -> tuple[Token, ...]:
-    expanded: list[Token] = []
-    for kind, value in image:
-        if kind == "reg" and value in contents:
-            expanded.extend(sym(b) for b in contents[value])
-        elif kind == "reg" and value != "out":
-            continue  # initially empty register
-        else:
-            expanded.append((kind, value))
-    return tuple(expanded)

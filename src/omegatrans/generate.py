@@ -143,11 +143,18 @@ def _update(rng: Random, registers: tuple[str, ...], alphabet: tuple[str, ...]) 
     return Substitution.from_dict({r: tuple(img) for r, img in images.items()})
 
 
-def generate_machine(kind: str, seed: int, n: int, k: int = 1, ell: int = 2, **kw):
+def generate_machine(
+    kind: str, seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, **kw
+):
+    if not (n >= 1 and k >= 0 and ell >= 1 and 1 <= alphabet_size <= len(LETTERS)):
+        raise ValueError(
+            f"need n >= 1, k >= 0, ell >= 1 and 1 <= alphabet_size <= {len(LETTERS)}, "
+            f"got n={n}, k={k}, ell={ell}, alphabet_size={alphabet_size}"
+        )
     if kind == "1dpt":
-        return generate_one_way(seed, n, k, ell, **kw)
+        return generate_one_way(seed, n, k, ell, alphabet_size, **kw)
     if kind == "2dpt":
-        return generate_two_way(seed, n, k, ell, **kw)
+        return generate_two_way(seed, n, k, ell, alphabet_size, **kw)
     if kind == "cpsst":
-        return generate_sst(seed, n, k, ell, **kw)
+        return generate_sst(seed, n, k, ell, alphabet_size, **kw)
     raise ValueError(f"unknown machine kind {kind!r}")

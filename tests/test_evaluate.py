@@ -200,6 +200,16 @@ def test_every_kind_honours_the_step_budget(kind):
     assert out.verdict == BUDGET_EXCEEDED
 
 
+@pytest.mark.parametrize("kind", ["one-way", "register"])
+def test_every_kind_cuts_only_the_prefix_to_the_output_budget(kind):
+    # The 50 letters written before the loop exceed max_output, yet the
+    # output lasso is exact; the budget only shortens the shown prefix.
+    out = eval_machine(_echo_x(kind), lw("b" * 50, "a"), EvalBudget(max_output=3))
+    assert (out.verdict, out.output, out.output_prefix, out.steps) == (
+        ACCEPTED, lw("", "x"), tuple("xxx"), 51
+    )
+
+
 # --- register machines ------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
+import io
 import json
 import pathlib
 from dataclasses import replace
 
 import pytest
 
-from omegatrans.buchi import dbt_to_rbt
-from omegatrans.cli import main
-from omegatrans.compose import compose
+from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, drop_acceptance, marking_from_colors
+from omegatrans.cli import BUILD_COMMANDS, main
+from omegatrans.compose import compose, compose_reachable
 from omegatrans.dot import machine_to_dot
 from omegatrans.generate import generate_machine, generate_one_way, generate_two_way
 from omegatrans.io import (
@@ -18,8 +19,10 @@ from omegatrans.io import (
     loads_machine,
     parse_lasso,
 )
+from omegatrans.forests import two_way_to_sst
 from omegatrans.lasso import LassoWord
 from omegatrans.oneway import one_way_to_reversible
+from omegatrans.sst2rev import sst_to_reversible
 from omegatrans.machines import (
     LEFT_END,
     CopylessParitySST,
@@ -591,6 +594,102 @@ def test_cli_dot(tmp_path, mcr_path):
     out_path = tmp_path / "m.dot"
     assert main(["dot", mcr_path, str(out_path)]) == 0
     assert out_path.read_text().startswith("digraph")
+
+
+# Each build row, with the library call it must match byte for byte.
+BUILD_ROW_CASES = [
+    (["compose", "rbt", "rbt"], lambda a, b: dumps_machine(compose_reachable(a, b))),
+    (["1w2rev", "one-way"], lambda m: dumps_machine(one_way_to_reversible(m))),
+    (["2w2sst", "rbt"], lambda m: dumps_machine(two_way_to_sst(m))),
+    (["2w2sst", "rbt", "--cap", "3"], lambda m: dumps_machine(two_way_to_sst(m, state_cap=3))),
+    (["sst2rev", "sst"], lambda m: dumps_machine(sst_to_reversible(m))),
+    (["det2rev", "rbt"], lambda m: dumps_machine(dbt_to_rbt(m))),
+    (["det2rev", "rbt", "--cap", "3"], lambda m: dumps_machine(dbt_to_rbt(m, state_cap=3))),
+    (["buchi2rt", "rbt"], lambda m: dumps_machine(buchi_to_noacc(m, marking_from_colors(m)))),
+    (
+        ["buchi2rt", "rbt", "--marking", "color0"],
+        lambda m: dumps_machine(buchi_to_noacc(m, marking_from_colors(m))),
+    ),
+    (
+        ["buchi2rt", "rbt", "--marking", "all"],
+        lambda m: dumps_machine(buchi_to_noacc(m, frozenset(m.transitions))),
+    ),
+    (["buchi2rt", "rbt", "--marking", "none"], lambda m: dumps_machine(buchi_to_noacc(m, frozenset()))),
+    (["dropacc", "rbt"], lambda m: dumps_machine(drop_acceptance(m))),
+    (["dropacc", "sst"], lambda m: dumps_machine(drop_acceptance(m))),
+    (["dot", "rbt"], machine_to_dot),
+    (["dot", "sst"], machine_to_dot),
+]
+
+
+def test_every_build_row_has_a_byte_check():
+    assert {args[0] for args, _ in BUILD_ROW_CASES} == {row[0] for row in BUILD_COMMANDS}
+
+
+@pytest.mark.parametrize("args, expected", BUILD_ROW_CASES)
+def test_cli_build_row_writes_its_library_output(tmp_path, args, expected):
+    one_way = tmp_path / "one_way.json"
+    one_way.write_text(dumps_machine(generate_one_way(4, n=3, k=1, ell=2)))
+    paths = {"rbt": MACHINES / "mcr_rbt.json", "sst": MACHINES / "mcr_sst.json", "one-way": one_way}
+    cmd, *rest = args
+    inputs = [paths[a] for a in rest if a in paths]
+    flags = [a for a in rest if a not in paths]
+    out_path = tmp_path / "out.txt"
+    assert main([cmd, *map(str, inputs), str(out_path), *flags]) == 0
+    assert out_path.read_text() == expected(*(load_machine(str(p)) for p in inputs))
+
+
+@pytest.mark.parametrize("cmd", ["2w2sst", "det2rev"])
+def test_cli_state_cap_is_a_violation(tmp_path, capsys, cmd):
+    gen_out = tmp_path / "random.json"
+    gen = ["gen", "--seed", "7", "--n", "5", "--alphabet-size", "3", "--density", "1"]
+    assert main([*gen, str(gen_out)]) == 0
+    out_path = tmp_path / "out.json"
+    assert main([cmd, str(gen_out), str(out_path), "--cap", "2"]) == 1
+    assert capsys.readouterr().err == "error: more than 2 summaries reachable\n"
+    assert not out_path.exists()
+
+
+def test_cli_build_reads_stdin_and_writes_stdout(monkeypatch, capsys):
+    text = (MACHINES / "mcr_rbt.json").read_text()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["det2rev", "-", "-"]) == 0
+    assert capsys.readouterr().out == dumps_machine(dbt_to_rbt(loads_machine(text)))
+
+
+@pytest.mark.parametrize(
+    "cmd", ["validate", "eval", *(row[0] for row in BUILD_COMMANDS), "gen", "equiv"]
+)
+def test_cli_subcommand_help(cmd, capsys):
+    assert main([cmd, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: omegatrans {cmd} ")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["--kind", "1dpt", "--n", "0"],
+        ["--kind", "cpsst", "--n", "0"],
+        ["--kind", "2dpt", "--n", "0"],
+        ["--n", "2", "--alphabet-size", "9"],
+        ["--n", "2", "--alphabet-size", "0"],
+        ["--n", "2", "--k", "-1"],
+        ["--n", "2", "--k", "0", "--ell", "0"],
+    ],
+)
+def test_cli_gen_rejects_out_of_range_parameters(tmp_path, capsys, params):
+    out_path = tmp_path / "m.json"
+    assert main(["gen", "--seed", "1", *params, str(out_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: need n >= 1, k >= 0, ell >= 1")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
+def test_cli_gen_accepts_the_parameter_bounds(tmp_path, capsys, kind):
+    out_path = tmp_path / "m.json"
+    params = ["--n", "1", "--alphabet-size", "8", "--k", "0", "--ell", "1", "--kind", kind]
+    assert main(["gen", "--seed", "1", *params, str(out_path)]) == 0
+    assert main(["validate", str(out_path)]) == 0
 
 
 def test_cli_parse_error(tmp_path, capsys):
