@@ -18,7 +18,6 @@ from .machines import (
     Substitution,
     SstTransition,
     CopylessParitySST,
-    validate_deterministic,
     validate_codeterministic,
     validate_reversible,
     validate_one_way,
@@ -50,7 +49,6 @@ __all__ = [
     "Substitution",
     "SstTransition",
     "CopylessParitySST",
-    "validate_deterministic",
     "validate_codeterministic",
     "validate_reversible",
     "validate_one_way",

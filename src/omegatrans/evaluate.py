@@ -14,7 +14,6 @@ machine's output is decided from the segment's composed update.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -120,51 +119,34 @@ class TwoWayRun:
     loop_end: int = -1
 
 
-# Interning must be atomic for threads sharing a machine.  One lock for all
-# tables keeps them picklable along with the machine that caches them.
-_COMPILE_LOCK = threading.Lock()
-
-
 class _RunTable:
-    """A machine's states interned as ints, by equality, in the order runs
-    reach them; ``rows[i][letter]`` is the compiled move (target index, head
-    offset, emitted, colors) of state ``i``.  A transition is unpacked by
-    position, so ``emitted`` is a transducer's output word or a register
-    machine's update.
+    """A machine's states numbered by declaration order; ``rows[i][letter]``
+    is the compiled move (target index, head offset, emitted, colors) of
+    state ``i``.  A transition is unpacked by position, so ``emitted`` is a
+    transducer's output word or a register machine's update.
 
     A move is compiled the first time a run takes it: the oracle runs short
     runs on large machines, so compiling every transition up front costs
-    more than the runs themselves.
+    more than the runs themselves.  Compiling writes a value fixed by the
+    machine, so threads sharing a machine need no lock.
     """
 
-    __slots__ = ("index", "states", "rows", "back")
+    __slots__ = ("index", "rows", "back", "start")
 
     def __init__(self, machine):
-        self.index: dict[State, int] = {}
-        self.states: list[State] = []
-        self.rows: list[dict] = []
-        self.back: list[int] = []  # 1 for a backward state: it reads at position - 1
-        self._intern(machine.initial)  # index 0: every run starts there
-
-    def _intern(self, state: State) -> int:
-        i = self.index.get(state)
-        if i is None:
-            i = len(self.states)
-            self.states.append(state)
-            self.rows.append({})
-            self.back.append(0 if state.forward else 1)
-            self.index[state] = i
-        return i
+        states = machine.states
+        self.index: dict[State, int] = {s: i for i, s in enumerate(states)}
+        self.rows: list[dict] = [{} for _ in states]
+        self.back = [0 if s.forward else 1 for s in states]  # 1: reads at position - 1
+        self.start = self.index[machine.initial]
 
     def compile(self, machine, i: int, letter):
         """The move of state ``i`` on ``letter``, or None when undefined."""
-        step = advance(machine, self.states[i], 0, letter)
+        step = advance(machine, machine.states[i], 0, letter)
         if step is None:
             return None
         (target, emitted, colors), offset = step
-        with _COMPILE_LOCK:
-            move = (self._intern(target), offset, emitted, colors)
-            self.rows[i][letter] = move
+        move = self.rows[i][letter] = (self.index[target], offset, emitted, colors)
         return move
 
 
@@ -193,9 +175,9 @@ def _run(machine, word: LassoWord, max_steps: int):
     plen, vlen = len(prefix), len(period)
     # A backward initial state reads the endmarker at position 0, as in
     # ``step_two_way``.
-    state = pos = 0
-    read = -back[0]
-    trail = {(0, 0): 0}
+    state, pos = table.start, 0
+    read = -back[state]
+    trail = {(state, 0): 0}
     moves = []
     # Earliest periodic-region visit per (state, residue) since the head
     # last dipped below the prefix; cleared on every dip so the shift-loop
@@ -204,7 +186,7 @@ def _run(machine, word: LassoWord, max_steps: int):
     # that is when the prefix is empty.
     anchors: dict[tuple[int, int], tuple[int, int]] = {}
     if read >= plen:
-        anchors[0, 0] = (0, 0)
+        anchors[state, 0] = (0, 0)
     for t in range(1, max_steps + 1):
         if read >= plen:
             letter = period[(read - plen) % vlen]
@@ -244,7 +226,7 @@ def simulate_two_way(
 ) -> TwoWayRun:
     """Simulate until the run is classified or ``max_steps`` transitions ran."""
     kind, trail, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(word), max_steps)
-    states = _run_table(machine).states
+    states = machine.states
     configs = [Configuration(states[i], pos) for i, pos in trail]
     if kind == REJECTED_LOOP:
         configs.append(configs[loop_start])

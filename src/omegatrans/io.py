@@ -68,7 +68,9 @@ def _build_machine(doc: dict) -> Machine:
         raise DocumentError(f"initial state {doc['initial']!r} not declared")
     alphabet = tuple(doc["input_alphabet"])
     out_alphabet = tuple(doc["output_alphabet"])
-    k, ell = int(doc["k"]), int(doc["ell"])
+    k, ell = doc["k"], doc["ell"]
+    if type(k) is not int or type(ell) is not int:
+        raise DocumentError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")
     transitions = _build_transitions(
         doc["transitions"], by_name, _sst_transition if kind == "cpsst" else _two_way_transition
     )

@@ -206,12 +206,6 @@ class CopylessParitySST:
 # Validators
 
 
-def validate_deterministic(machine) -> bool:
-    """True iff no (source, letter) pair has two distinct targets, which
-    the map representation makes hold for every machine by construction."""
-    return True
-
-
 def validate_codeterministic(machine) -> bool:
     """True iff no (letter, target) pair has two distinct sources."""
     # Keys are unique, so transitions sharing (letter, target) have
@@ -221,7 +215,9 @@ def validate_codeterministic(machine) -> bool:
 
 
 def validate_reversible(machine) -> bool:
-    return validate_deterministic(machine) and validate_codeterministic(machine)
+    """Deterministic and co-deterministic; the transition map makes every
+    machine deterministic."""
+    return validate_codeterministic(machine)
 
 
 def validate_one_way(machine: TwoWayParityTransducer) -> bool:
@@ -277,13 +273,13 @@ def _common_problems(machine) -> list[str]:
             problems.append(f"{_where(src, letter)}: letter not in the input alphabet")
         if len(tr.colors) != k:
             problems.append(f"{_where(src, letter)}: expected {k} colors, got {len(tr.colors)}")
-        try:
-            for c in tr.colors:
-                if c < 0 or c >= ell:
-                    problems.append(f"{_where(src, letter)}: colors must lie below {ell}")
-                    break
-        except TypeError:
-            problems.append(f"{_where(src, letter)}: colors must be integers, got {list(tr.colors)!r}")
+        for c in tr.colors:
+            if type(c) is not int:
+                problems.append(f"{_where(src, letter)}: colors must be integers, got {list(tr.colors)!r}")
+                break
+            if c < 0 or c >= ell:
+                problems.append(f"{_where(src, letter)}: colors must lie below {ell}")
+                break
     return problems
 
 

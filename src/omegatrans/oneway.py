@@ -19,6 +19,7 @@ from .machines import (
     State,
     Transition,
     TwoWayParityTransducer,
+    WrongMachineKind,
     collector_paused,
     max_colors,
     require_two_way,
@@ -28,10 +29,6 @@ from .machines import (
 
 UNDER = "u"  # head travels above the state
 OVER = "o"  # head travels below the state
-
-
-class NotDeterministic(ValueError):
-    pass
 
 
 def _outline_step(src: tuple, row) -> Optional[tuple]:
@@ -76,7 +73,7 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     """
     require_two_way(machine, "one_way_to_reversible")
     if not validate_one_way(machine):
-        raise NotDeterministic("input must be a one-way machine")
+        raise WrongMachineKind("input must be a one-way machine")
 
     # Base states are numbered by declaration order; -1 stands for none.
     states = machine.states

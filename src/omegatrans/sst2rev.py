@@ -72,6 +72,16 @@ def _occurrence(update: Substitution, register: str):
     return None
 
 
+def _walk_on(img, start: int, holder: str, fetch: dict, done: dict) -> Transition:
+    """The walk's move from ``img[start]`` on: emit the letters up to the
+    next register token and fetch that register, or, if none is left, the
+    holder is done."""
+    for j in range(start, len(img)):
+        if img[j][0] == "reg":
+            return Transition(fetch[img[j][1]], tuple(v for _, v in img[start:j]), ())
+    return Transition(done[holder], tuple(v for _, v in img[start:]), ())
+
+
 def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Reversible two-way transducer over the substitution stream producing
     the out register's content.
@@ -90,30 +100,13 @@ def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     for r in sst.registers:
         transitions[(fetch[r], LEFT_END)] = Transition(done[r], (), ())
         for sigma in alphabet:
-            img = sigma.image(r)
-            first_reg = next((i for i, tok in enumerate(img) if tok[0] == "reg"), None)
-            if first_reg is None:
-                word = tuple(v for _, v in img)
-                transitions[(fetch[r], sigma)] = Transition(done[r], word, ())
-            else:
-                word = tuple(v for _, v in img[:first_reg])
-                succ = img[first_reg][1]
-                transitions[(fetch[r], sigma)] = Transition(fetch[succ], word, ())
+            transitions[(fetch[r], sigma)] = _walk_on(sigma.image(r), 0, r, fetch, done)
         for sigma in alphabet:
             occ = _occurrence(sigma, r)
             if occ is None:
                 continue  # register dropped: the walk stops and rejects
             holder, img, i = occ
-            next_reg = next(
-                (j for j in range(i + 1, len(img)) if img[j][0] == "reg"), None
-            )
-            if next_reg is None:
-                word = tuple(v for _, v in img[i + 1 :])
-                transitions[(done[r], sigma)] = Transition(done[holder], word, ())
-            else:
-                word = tuple(v for _, v in img[i + 1 : next_reg])
-                succ = img[next_reg][1]
-                transitions[(done[r], sigma)] = Transition(fetch[succ], word, ())
+            transitions[(done[r], sigma)] = _walk_on(img, i + 1, holder, fetch, done)
     states = tuple(done[r] for r in sst.registers) + tuple(fetch[r] for r in sst.registers)
     return TwoWayParityTransducer(
         input_alphabet=alphabet,

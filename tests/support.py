@@ -13,8 +13,7 @@ from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer, odd_sen
 
 
 def deterministic_triples(triples) -> bool:
-    """True iff no (source, letter) pair has two distinct targets: the
-    reference for ``validate_deterministic`` on machines."""
+    """True iff no (source, letter) pair has two distinct targets."""
     seen: dict[tuple, object] = {}
     for src, letter, tgt in triples:
         key = (src, letter)

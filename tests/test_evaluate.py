@@ -415,6 +415,15 @@ def _bundled_mcr_rbt():
     return load_machine(Path(__file__).resolve().parent.parent / "machines" / "mcr_rbt.json")
 
 
+def _initial_declared_last():
+    from dataclasses import replace
+
+    machine = generate_two_way(3, n=4, k=1, ell=2)
+    states = machine.states
+    assert states[0] == machine.initial
+    return replace(machine, states=states[1:] + states[:1])
+
+
 # Keyed by test id; "None" is the bundled mcr_rbt.
 SIMULATED_MACHINES = {
     "None": _bundled_mcr_rbt,
@@ -422,6 +431,7 @@ SIMULATED_MACHINES = {
     # Its run on (ab) revisits a (state, residue) further left, which moves
     # the shift-loop anchor.
     "15-dense": partial(generate_two_way, 15, n=3, k=1, ell=2, alphabet_size=2, density=1.0),
+    "3-initial-last": _initial_declared_last,
 }
 
 

@@ -297,6 +297,22 @@ def _repeated_state_name(rbt_doc, sst_doc):
     return rbt_doc
 
 
+def _with_field(name, value):
+    def malform(rbt_doc, sst_doc):
+        rbt_doc[name] = value
+        return rbt_doc
+
+    return malform
+
+
+_fractional_k, _string_k, _boolean_k, _fractional_ell = (
+    _with_field("k", 1.7),
+    _with_field("k", "1"),
+    _with_field("k", True),
+    _with_field("ell", 2.9),
+)
+
+
 def _first_transition_key(doc):
     first = doc["transitions"][0]
     return f"({first['from']}, {first['letter']!r})"
@@ -315,6 +331,10 @@ _MESSAGES = {
     _foreign_output_symbol: lambda doc: "output letter 'z' not in the output alphabet",
     _out_in_other_image: lambda doc: "'out' appears in the image of 'X'",
     _repeated_state_name: lambda doc: "state names are not unique",
+    **dict.fromkeys(
+        (_fractional_k, _string_k, _boolean_k, _fractional_ell),
+        lambda doc: "k and ell must be integers",
+    ),
 }
 
 
@@ -333,6 +353,10 @@ _MESSAGES = {
         _foreign_output_symbol,
         _out_in_other_image,
         _repeated_state_name,
+        _fractional_k,
+        _string_k,
+        _boolean_k,
+        _fractional_ell,
     ],
     ids=[
         "no-initial",
@@ -347,6 +371,10 @@ _MESSAGES = {
         "foreign-output-symbol",
         "out-in-other-image",
         "repeated-state-name",
+        "fractional-k",
+        "string-k",
+        "boolean-k",
+        "fractional-ell",
     ],
 )
 def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):
@@ -371,6 +399,8 @@ def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, ma
         ("colors", 0, "malformed transition"),
         ("colors", [None], "colors must be integers"),
         ("to", "nowhere", "unknown target state"),
+        ("colors", [1.5], "colors must be integers"),
+        ("colors", [True], "colors must be integers"),
     ],
 )
 def test_malformed_transition_is_located(mcr_rbt, field, value, message):

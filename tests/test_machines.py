@@ -20,7 +20,6 @@ from omegatrans.machines import (
     sym,
     unique_names,
     validate_codeterministic,
-    validate_deterministic,
     validate_machine,
     validate_reversible,
     validate_sst,
@@ -40,7 +39,9 @@ def test_deterministic_on_triples():
 
 
 def test_deterministic_on_machine(first_two_automaton):
-    assert validate_deterministic(first_two_automaton)
+    # The transition map is keyed by (state, letter): every machine is
+    # deterministic.
+    assert deterministic_triples(_triples(first_two_automaton))
 
 
 def test_codeterministic(first_two_automaton, identity_ab):
@@ -284,7 +285,6 @@ def test_reversibility_checks_agree_on_machines_and_triples(first_two_automaton,
     for machine in machines:
         triples = _triples(machine)
         for check, reference in (
-            (validate_deterministic, deterministic_triples),
             (validate_codeterministic, codeterministic_triples),
             (validate_reversible, reversible_triples),
         ):

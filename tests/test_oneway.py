@@ -8,7 +8,7 @@ from omegatrans.evaluate import (
 from omegatrans.generate import generate_one_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import State, WrongMachineKind, validate_reversible
-from omegatrans.oneway import NotDeterministic, one_way_to_reversible
+from omegatrans.oneway import one_way_to_reversible
 from builtin import identity_transducer
 from support import abv
 
@@ -31,7 +31,7 @@ def test_abv_none_when_map_injective(identity_ab):
 
 
 def test_rejects_two_way_input(mcr_rbt):
-    with pytest.raises(NotDeterministic):
+    with pytest.raises(WrongMachineKind):
         one_way_to_reversible(mcr_rbt)
 
 
