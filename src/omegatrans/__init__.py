@@ -14,11 +14,9 @@ from .machines import (
     State,
     Transition,
     TwoWayParityTransducer,
-    OneWayParityTransducer,
     Substitution,
     SstTransition,
     CopylessParitySST,
-    validate_codeterministic,
     validate_reversible,
     validate_one_way,
     validate_sst,
@@ -45,11 +43,9 @@ __all__ = [
     "State",
     "Transition",
     "TwoWayParityTransducer",
-    "OneWayParityTransducer",
     "Substitution",
     "SstTransition",
     "CopylessParitySST",
-    "validate_codeterministic",
     "validate_reversible",
     "validate_one_way",
     "validate_sst",

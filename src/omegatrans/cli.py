@@ -33,7 +33,7 @@ from .io import (
     parse_lasso,
 )
 from .lasso import enumerate_lassos, random_lassos
-from .machines import validate_codeterministic
+from .machines import validate_reversible
 from .oneway import one_way_to_reversible
 from .sst2rev import sst_to_reversible
 from random import Random
@@ -73,17 +73,20 @@ def _budget(args) -> EvalBudget:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-steps", type=int, default=None, help="simulation step budget")
-    p.add_argument("--max-output", type=int, default=None, help="output letter budget")
+    p.add_argument(
+        "--max-output", type=int, default=None,
+        help="letter bound on register machines' register contents during the repeat search",
+    )
 
 
 def cmd_validate(args) -> int:
     # The loader rejects every malformed machine (DocumentError, exit 3).
     machine = _load(args.machine)
     # The transition map makes every machine deterministic.
-    codet = validate_codeterministic(machine)
+    reversible = validate_reversible(machine)
     print("deterministic: True")
-    print(f"co-deterministic: {codet}")
-    print(f"reversible: {codet}")
+    print(f"co-deterministic: {reversible}")
+    print(f"reversible: {reversible}")
     print("summary: ok")
     return OK
 

@@ -8,8 +8,10 @@ repeat proves the run never reads the whole word, and a guarded shift loop
 head staying inside the periodic region in between) proves the run
 continues forever as shifted copies of one segment.  The transitions of
 that segment are exactly those taken infinitely often, which decides parity
-acceptance.  A transducer's segment yields an exact output lasso; a register
-machine's output is decided from the segment's composed update.
+acceptance.  One function, ``_evaluate``, turns every run into its verdict;
+only the output of an accepting shift loop depends on the kind: a
+transducer's segment yields an exact output lasso, and a register machine's
+output is decided from the segment's composed update.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .lasso import LassoWord, lasso_canonicalize, lasso_equal
+from .lasso import LassoWord, lasso_canonicalize
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -36,11 +38,15 @@ REJECTED_PARITY = "rejected-parity"
 REJECTED_STUCK = "rejected-stuck"
 REJECTED_LOOP = "rejected-loop"
 BUDGET_EXCEEDED = "budget-exceeded"
-SHIFT_LOOP = "shift-loop"  # a TwoWayRun kind, classified further by _classify
+SHIFT_LOOP = "shift-loop"  # a TwoWayRun kind, classified further by _evaluate
 
 
 @dataclass(frozen=True, slots=True)
 class EvalBudget:
+    """``max_steps`` bounds the transitions a run takes, which also bounds
+    a transducer's output; ``max_output`` bounds the total length of the
+    register contents a register machine's repeat search builds."""
+
     max_steps: int = 100_000
     max_output: int = 100_000
 
@@ -63,10 +69,12 @@ class Configuration:
 class RunOutcome:
     """Verdict of evaluating a machine on a lasso.
 
-    ``output`` is the exact output lasso of every ``ACCEPTED`` run;
-    ``output_prefix`` carries the produced finite prefix (up to the output
-    budget).  A run whose output cannot be certified within the budget is
-    ``BUDGET_EXCEEDED``.
+    Every field is certified.  ``output`` is the exact, canonical output
+    lasso of an ``ACCEPTED`` run (``output.unroll(n)`` gives any prefix);
+    ``output_prefix`` is the whole finite output of an ``ACCEPTED_FINITE``
+    run and empty otherwise; ``min_colors`` are the per-coloring minima
+    over the loop of a run that reads the whole word.  A run whose output
+    cannot be certified within the budget is ``BUDGET_EXCEEDED``.
     """
 
     verdict: str
@@ -241,70 +249,64 @@ def _loop_colors(loop: list) -> tuple[int, ...]:
     return tuple(map(min, zip(*map(itemgetter(3), loop))))
 
 
-def _classify(
-    kind: str, moves: list, loop_start: int, loop_end: int, max_output: int
-) -> RunOutcome:
-    steps = len(moves)
-    flat_prefix = _outputs(moves[: loop_start if loop_start >= 0 else steps])
-    if kind != SHIFT_LOOP:
-        return RunOutcome(kind, output_prefix=flat_prefix[:max_output], steps=steps)
-    # Shift loop: moves in [loop_start, loop_end) repeat forever.
-    loop = moves[loop_start:loop_end]
-    mins = _loop_colors(loop)
-    if any(m % 2 == 1 for m in mins):
-        return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=steps)
-    loop_out = _outputs(loop)
-    if not loop_out:
-        return RunOutcome(
-            ACCEPTED_FINITE, output_prefix=flat_prefix[:max_output], min_colors=mins, steps=steps
-        )
-    lasso = lasso_canonicalize(LassoWord(flat_prefix, loop_out))
-    prefix = (flat_prefix + loop_out)[:max_output]
-    return RunOutcome(ACCEPTED, output=lasso, output_prefix=prefix, min_colors=mins, steps=steps)
-
-
 def _outputs(moves: list) -> tuple[str, ...]:
     """The concatenated output words of ``moves``."""
     return tuple(chain.from_iterable(map(itemgetter(2), moves)))
 
 
+def _evaluate(machine, w: LassoWord, budget: Optional[EvalBudget], lasso_output) -> RunOutcome:
+    """Classify the run of any machine kind on ``w`` exactly.
+
+    A shift loop that passes the parity check gets its output from
+    ``lasso_output(machine, head, loop, max_output)``, where the moves
+    ``loop`` repeat forever after the moves ``head``: the output is
+    ``prefix · block^ω`` for the returned ``(prefix, block)``, finite when
+    ``block`` is empty, and None means it is not certified within
+    ``max_output``.
+    """
+    budget = budget or EvalBudget()
+    kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
+    steps = len(moves)
+    if kind != SHIFT_LOOP:
+        return RunOutcome(kind, steps=steps)
+    loop = moves[loop_start:loop_end]
+    mins = _loop_colors(loop)
+    if any(m % 2 == 1 for m in mins):
+        return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=steps)
+    lasso = lasso_output(machine, moves[:loop_start], loop, budget.max_output)
+    if lasso is None:
+        return RunOutcome(BUDGET_EXCEEDED, steps=steps)
+    prefix, block = lasso
+    if not block:
+        return RunOutcome(ACCEPTED_FINITE, output_prefix=prefix, min_colors=mins, steps=steps)
+    output = lasso_canonicalize(LassoWord(prefix, block))
+    return RunOutcome(ACCEPTED, output=output, min_colors=mins, steps=steps)
+
+
+def _transducer_output(machine, head: list, loop: list, max_output: int):
+    """A transducer writes the head moves' output once and the loop's
+    output on every iteration."""
+    return _outputs(head), _outputs(loop)
+
+
 def eval_two_way(
     machine: TwoWayParityTransducer, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
-    """Classify the run of a two-way (or one-way) machine on ``w`` exactly."""
-    budget = budget or EvalBudget()
-    kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
-    return _classify(kind, moves, loop_start, loop_end, budget.max_output)
+    """Classify the run of a two-way (or one-way) transducer on ``w`` exactly."""
+    return _evaluate(machine, w, budget, _transducer_output)
 
 
 # ---------------------------------------------------------------------------
 # Register machines
 
 
-def eval_sst(
-    sst: CopylessParitySST, w: LassoWord, budget: Optional[EvalBudget] = None
-) -> RunOutcome:
-    """Classify a register machine's run exactly: the parity verdict over
-    the automaton loop, and the output from the first literal repeat of the
-    registers feeding ``out`` across loop iterations.  An empty appended
-    block means finite output; otherwise the output is an exact lasso.
-    As for transducers, ``max_output`` only cuts ``output_prefix`` of a
-    classified run.  Running out of ``max_steps``, or of ``max_output``
-    during the repeat search, is ``BUDGET_EXCEEDED``."""
-    budget = budget or EvalBudget()
-    kind, _, moves, loop_start, loop_end = _run(sst, lasso_canonicalize(w), budget.max_steps)
+def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output: int):
+    """A register machine's output, from the first literal repeat of the
+    registers feeding ``out`` across loop iterations; None when their
+    contents outgrow ``max_output`` letters first."""
     valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
-    for move in moves[: loop_start if kind == SHIFT_LOOP else len(moves)]:
+    for move in head:
         valuation = move[2].apply(valuation)
-    if kind != SHIFT_LOOP:  # stuck, or out of steps
-        return RunOutcome(
-            kind, output_prefix=valuation[sst.out][: budget.max_output], steps=len(moves)
-        )
-    loop = moves[loop_start:loop_end]
-    mins = _loop_colors(loop)
-    if any(m % 2 == 1 for m in mins):
-        return RunOutcome(REJECTED_PARITY, min_colors=mins, steps=loop_end)
-
     loop_update = reduce(Substitution.then, map(itemgetter(2), loop))
     out_tail = loop_update.image(sst.out)[1:]  # image is out · tail
 
@@ -341,29 +343,18 @@ def eval_sst(
         key = tuple(valuation[r] for r in others)
         if key in seen_contents:
             prefix = boundary_outputs[seen_contents[key]]
-            block = boundary_outputs[it][len(prefix):]
-            if not block:
-                return RunOutcome(
-                    ACCEPTED_FINITE,
-                    output_prefix=prefix[: budget.max_output],
-                    min_colors=mins,
-                    steps=loop_end,
-                )
-            lasso = lasso_canonicalize(LassoWord(prefix, block))
-            shown = min(budget.max_output, max(2000, len(prefix) + len(block)))
-            return RunOutcome(
-                ACCEPTED,
-                output=lasso,
-                output_prefix=lasso.unroll(shown),
-                min_colors=mins,
-                steps=loop_end,
-            )
+            return prefix, boundary_outputs[it][len(prefix):]
         seen_contents[key] = it
-        if sum(map(len, valuation.values())) > budget.max_output:
+        if sum(map(len, valuation.values())) > max_output:
             break
-    return RunOutcome(
-        BUDGET_EXCEEDED, output_prefix=valuation[sst.out][: budget.max_output], steps=loop_end
-    )
+    return None
+
+
+def eval_sst(
+    sst: CopylessParitySST, w: LassoWord, budget: Optional[EvalBudget] = None
+) -> RunOutcome:
+    """Classify a register machine's run on ``w`` exactly."""
+    return _evaluate(sst, w, budget, _register_output)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +403,8 @@ def equiv_on_lassos(
     trades the acceptance condition for output finiteness.
 
     Budget exhaustion on either side marks the lasso inconclusive, never a
-    pass.  Every other outcome is exact, so outputs in the domain are
-    compared as lassos.
+    pass.  Every other outcome is exact and every output lasso canonical,
+    so outputs in the domain are equal exactly when their lassos are.
     """
     budget = budget or EvalBudget()
     report = EquivReport()
@@ -431,7 +422,7 @@ def equiv_on_lassos(
         if require_class and c1 != c2:
             report.disagreements.append((w, f"verdict classes differ: {c1} vs {c2}"))
             continue
-        if c1 == "inf" and not lasso_equal(o1.output, o2.output):
+        if c1 == "inf" and o1.output != o2.output:
             report.disagreements.append((w, f"outputs differ: {o1.output} vs {o2.output}"))
         else:
             report.passed += 1

@@ -69,11 +69,6 @@ class TwoWayParityTransducer:
         return all(s.forward for s in self.states)
 
 
-# A one-way machine is a two-way machine with no backward states and no
-# endmarker transitions; see validate_one_way.
-OneWayParityTransducer = TwoWayParityTransducer
-
-
 def advance(machine: TwoWayParityTransducer, state: State, pos: int, letter: Letter):
     """The one head-move rule of two-way machines.
 
@@ -206,18 +201,14 @@ class CopylessParitySST:
 # Validators
 
 
-def validate_codeterministic(machine) -> bool:
-    """True iff no (letter, target) pair has two distinct sources."""
+def validate_reversible(machine) -> bool:
+    """Deterministic and co-deterministic: no (letter, target) pair has two
+    distinct sources.  The transition map makes every machine
+    deterministic."""
     # Keys are unique, so transitions sharing (letter, target) have
     # distinct sources.
     transitions = machine.transitions
     return len({(letter, tr.target) for (_, letter), tr in transitions.items()}) == len(transitions)
-
-
-def validate_reversible(machine) -> bool:
-    """Deterministic and co-deterministic; the transition map makes every
-    machine deterministic."""
-    return validate_codeterministic(machine)
 
 
 def validate_one_way(machine: TwoWayParityTransducer) -> bool:
@@ -252,7 +243,8 @@ def validate_sst(sst: CopylessParitySST) -> list[str]:
 
 def _common_problems(machine) -> list[str]:
     """Checks shared by both machine kinds: names, initial state, the
-    reserved endmarker, transition states, letters and colors."""
+    reserved endmarker, the coloring counts, transition states, letters and
+    colors."""
     problems = []
     states = set(machine.states)
     names = [s.name for s in machine.states]
@@ -264,6 +256,8 @@ def _common_problems(machine) -> list[str]:
     if LEFT_END in alphabet or LEFT_END in set(machine.output_alphabet):
         problems.append("the endmarker is reserved and cannot be an alphabet letter")
     k, ell = machine.k, machine.ell
+    if k < 0 or ell < 1:
+        problems.append(f"need k >= 0 and ell >= 1, got k={k}, ell={ell}")
     for (src, letter), tr in machine.transitions.items():
         if src not in states:
             problems.append(f"{_where(src, letter)}: unknown source state")

@@ -25,7 +25,7 @@ def deterministic_triples(triples) -> bool:
 
 def codeterministic_triples(triples) -> bool:
     """True iff no (letter, target) pair has two distinct sources: the
-    reference for ``validate_codeterministic`` on machines."""
+    reference for ``validate_reversible`` on machines."""
     seen: dict[tuple, object] = {}
     for src, letter, tgt in triples:
         key = (letter, tgt)

@@ -203,10 +203,10 @@ def test_every_kind_honours_the_step_budget(kind):
 @pytest.mark.parametrize("kind", ["one-way", "register"])
 def test_every_kind_cuts_only_the_prefix_to_the_output_budget(kind):
     # The 50 letters written before the loop exceed max_output, yet the
-    # output lasso is exact; the budget only shortens the shown prefix.
+    # output lasso is exact; an accepted run carries no separate prefix.
     out = eval_machine(_echo_x(kind), lw("b" * 50, "a"), EvalBudget(max_output=3))
     assert (out.verdict, out.output, out.output_prefix, out.steps) == (
-        ACCEPTED, lw("", "x"), tuple("xxx"), 51
+        ACCEPTED, lw("", "x"), (), 51
     )
 
 
@@ -216,7 +216,7 @@ def test_every_kind_cuts_only_the_prefix_to_the_output_budget(kind):
 def test_sst_exact_output(mcr_sst):
     out = eval_sst(mcr_sst, lw("", "ab#"))
     assert out.verdict == ACCEPTED and out.output == lw("", "ab#ba#")
-    assert "".join(out.output_prefix[:12]) == "ab#ba#ab#ba#"
+    assert "".join(out.output.unroll(12)) == "ab#ba#ab#ba#"
 
 
 def test_sst_identity_tail(mcr_sst):
@@ -316,9 +316,9 @@ def test_sst_budget_charges_only_registers_feeding_out():
 
 
 # SHA-256 over the outcomes of ``eval_sst`` on two corpora at the default
-# budget; any change to a verdict, output, prefix, colour or step count
-# shows here.
-PINNED_SST_OUTCOMES = (29_330, "cd33b675db2e0bd9a7b7788748239107e1b5ebe28997ab3bc8201ed09db0eeb6")
+# budget; any change to a verdict, output, finite output, colour or step
+# count shows here.
+PINNED_SST_OUTCOMES = (29_330, "0ee7a5b95276d1e1a49ee95a88a91e69b55ce21a257d5f6c7326942c16ddc1e6")
 
 
 def test_sst_outcomes_are_pinned():
@@ -371,6 +371,7 @@ def test_equiv_detects_flipped_output(mcr_rbt):
     )
     report = equiv_on_lassos(mcr_rbt, other, [lw("", "a#")])
     assert not report.ok
+    assert report.disagreements[0][1].startswith("outputs differ")
 
 
 def test_equiv_budget_marks_inconclusive(mcr_rbt):

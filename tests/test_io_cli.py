@@ -313,6 +313,28 @@ _fractional_k, _string_k, _boolean_k, _fractional_ell = (
 )
 
 
+def _one_state_one_way(k, ell, copies):
+    """A one-state one-way document holding ``copies`` copies of its one
+    transition, which echoes ``a`` and carries no colors."""
+
+    def malform(rbt_doc, sst_doc):
+        echo = {"from": "q", "letter": "a", "to": "q", "output": ["a"], "colors": []}
+        return {
+            "kind": "1dpt", "input_alphabet": ["a"], "output_alphabet": ["a"],
+            "states": [{"name": "q", "polarity": "+"}], "initial": "q",
+            "k": k, "ell": ell, "transitions": [echo] * copies,
+        }
+
+    return malform
+
+
+_zero_k_and_ell, _negative_ell, _negative_k = (
+    _one_state_one_way(0, 0, 1),
+    _one_state_one_way(0, -5, 1),
+    _one_state_one_way(-1, 1, 0),
+)
+
+
 def _first_transition_key(doc):
     first = doc["transitions"][0]
     return f"({first['from']}, {first['letter']!r})"
@@ -334,6 +356,9 @@ _MESSAGES = {
     **dict.fromkeys(
         (_fractional_k, _string_k, _boolean_k, _fractional_ell),
         lambda doc: "k and ell must be integers",
+    ),
+    **dict.fromkeys(
+        (_zero_k_and_ell, _negative_ell, _negative_k), lambda doc: "need k >= 0 and ell >= 1"
     ),
 }
 
@@ -357,6 +382,9 @@ _MESSAGES = {
         _string_k,
         _boolean_k,
         _fractional_ell,
+        _zero_k_and_ell,
+        _negative_ell,
+        _negative_k,
     ],
     ids=[
         "no-initial",
@@ -375,6 +403,9 @@ _MESSAGES = {
         "string-k",
         "boolean-k",
         "fractional-ell",
+        "zero-k-and-ell",
+        "negative-ell",
+        "negative-k",
     ],
 )
 def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):

@@ -19,7 +19,6 @@ from omegatrans.machines import (
     reg,
     sym,
     unique_names,
-    validate_codeterministic,
     validate_machine,
     validate_reversible,
     validate_sst,
@@ -46,8 +45,8 @@ def test_deterministic_on_machine(first_two_automaton):
 
 def test_codeterministic(first_two_automaton, identity_ab):
     # states 1 and 2 both reach 3 on a
-    assert not validate_codeterministic(first_two_automaton)
-    assert validate_codeterministic(identity_ab)
+    assert not validate_reversible(first_two_automaton)
+    assert validate_reversible(identity_ab)
 
 
 def test_reversible(mcr_rbt, first_two_automaton):
@@ -284,12 +283,10 @@ def test_reversibility_checks_agree_on_machines_and_triples(first_two_automaton,
     verdicts = set()
     for machine in machines:
         triples = _triples(machine)
-        for check, reference in (
-            (validate_codeterministic, codeterministic_triples),
-            (validate_reversible, reversible_triples),
-        ):
-            assert check(machine) == reference(triples), (check.__name__, machine)
-        verdicts.add(validate_codeterministic(machine))
+        verdict = validate_reversible(machine)
+        for reference in (codeterministic_triples, reversible_triples):
+            assert verdict == reference(triples), (reference.__name__, machine)
+        verdicts.add(verdict)
     assert verdicts == {True, False}
     assert not codeterministic_triples(_triples(first_two_automaton))
 
