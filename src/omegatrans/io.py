@@ -294,11 +294,6 @@ def loads_machine(text: str) -> Machine:
     return document_to_machine(doc)
 
 
-def load_machine(path: str) -> Machine:
-    with open(path) as fh:
-        return loads_machine(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # Lasso syntax
 

@@ -4,10 +4,14 @@ Two machines in series do the job: a one-way transducer that re-emits each
 input letter as the whole substitution it triggers, and a reversible walker
 over that substitution stream which reconstructs the out register's content
 by following where register contents flow.  Making the first machine
-reversible and composing yields the result.
+reversible and composing yields the result.  Both machines are built from
+the register machine shrunk first: register updates whose contents never
+reach ``out`` are dropped, then equal states are merged.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .compose import compose_reachable
 from .machines import (
@@ -32,6 +36,72 @@ def _require_valid_sst(sst) -> None:
     problems = validate_sst(sst)
     if problems:
         raise InvalidSst("; ".join(problems))
+
+
+def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
+    """Empty the image of every register whose contents never reach out.
+
+    A register is live at a state when some path from there moves its
+    contents into ``out``: ``out`` is live everywhere, and x is live at the
+    source of a transition whose update puts x into the image of a register
+    live at the target.  Each update then maps the registers dead at its
+    target to the empty word.  Updates stay copyless and keep the out
+    discipline, and the function is unchanged.
+    """
+    _require_valid_sst(sst)
+    live = {s: {sst.out} for s in sst.states}
+    changed = True
+    while changed:
+        changed = False
+        for (src, _), tr in sst.transitions.items():
+            before = len(live[src])
+            for r, img in tr.update.images:
+                if r in live[tr.target]:
+                    live[src].update(value for kind, value in img if kind == "reg")
+            changed |= len(live[src]) != before
+    transitions = {}
+    for key, tr in sst.transitions.items():
+        keep = live[tr.target]
+        images = tuple((r, img if r in keep else ()) for r, img in tr.update.images)
+        transitions[key] = tr._replace(update=Substitution(images))
+    return replace(sst, transitions=transitions)
+
+
+def merge_equal_states(sst: CopylessParitySST) -> CopylessParitySST:
+    """Merge the states that, on every letter, take the same update and
+    colors to equivalent targets (Moore partition refinement).
+
+    Each class keeps its first-declared member, and states stay in
+    declaration order.
+    """
+    _require_valid_sst(sst)
+    block = dict.fromkeys(sst.states, 0)
+    count = 1
+    while True:
+        signatures: dict = {}
+        refined = {}
+        for s in sst.states:
+            moves = (sst.transitions.get((s, a)) for a in sst.input_alphabet)
+            signature = tuple(tr and (tr.update, tr.colors, block[tr.target]) for tr in moves)
+            refined[s] = signatures.setdefault((block[s], signature), len(signatures))
+        block = refined
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    first = {}
+    for s in sst.states:
+        first.setdefault(block[s], s)
+    transitions = {
+        (src, a): tr._replace(target=first[block[tr.target]])
+        for (src, a), tr in sst.transitions.items()
+        if first[block[src]] == src
+    }
+    return replace(
+        sst,
+        states=tuple(first.values()),
+        initial=first[block[sst.initial]],
+        transitions=transitions,
+    )
 
 
 def substitution_alphabet(sst: CopylessParitySST) -> tuple[Substitution, ...]:
@@ -123,10 +193,15 @@ def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Reversible two-way transducer computing the register machine's
     function; keeps the machine's colorings.
 
-    Only the composition's pairs reachable from the initial pair are built,
-    so no prune pass follows.  ``ell`` is one above the largest color the
-    kept transitions use, which can be below the full product's bound.
+    The stream and the walker are built from the machine after
+    ``drop_dead_registers`` and ``merge_equal_states``: fewer distinct
+    updates and fewer states make both smaller, and the walker reaches only
+    registers that feed ``out``.  Only the composition's pairs reachable
+    from the initial pair are built, so no prune pass follows.  ``ell`` is
+    one above the largest color the kept transitions use, which can be
+    below the full product's bound.
     """
+    sst = merge_equal_states(drop_dead_registers(sst))
     stream = one_way_to_reversible(sst_to_substitution_stream(sst))
     walker = build_register_walker(sst)
     return compose_reachable(stream, walker)

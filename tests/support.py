@@ -5,8 +5,15 @@ from typing import Optional
 
 from omegatrans.compose import run_on_finite
 from omegatrans.evaluate import eval_machine
+from omegatrans.io import loads_machine
 from omegatrans.lasso import lasso_equal
 from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer, odd_sentinels
+
+
+def load_machine(path):
+    """The machine in the JSON document at ``path``."""
+    with open(path) as fh:
+        return loads_machine(fh.read())
 
 
 # --- reversibility on raw (source, letter, target) triples ---------------------

@@ -411,7 +411,7 @@ def _stepped_configs(machine, w, steps):
 def _bundled_mcr_rbt():
     from pathlib import Path
 
-    from omegatrans.io import load_machine
+    from support import load_machine
 
     return load_machine(Path(__file__).resolve().parent.parent / "machines" / "mcr_rbt.json")
 

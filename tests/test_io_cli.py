@@ -15,7 +15,6 @@ from omegatrans.io import (
     document_to_machine,
     dumps_machine,
     format_lasso,
-    load_machine,
     loads_machine,
     parse_lasso,
 )
@@ -40,7 +39,7 @@ from builtin import (
     map_copy_reverse_rbt,
     map_copy_reverse_sst,
 )
-from support import prune_unreachable
+from support import load_machine, prune_unreachable
 
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 BUNDLED = sorted(MACHINES.glob("*.json"))

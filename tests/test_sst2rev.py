@@ -4,10 +4,9 @@ import pathlib
 import pytest
 
 from omegatrans.compose import compose, compose_reachable
-from omegatrans.evaluate import equiv_on_lassos
+from omegatrans.evaluate import eval_sst, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_sst, generate_two_way
-from omegatrans.io import load_machine
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
@@ -19,17 +18,20 @@ from omegatrans.machines import (
     sym,
     validate_machine,
     validate_reversible,
+    validate_sst_machine,
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import (
     InvalidSst,
     build_register_walker,
+    drop_dead_registers,
+    merge_equal_states,
     sst_to_reversible,
     sst_to_substitution_stream,
     substitution_alphabet,
 )
 from builtin import map_copy_reverse_rbt, map_copy_reverse_sst
-from support import prune_unreachable
+from support import load_machine, prune_unreachable
 
 
 def lw(prefix, period):
@@ -246,6 +248,17 @@ def test_rejects_two_way_machine(mcr_rbt):
         sst_to_reversible(mcr_rbt)
 
 
+def reduce(sst):
+    return merge_equal_states(drop_dead_registers(sst))
+
+
+def composed_stages(sst):
+    """The stream and the walker of ``sst`` composed as given, without
+    reducing ``sst`` first."""
+    stream = one_way_to_reversible(sst_to_substitution_stream(sst))
+    return compose_reachable(stream, build_register_walker(sst))
+
+
 def _reference_ssts():
     machines = pathlib.Path(__file__).resolve().parent.parent / "machines"
     yield load_machine(str(machines / "mcr_sst.json"))
@@ -264,4 +277,97 @@ def test_reachable_composition_matches_pruned_full_product():
         assert out == dataclasses.replace(pruned, ell=out.ell), i
         assert out.ell <= pruned.ell, i
         assert validate_machine(out) == [], i
-        assert sst_to_reversible(sst) == out, i
+        assert sst_to_reversible(sst) == composed_stages(reduce(sst)), i
+
+
+# --- reducing the register machine ---------------------------------------------
+
+
+def test_dead_register_is_emptied_and_equal_states_merge():
+    """x never reaches out, so its updates empty it; then p and q take the
+    same update to each other and merge into p."""
+    p, q = State("p", True), State("q", True)
+    grow = Substitution.from_dict({"out": (reg("out"), sym("a")), "x": (reg("x"), sym("a"))})
+    drop = Substitution.from_dict({"out": (reg("out"), sym("a")), "x": ()})
+    sst = CopylessParitySST(
+        ("a",), ("a",), (p, q), p,
+        {(p, "a"): SstTransition(q, grow, (0,)), (q, "a"): SstTransition(p, drop, (0,))},
+        ("out", "x"), "out", 1, 1,
+    )
+    assert merge_equal_states(sst) == sst
+    dropped = drop_dead_registers(sst)
+    assert dropped.transitions[(p, "a")].update == drop
+    assert reduce(sst) == CopylessParitySST(
+        ("a",), ("a",), (p,), p, {(p, "a"): SstTransition(p, drop, (0,))},
+        ("out", "x"), "out", 1, 1,
+    )
+
+
+
+def test_states_with_different_colors_stay_apart():
+    """p and q loop on the same update, p with an odd color and q with an
+    even one: merging them would make q's accepted run rejected."""
+    p, q = State("p", True), State("q", True)
+    grow = Substitution.from_dict({"out": (reg("out"), sym("a"))})
+    sst = CopylessParitySST(
+        ("a",), ("a",), (p, q), q,
+        {(p, "a"): SstTransition(p, grow, (1,)), (q, "a"): SstTransition(q, grow, (0,))},
+        ("out",), "out", 1, 2,
+    )
+    assert reduce(sst) == sst
+    assert eval_sst(sst, lw("", "a")).in_domain()
+
+@pytest.fixture(scope="module")
+def corpus_ssts():
+    """Register machines of the det2rev corpus, seeds 0-11."""
+    return [
+        two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
+        for seed in range(12)
+    ]
+
+
+def test_reduced_machine_is_valid_and_no_larger(corpus_ssts):
+    for seed, sst in enumerate(corpus_ssts):
+        reduced = reduce(sst)
+        assert validate_sst_machine(reduced) == [], seed
+        assert (reduced.registers, reduced.out, reduced.k, reduced.ell) == (
+            sst.registers, sst.out, sst.k, sst.ell
+        ), seed
+        assert len(reduced.states) <= len(sst.states), seed
+
+
+def test_dead_register_elimination_only_empties_images(corpus_ssts):
+    for seed, sst in enumerate(corpus_ssts):
+        dropped = drop_dead_registers(sst)
+        assert (dropped.states, dropped.initial) == (sst.states, sst.initial), seed
+        assert dropped.transitions.keys() == sst.transitions.keys(), seed
+        for key, tr in sst.transitions.items():
+            new = dropped.transitions[key]
+            assert (new.target, new.colors) == (tr.target, tr.colors), (seed, key)
+            for (r, img), (r2, img2) in zip(tr.update.images, new.update.images, strict=True):
+                assert r == r2 and img2 in (img, ()), (seed, key, r)
+
+
+def test_reducing_twice_equals_reducing_once(corpus_ssts):
+    for seed, sst in enumerate(corpus_ssts):
+        once = reduce(sst)
+        assert reduce(once) == once, seed
+
+
+def test_reduced_machine_has_the_same_verdicts_and_outputs(corpus_ssts):
+    """Merged states can close a loop sooner, so only ``steps`` may differ."""
+    lassos = enumerate_lassos(corpus_ssts[0].input_alphabet, 2, 3)
+    for seed, sst in enumerate(corpus_ssts):
+        reduced = reduce(sst)
+        for w in lassos:
+            before, after = eval_sst(sst, w), eval_sst(reduced, w)
+            assert (after.verdict, after.output) == (before.verdict, before.output), (seed, w)
+
+
+def test_sst_to_reversible_agrees_with_the_unreduced_construction(corpus_ssts):
+    lassos = enumerate_lassos(corpus_ssts[0].input_alphabet, 1, 2)
+    for seed, sst in enumerate(corpus_ssts):
+        out, unreduced = sst_to_reversible(sst), composed_stages(sst)
+        assert len(out.states) <= len(unreduced.states), seed
+        report = equiv_on_lassos(out, unreduced, lassos, require_class=True)
+        assert report.disagreements == [] and report.inconclusive == [], seed
