@@ -7,7 +7,9 @@ travels above that run, one below.  States pair two tagged copies of the
 base state set; a tag records whether the head sits above or below the
 state's branch.  Mixed tags move forward, equal tags move backward, and
 the machine produces output (and the real colors) exactly on the diagonal
-states, where both heads pin the same base state.
+states, where both heads pin the same base state.  The outline explores the
+state graph, where any letter may follow any state; the result keeps only
+the moves a run can take (``machines.drop_untakeable``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .machines import (
     TwoWayParityTransducer,
     WrongMachineKind,
     collector_paused,
+    drop_untakeable,
     max_colors,
     require_two_way,
     unique_names,
@@ -70,6 +73,8 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
 
     Only states reachable from the initial pair are emitted; the result has
     at most 4·n² states for n input states and keeps k and the color bound.
+    Last, ``drop_untakeable`` keeps only the transitions some run can take,
+    and the states they leave or enter.
     """
     require_two_way(machine, "one_way_to_reversible")
     if not validate_one_way(machine):
@@ -147,12 +152,14 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
         output, colors = ((), global_max) if base is None else (base.output, base.colors)
         transitions[(out_states[i], a)] = Transition(out_states[j], output, colors)
 
-    return TwoWayParityTransducer(
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        states=tuple(out_states),
-        initial=out_states[0],
-        transitions=transitions,
-        k=machine.k,
-        ell=machine.ell,
+    return drop_untakeable(
+        TwoWayParityTransducer(
+            input_alphabet=machine.input_alphabet,
+            output_alphabet=machine.output_alphabet,
+            states=tuple(out_states),
+            initial=out_states[0],
+            transitions=transitions,
+            k=machine.k,
+            ell=machine.ell,
+        )
     )

@@ -1,14 +1,29 @@
+from random import Random
+
 import pytest
 
+from omegatrans import oneway
+from omegatrans.buchi import dbt_to_rbt
 from omegatrans.evaluate import (
+    _run_table,
     eval_two_way,
     equiv_on_lassos,
     simulate_two_way,
 )
-from omegatrans.generate import generate_one_way
-from omegatrans.lasso import LassoWord, enumerate_lassos
-from omegatrans.machines import State, WrongMachineKind, validate_reversible
+from omegatrans.forests import two_way_to_sst
+from omegatrans.generate import generate_machine, generate_one_way, generate_two_way
+from omegatrans.lasso import LassoWord, enumerate_lassos, random_lassos
+from omegatrans.machines import (
+    LEFT_END,
+    State,
+    Transition,
+    TwoWayParityTransducer,
+    WrongMachineKind,
+    drop_untakeable,
+    validate_reversible,
+)
 from omegatrans.oneway import one_way_to_reversible
+from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, sst_to_substitution_stream
 from builtin import identity_transducer
 from support import abv
 
@@ -121,3 +136,105 @@ def test_order_preservation_on_random_corpus(lassos_ab):
             for i, (pos, name) in enumerate(visits[:12]):
                 assert (pos, name) == (i, state.name), (seed, w)
                 state = machine.transitions[(state, w.letter(i))].target
+
+
+# --- only the moves a run can take ---------------------------------------------
+
+
+def untrimmed(machine):
+    """``one_way_to_reversible`` without its last step, ``drop_untakeable``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oneway, "drop_untakeable", lambda built: built)
+        return one_way_to_reversible(machine)
+
+
+@pytest.fixture(scope="module")
+def trim_corpus():
+    """(one-way source, its reversible machine before the trim) pairs: the
+    substitution streams of det2rev corpus seeds 0-11 and the one-way
+    machine of ``gen --seed 3 --n 7 --kind 1dpt --alphabet-size 3``."""
+    pairs = []
+    for seed in range(12):
+        sst = two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
+        stream = sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst)))
+        pairs.append((stream, untrimmed(stream)))
+    one_way = generate_machine("1dpt", 3, 7, alphabet_size=3)
+    pairs.append((one_way, untrimmed(one_way)))
+    return pairs
+
+
+def test_one_way_to_reversible_ends_with_the_trim(trim_corpus):
+    for source, built in trim_corpus:
+        assert one_way_to_reversible(source) == drop_untakeable(built)
+
+
+def test_every_move_a_run_takes_is_kept(trim_corpus):
+    """Moves the oracle compiles are the moves its runs took.  Run on the
+    untrimmed machine, they must all be kept; the seed-2 stream and the
+    one-way machine's output lose transitions, so the check has teeth.
+    The det2rev output, a composition, is checked the same way."""
+    det2rev = dbt_to_rbt(generate_two_way(2, 7, 1, 2, alphabet_size=3, density=1.0))
+    for machine in (trim_corpus[2][1], trim_corpus[-1][1], det2rev):
+        kept = drop_untakeable(machine).transitions
+        assert len(kept) < len(machine.transitions)
+        for w in random_lassos(machine.input_alphabet, 1000, Random(7), 10, 6):
+            eval_two_way(machine, w)
+        table = _run_table(machine)
+        taken = [(machine.states[i], a) for i, row in enumerate(table.rows) for a in row]
+        assert taken and all(key in kept for key in taken)
+
+
+def test_trimming_twice_equals_trimming_once(trim_corpus):
+    for _, built in trim_corpus:
+        once = drop_untakeable(built)
+        assert drop_untakeable(once) == once
+
+
+def test_trim_keeps_reversibility_initial_state_k_and_ell(trim_corpus):
+    for _, built in trim_corpus:
+        trimmed = drop_untakeable(built)
+        assert validate_reversible(trimmed)
+        assert trimmed.initial == built.initial and trimmed.initial in trimmed.states
+        assert (trimmed.k, trimmed.ell) == (built.k, built.ell)
+        assert set(trimmed.transitions.items()) <= set(built.transitions.items())
+
+
+def test_trimmed_machine_agrees_with_its_source(trim_corpus):
+    for source, _ in trim_corpus:
+        lassos = enumerate_lassos(source.input_alphabet, 2, 3)
+        report = equiv_on_lassos(source, one_way_to_reversible(source), lassos, require_class=True)
+        assert report.disagreements == [] and report.inconclusive == []
+
+
+def _machine(states, initial, moves):
+    """A two-way machine over {a, b} from (source, letter, target) moves."""
+    return TwoWayParityTransducer(
+        ("a", "b"), ("a",), states, initial,
+        {(src, a): Transition(tgt, (), (0,)) for src, a, tgt in moves}, 1, 1,
+    )
+
+
+def test_backward_move_contradicting_the_forward_read_is_dropped():
+    """p reads a at position 0 and steps on; q turns back and reads that a
+    again, so its move on b, and the state r2 only it reaches, go."""
+    p, p2, r, r2 = (State(name, True) for name in ("p", "p2", "r", "r2"))
+    q = State("q", False)
+    moves = [(p, "a", p2), (p2, "a", q), (p2, "b", q), (q, "a", r), (q, "b", r2)]
+    moves += [(s, a, s) for s in (r, r2) for a in "ab"]
+    machine = _machine((p, p2, q, r, r2), p, moves)
+    assert drop_untakeable(machine) == _machine(
+        (p, p2, q, r), p, [m for m in moves if m[:2] != (q, "b") and m[0] != r2]
+    )
+
+
+def test_endmarker_reached_only_through_an_unknown_letter_is_kept():
+    """p0..p3 read three a's before q turns back; the window has forgotten
+    the endmarker by then, so q only finds it by reading an unknown
+    letter; the run on aaab a^ω takes that move into s and accepts."""
+    p0, p1, p2, p3, s = (State(name, True) for name in ("p0", "p1", "p2", "p3", "s"))
+    q = State("q", False)
+    moves = [(p0, "a", p1), (p1, "a", p2), (p2, "a", p3), (p3, "b", q), (q, "a", q)]
+    moves += [(q, LEFT_END, s), (s, "a", s), (s, "b", s)]
+    machine = _machine((p0, p1, p2, p3, q, s), p0, moves)
+    assert drop_untakeable(machine) == machine
+    assert eval_two_way(machine, lw("aaab", "a")).automaton_accepts()

@@ -317,6 +317,28 @@ def test_states_with_different_colors_stay_apart():
     assert reduce(sst) == sst
     assert eval_sst(sst, lw("", "a")).in_domain()
 
+
+def test_merged_machine_takes_the_same_moves_in_sync():
+    """Walked in step from the initial pair, the machine and its merge take
+    the same update and colors on every letter, or both have no move.
+    Over these seeds a merge blind to colors fails (seed 18)."""
+    for seed in range(30):
+        source = generate_two_way(seed, 4, 1, 2, alphabet_size=2, density=1.0)
+        sst = drop_dead_registers(two_way_to_sst(source))
+        merged = merge_equal_states(sst)
+        pairs = [(sst.initial, merged.initial)]
+        seen = set(pairs)
+        while pairs:
+            s, m = pairs.pop()
+            for a in sst.input_alphabet:
+                tr, tr2 = sst.transitions.get((s, a)), merged.transitions.get((m, a))
+                move, move2 = (tr and (tr.update, tr.colors)), (tr2 and (tr2.update, tr2.colors))
+                assert move == move2, (seed, s, m, a)
+                if tr is not None and (tr.target, tr2.target) not in seen:
+                    seen.add((tr.target, tr2.target))
+                    pairs.append((tr.target, tr2.target))
+
+
 @pytest.fixture(scope="module")
 def corpus_ssts():
     """Register machines of the det2rev corpus, seeds 0-11."""
