@@ -62,12 +62,17 @@ def _build_machine(doc: dict) -> Machine:
     kind = doc.get("kind")
     if kind not in ("2dpt", "1dpt", "cpsst"):
         raise DocumentError(f"unknown machine kind {kind!r}")
-    states = tuple(State(s["name"], s["polarity"] == "+") for s in doc["states"])
+    states = []
+    for s in doc["states"]:
+        if s["polarity"] not in ("+", "-"):
+            raise DocumentError(f"state {s['name']!r}: polarity must be '+' or '-', got {s['polarity']!r}")
+        states.append(State(s["name"], s["polarity"] == "+"))
+    states = tuple(states)
     by_name = {s.name: s for s in states}
     if doc["initial"] not in by_name:
         raise DocumentError(f"initial state {doc['initial']!r} not declared")
-    alphabet = tuple(doc["input_alphabet"])
-    out_alphabet = tuple(doc["output_alphabet"])
+    alphabet = _listed(doc, "input_alphabet")
+    out_alphabet = _listed(doc, "output_alphabet")
     k, ell = doc["k"], doc["ell"]
     if type(k) is not int or type(ell) is not int:
         raise DocumentError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")
@@ -81,7 +86,7 @@ def _build_machine(doc: dict) -> Machine:
             states=states,
             initial=by_name[doc["initial"]],
             transitions=transitions,
-            registers=tuple(doc["registers"]),
+            registers=_listed(doc, "registers"),
             out=doc["out"],
             k=k,
             ell=ell,
@@ -103,6 +108,13 @@ def _build_machine(doc: dict) -> Machine:
     if problems:
         raise DocumentError("; ".join(problems))
     return machine
+
+
+def _listed(record: dict, field: str) -> tuple:
+    """``record[field]`` as a tuple; it must be a JSON list, not a string."""
+    if type(record[field]) is not list:
+        raise ValueError(f"{field} must be a JSON list, got {record[field]!r}")
+    return tuple(record[field])
 
 
 def _build_transitions(records, by_name: dict, build) -> dict:
@@ -150,7 +162,7 @@ def _record_where(i: int, record) -> str:
 
 
 def _two_way_transition(t: dict, target: State) -> Transition:
-    return Transition(target, tuple(t["output"]), tuple(t["colors"]))
+    return Transition(target, _listed(t, "output"), tuple(t["colors"]))
 
 
 def _sst_transition(t: dict, target: State) -> SstTransition:

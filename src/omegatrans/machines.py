@@ -399,17 +399,21 @@ def drop_left_end_into_initial(machine: TwoWayParityTransducer) -> TwoWayParityT
     return replace(machine, transitions=transitions)
 
 
-# Letters ``drop_untakeable`` remembers on each side of the head.  Over the
-# det2rev corpus (generate_two_way seeds 0-29, n=7, |Σ|=3) the substitution
-# streams keep 19,892 of 25,254 transitions at W=2, in about 0.1 s on a
-# 2-vCPU machine, and the outputs 102,947 of 134,445.  W=3 keeps 19,391 and
-# 100,140 at over twice the cost.
+# Letters ``walk_takeable`` remembers on each side of the head.  On the
+# det2rev corpus (generate_two_way seeds 0-29, n=7, |Σ|=3) W=2 keeps 102,947
+# of the outputs' 134,445 transitions; W=3 keeps 100,140 at twice the cost.
 WINDOW = 2
 
 
-@collector_paused
-def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
-    """The machine restricted to the transitions some run can take.
+def walk_takeable(sigma: int, move) -> None:
+    """Ask ``move`` for every move some run can take, each exactly once.
+
+    States are numbers: 0 is the initial state, forward as in every valid
+    machine, and the caller numbers the others 1, 2, ... as ``move`` first
+    returns them.  Letters are codes: the alphabet's ``sigma`` letters in
+    order, then the endmarker.  ``move(i, c)`` is called the first time
+    some configuration in state i reads letter c; it returns the target's
+    number and polarity, or None when the move is undefined.
 
     A depth-first walk over abstract configurations: the state and the
     ``WINDOW`` letters on each side of the head, where a letter not read
@@ -419,34 +423,23 @@ def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     on the left also over the endmarker.  Moves shift the window as
     ``advance`` moves the head, and a letter once read stays known while it
     is in the window.  Every real configuration maps onto an explored one,
-    so every run takes only kept transitions and runs as before; a subset
-    of a reversible map is reversible.
-
-    States are kept when they are initial or end a kept transition, in
-    declaration order; names, records, ``k`` and ``ell`` stay as they are.
+    so a run takes only moves ``move`` was asked for, and a machine of just
+    those moves runs as before; a subset of a reversible map is reversible.
     """
-    require_two_way(machine, "drop_untakeable")
-    states = machine.states
-    index = {s: i for i, s in enumerate(states)}
-    forward = [s.forward for s in states]
-    sigma = len(machine.input_alphabet)
-    # Letter codes: the alphabet in order, then the endmarker, an unknown
-    # letter and a position left of the endmarker.  A window is a number in
-    # base B, the slot next to the head least significant.
+    # Letter codes past the endmarker: an unknown letter and a position
+    # left of the endmarker.  A window is a number in base B, the slot next
+    # to the head least significant.
     end, unknown, gone = sigma, sigma + 1, sigma + 2
     base = sigma + 3
     span = base**WINDOW
     far = base ** (WINDOW - 1)
-    code = {a: c for c, a in enumerate((*machine.input_alphabet, LEFT_END))}
-    records = list(machine.transitions.items())
-    moves: list[list] = [[None] * (sigma + 1) for _ in states]  # by letter code
-    for t, ((src, a), tr) in enumerate(records):
-        moves[index[src]][code[a]] = (t, index[tr.target], tr.target.forward)
-    used = bytearray(len(records))
+    unasked = object()
+    polarity = [True]
+    moves = [[unasked] * (sigma + 1)]  # by state, then letter code
 
     at_start = end + sum(gone * base**s for s in range(1, WINDOW))
     nothing_read = sum(unknown * base**s for s in range(WINDOW))
-    start = (index[machine.initial] * span + at_start) * span + nothing_read
+    start = at_start * span + nothing_read
     seen = {start}
     stack = [start]
     letters = range(sigma)
@@ -455,7 +448,7 @@ def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
         rest, right = divmod(stack.pop(), span)
         i, left = divmod(rest, span)
         row = moves[i]
-        ahead = forward[i]
+        ahead = polarity[i]
         if ahead:
             read = right % base
             options = letters if read == unknown else (read,)
@@ -463,11 +456,15 @@ def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
             read = left % base
             options = letters_or_end if read == unknown else (read,)
         for c in options:
-            move = row[c]
-            if move is None:
+            step = row[c]
+            if step is unasked:
+                step = row[c] = move(i, c)
+                if step is not None and step[0] == len(moves):
+                    moves.append([unasked] * (sigma + 1))
+                    polarity.append(step[1])
+            if step is None:
                 continue
-            t, j, to_forward = move
-            used[t] = 1
+            j, to_forward = step
             if ahead and to_forward:  # one step right
                 new_left, new_right = (left * base + c) % span, right // base + unknown * far
             elif ahead:  # turn in place
@@ -483,15 +480,6 @@ def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
             if config not in seen:
                 seen.add(config)
                 stack.append(config)
-
-    transitions = {key: tr for t, (key, tr) in enumerate(records) if used[t]}
-    alive = {machine.initial}
-    for (src, _), tr in transitions.items():
-        alive.add(src)
-        alive.add(tr.target)
-    return replace(
-        machine, states=tuple(s for s in states if s in alive), transitions=transitions
-    )
 
 
 def unique_names(names: Iterable[str]) -> list[str]:

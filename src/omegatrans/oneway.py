@@ -7,9 +7,9 @@ travels above that run, one below.  States pair two tagged copies of the
 base state set; a tag records whether the head sits above or below the
 state's branch.  Mixed tags move forward, equal tags move backward, and
 the machine produces output (and the real colors) exactly on the diagonal
-states, where both heads pin the same base state.  The outline explores the
-state graph, where any letter may follow any state; the result keeps only
-the moves a run can take (``machines.drop_untakeable``).
+states, where both heads pin the same base state.  The outline is not
+walked on its own: ``machines.walk_takeable`` asks for the outline steps a
+run can take, and only those become states and transitions.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .machines import (
     TwoWayParityTransducer,
     WrongMachineKind,
     collector_paused,
-    drop_untakeable,
     max_colors,
     require_two_way,
     unique_names,
     validate_one_way,
+    walk_takeable,
 )
 
 UNDER = "u"  # head travels above the state
@@ -71,10 +71,10 @@ def _outline_step(src: tuple, row) -> Optional[tuple]:
 def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Reversible two-way machine computing the same function.
 
-    Only states reachable from the initial pair are emitted; the result has
-    at most 4·n² states for n input states and keeps k and the color bound.
-    Last, ``drop_untakeable`` keeps only the transitions some run can take,
-    and the states they leave or enter.
+    One walk builds the result: ``walk_takeable`` asks for each (pair,
+    letter) move some run can take, pairs are numbered as the walk finds
+    them, and no other move is built.  The result has at most 4·n² states
+    for n input states and keeps k and the color bound.
     """
     require_two_way(machine, "one_way_to_reversible")
     if not validate_one_way(machine):
@@ -110,41 +110,41 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     # preimage is never followed.
     stop = [-1] * n
     stop[initial] = initial
-    end_row = (LEFT_END, None, None, None, None, stop, stop)
+    rows.append((LEFT_END, None, None, None, None, stop, stop))  # by letter code
 
-    letter_rows = (rows + [end_row], rows)  # indexed by polarity
-    global_max = max_colors(machine)
-    initial_pair = (UNDER, initial, OVER, initial)
-    seen = {initial_pair: 0}
-    discovered = [initial_pair]
+    pairs = [(UNDER, initial, OVER, initial)]
+    number = {pairs[0]: 0}
     edges: list[tuple[int, object, int, Optional[Transition]]] = []
-    for i, src in enumerate(discovered):  # breadth first: grows while read
-        t1, p, t2, q = src
+
+    def move(i: int, c: int) -> Optional[tuple[int, bool]]:
+        t1, p, t2, q = src = pairs[i]
+        row = rows[c]
+        tgt = _outline_step(src, row)
+        if tgt is None:
+            return None
+        x1, b1, x2, b2 = tgt
+        if x1 == x2 and b1 == b2:
+            # The heads would land on the same side of the same branch.
+            # They sandwich the surviving run, so this only happens once
+            # the input is doomed; leaving the transition undefined
+            # rejects by sticking.
+            return None
+        j = number.setdefault(tgt, len(pairs))
+        if j == len(pairs):
+            pairs.append(tgt)
         diagonal = t1 == UNDER and t2 == OVER and p == q
-        for row in letter_rows[t1 != t2]:
-            tgt = _outline_step(src, row)
-            if tgt is None:
-                continue
-            x1, b1, x2, b2 = tgt
-            if x1 == x2 and b1 == b2:
-                # The heads would land on the same side of the same branch.
-                # They sandwich the surviving run, so this only happens once
-                # the input is doomed; leaving the transition undefined
-                # rejects by sticking.
-                continue
-            j = seen.setdefault(tgt, len(discovered))
-            if j == len(discovered):
-                discovered.append(tgt)
-            edges.append((i, row[0], j, row[1][p] if diagonal else None))
+        edges.append((i, row[0], j, row[1][p] if diagonal else None))
+        return j, x1 != x2
+
+    walk_takeable(len(machine.input_alphabet), move)
 
     mark = {UNDER: "_", OVER: "^"}
     names = unique_names(
-        f"{mark[t1]}{states[p].name}.{mark[t2]}{states[q].name}" for t1, p, t2, q in discovered
+        f"{mark[t1]}{states[p].name}.{mark[t2]}{states[q].name}" for t1, p, t2, q in pairs
     )
-    out_states = [
-        State(name, pair[0] != pair[2]) for pair, name in zip(discovered, names)
-    ]
+    out_states = [State(name, pair[0] != pair[2]) for pair, name in zip(pairs, names)]
 
+    global_max = max_colors(machine)
     transitions: dict = {}
     for i, a, j, base in edges:
         # Only diagonal states, where both heads pin one base state,
@@ -152,14 +152,12 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
         output, colors = ((), global_max) if base is None else (base.output, base.colors)
         transitions[(out_states[i], a)] = Transition(out_states[j], output, colors)
 
-    return drop_untakeable(
-        TwoWayParityTransducer(
-            input_alphabet=machine.input_alphabet,
-            output_alphabet=machine.output_alphabet,
-            states=tuple(out_states),
-            initial=out_states[0],
-            transitions=transitions,
-            k=machine.k,
-            ell=machine.ell,
-        )
+    return TwoWayParityTransducer(
+        input_alphabet=machine.input_alphabet,
+        output_alphabet=machine.output_alphabet,
+        states=tuple(out_states),
+        initial=out_states[0],
+        transitions=transitions,
+        k=machine.k,
+        ell=machine.ell,
     )

@@ -1,5 +1,6 @@
 """Shared checking helpers and reference constructions for the test modules."""
 
+import hashlib
 from dataclasses import replace
 from typing import Optional
 
@@ -7,7 +8,13 @@ from omegatrans.compose import run_on_finite
 from omegatrans.evaluate import eval_machine
 from omegatrans.io import loads_machine
 from omegatrans.lasso import lasso_equal
-from omegatrans.machines import LEFT_END, State, TwoWayParityTransducer, odd_sentinels
+from omegatrans.machines import (
+    LEFT_END,
+    State,
+    TwoWayParityTransducer,
+    odd_sentinels,
+    walk_takeable,
+)
 
 
 def load_machine(path):
@@ -84,6 +91,54 @@ def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer
         if src in reached and tr.target in reached
     }
     return replace(machine, states=states, transitions=transitions)
+
+
+def asked_moves(machine: TwoWayParityTransducer) -> list[tuple]:
+    """The (state, letter) keys ``walk_takeable`` asks ``machine`` for, one
+    per call to ``move``, in the order asked; undefined moves included."""
+    code = (*machine.input_alphabet, LEFT_END)
+    number = {machine.initial: 0}
+    found = [machine.initial]
+    asked = []
+
+    def move(i, c):
+        asked.append((found[i], code[c]))
+        tr = machine.transitions.get(asked[-1])
+        if tr is None:
+            return None
+        j = number.setdefault(tr.target, len(found))
+        if j == len(found):
+            found.append(tr.target)
+        return j, tr.target.forward
+
+    walk_takeable(len(machine.input_alphabet), move)
+    return asked
+
+
+def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
+    """The machine restricted to the transitions ``walk_takeable`` asks for,
+    and the states they leave or enter, in declaration order; names,
+    records, ``k`` and ``ell`` stay as they are."""
+    asked = set(asked_moves(machine))
+    transitions = {key: tr for key, tr in machine.transitions.items() if key in asked}
+    alive = {machine.initial, *(tr.target for tr in transitions.values())}
+    return replace(
+        machine, states=tuple(s for s in machine.states if s in alive), transitions=transitions
+    )
+
+
+def content_digest(machine: TwoWayParityTransducer) -> str:
+    """SHA-256 of what the machine is, whatever order its states and
+    transitions come in: the sorted (source, letter, target, output,
+    colors) rows, the sorted states with their polarity, the initial
+    state, ``k`` and ``ell``."""
+    rows = sorted(
+        repr((src.name, repr(a), tr.target.name, tr.output, tr.colors))
+        for (src, a), tr in machine.transitions.items()
+    )
+    states = sorted(repr(s) for s in machine.states)
+    head = repr((machine.initial, machine.k, machine.ell))
+    return hashlib.sha256("\n".join([head, *states, *rows]).encode()).hexdigest()
 
 
 def left_right_endpoint(machine: TwoWayParityTransducer, word: tuple):

@@ -15,8 +15,13 @@ from omegatrans.generate import generate_two_way
 from omegatrans.io import DocumentError, dumps_machine, loads_machine
 from omegatrans.lasso import enumerate_lassos
 from omegatrans.oneway import one_way_to_reversible
-from omegatrans.sst2rev import build_register_walker, sst_to_substitution_stream
-from support import check_two_stage
+from omegatrans.sst2rev import (
+    build_register_walker,
+    drop_dead_registers,
+    merge_equal_states,
+    sst_to_substitution_stream,
+)
+from support import check_two_stage, content_digest
 
 
 def source(seed):
@@ -35,19 +40,20 @@ def outputs():
 # --- pinned output ------------------------------------------------------------
 
 # SHA-256 of dumps_machine(dbt_to_rbt(m)) and the state count for
-# generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0).  A change
-# to how the conversion or the composition runs must keep these bytes.
+# generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0).  The bytes
+# fix the order of states and transitions as well as the machine; what the
+# machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
-    (0, 60, "9b83d846f77bc2da7b586c8af751f0c886871616ba2561414029b19a084f67fa"),
-    (1, 6924, "bab282295a19a57d119f545bec61893315bee0db94a99ae01a14746ddd5e24d0"),
-    (2, 75, "4e986196a3518c56822608bbd9528ce7feaff7322f81489416414bab0b555bac"),
-    (3, 119, "673cb162e29b672dffd3cb15af7618a71796f0cd66ca9c4107707759f5e6e09e"),
-    (4, 182, "77689eead9852a166a4126ef2edc49247a210cacccc3ee87209b85bcf2ce84ca"),
+    (0, 60, "49377cd9737aa02bc254a3dee80ff03d22f9aeb5af8f405c0edfd23ce49037ba"),
+    (1, 6924, "01e60ad78bde5162e89e3ddc128e999f81f479a878e26c4c51e6e18cbf4448b7"),
+    (2, 75, "9f73bf26903b7166066909a4903d4cf2d93106ed515f672c463fdd2573fe7cd2"),
+    (3, 119, "43e3cb687d772a06b5fd09961a1aa59c092ae335d01389ee98216f20748cfeee"),
+    (4, 182, "5c639fc3b021fee97439d463d1a3ea6056299a5d93c2dda69a36a91157bb70e1"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 6554, "f9b97453c77d71e7bfe2817ea1170b2bba46ed8e4a34d4e5a5bbebddb27e892d"),
-    (7, 47, "ae8cd8bcb214a3f9723a9cc6786b61c969af4119c50af9f7b70017d78906d2d3"),
-    (8, 1171, "0a118d58d49a52a7ec67f16a0c48af29c7ba4661c23221f04a7775dcd6d9531f"),
-    (9, 431, "e63a09e8dc521ae759fd49f0c564165d010865b070a740354fbdd1d68d355efc"),
+    (6, 6554, "9cc87e89b3d25b3cbe4136d86e2ef4c7351fb2c83390f0d9bdbed0368c3afcd7"),
+    (7, 47, "017fe26c25eeb8e59cf525976b12aaa496f2ebcf6a74f75f5178137b464e4f2a"),
+    (8, 1171, "a3ff7953275f76527a8d13fa741ae93193f40ee914b3268b24f1b6eb7658b3c5"),
+    (9, 431, "370ff697b330c02e52381787a7ab821d404807ddfcaf04640efa983eb921e072"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
 ]
@@ -62,13 +68,52 @@ def test_det2rev_outputs_are_pinned(outputs):
 def test_reachable_composition_of_outputs_is_pinned(outputs):
     composed = compose_reachable(outputs[7], outputs[4])
     assert (len(composed.states), len(composed.transitions)) == (8503, 13764)
-    assert digest(composed) == "1491bc75cdf7764b140a65cbd317435770bff12192b54d8c6c142493a33b95d7"
+    assert digest(composed) == "4b96e1a732b5e82afade0bf5e46b5a959392ac9621eb9381f07a3ccc3a0e0b26"
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
     composed = compose(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
-    assert digest(composed) == "b7c263f18d220b9e6417bb4919101c99733a737433cfa0c3bf5153fa72b45f60"
+    assert digest(composed) == "68c7041c446f719940c12b33d7910f5a447d07726611cc104ac2899f139a1c55"
+
+
+# content_digest of one_way_to_reversible of the substitution stream that
+# dbt_to_rbt makes reversible, then of dbt_to_rbt itself, for the same
+# sources.  A change that only reorders states or transitions keeps these.
+PINNED_CONTENT = [
+    (0, "2805a7e18d40a11cd578b6b69e5fc91ba6f866fb0b9e0c0efe1d3a9a4832088c",
+        "53c43a6155ac7c00b1ce588286f04838fe68206a46272e9cb33a2a41db90440b"),
+    (1, "069250720125aa35d1c81778d0d7ae270fcdcdd15b06b526aacf7853961f33f9",
+        "752c98bb8627e4930abd3a43941e111861a82d3823ef2b11564abb685ae7d66e"),
+    (2, "7c948dabe89db6981f461a0200f19e620195f0c6b9cfb5c9191f7228438ac42f",
+        "a1171dfa40ce0982cb9ef523121dfaa3eb0e8c0c833fa8be0ae5a9c73d68cd2f"),
+    (3, "87979bfb0a99688f89ee9e6352e576b5ef5df7aeb3b4962665e30c590a9be59a",
+        "508a64e8051de096e5d780220da96a14f68fb2e17aa980ec26aef0dfbdb37e19"),
+    (4, "55c46da7b55746a63ef2ddedf0c3554bf1ec127a2258f5cbd1a03adcd743abd3",
+        "aa6365e6414cf85e7694221ee5009d40ed25aa6da6bb28c83fef64278b9ed5bf"),
+    (5, "b3e12c032597073b82541a827f105c3801839a62d727d7fd58b8d50f43c59761",
+        "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
+    (6, "7b6f3dfce3bb452f15e7d88b429ccaa4526a262ed6a5469b97395f5c752a62ac",
+        "1d19b8990de61e8b1432b1c67532d34d2e651b1fc302f106ed7b7d41baefd7bc"),
+    (7, "9dfb7df6e9044fe747ca871c89547ff32c77994362d267ca7d143ffcd6a8df6e",
+        "0d8acc5408fe9f77b627a3cabcbe4b0d23d53ac553a923f4671c3d911bc1a59f"),
+    (8, "212309becd89c0b31bd0c81cef2f16b06f334733a68f7c21b205f5b111e44152",
+        "a666bc2b71afd9bc73db4985df5aa3f13368e134e744b34bee5ca0bf315f9ebb"),
+    (9, "8695b2c265284c485dad8004a0d579b17f3820f52d46fbeafe9ed3a66c39e92b",
+        "428be2a699b70f487f5b45342cdf9747ed8d10f558217fa2a0839ef24d8ccd9f"),
+    (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",
+        "abf1ca8f0fd43487bf644ba0bb761c1c35759edf2e658f68f855ecbfb480d079"),
+    (11, "79671bd0a421ba1345b3e6bbf5fc281c3b68e1665115f7fb746cf56b91865fb8",
+        "1a8a3bd7449921b7bda593580dfe3df444d89879c360f12e2aa892923c17e946"),
+]
+
+
+def test_det2rev_content_is_pinned(outputs):
+    for seed, stream_digest, output_digest in PINNED_CONTENT:
+        sst = merge_equal_states(drop_dead_registers(two_way_to_sst(source(seed))))
+        stream = one_way_to_reversible(sst_to_substitution_stream(sst))
+        assert content_digest(stream) == stream_digest, seed
+        assert content_digest(outputs[seed]) == output_digest, seed
 
 
 # --- two-stage agreement ------------------------------------------------------

@@ -327,6 +327,34 @@ def _one_state_one_way(k, ell, copies):
     return malform
 
 
+def _worded_polarity(rbt_doc, sst_doc):
+    rbt_doc["states"][1]["polarity"] = "forward"
+    return rbt_doc
+
+
+def _string_output(rbt_doc, sst_doc):
+    rbt_doc["transitions"][0]["output"] = "ab"
+    return rbt_doc
+
+
+_string_input_alphabet, _string_output_alphabet = (
+    _with_field("input_alphabet", "ab#"),
+    _with_field("output_alphabet", "ab#"),
+)
+
+
+def _string_registers(rbt_doc, sst_doc):
+    """A one-register machine, appending ``a`` to ``o``, whose one-letter
+    register name is written as a bare string."""
+    append = {"from": "q", "letter": "a", "to": "q", "colors": [0],
+              "update": {"o": [{"reg": "o"}, {"sym": "a"}]}}
+    return {
+        "kind": "cpsst", "input_alphabet": ["a"], "output_alphabet": ["a"],
+        "states": [{"name": "q", "polarity": "+"}], "initial": "q",
+        "registers": "o", "out": "o", "k": 1, "ell": 1, "transitions": [append],
+    }
+
+
 _zero_k_and_ell, _negative_ell, _negative_k = (
     _one_state_one_way(0, 0, 1),
     _one_state_one_way(0, -5, 1),
@@ -352,6 +380,11 @@ _MESSAGES = {
     _foreign_output_symbol: lambda doc: "output letter 'z' not in the output alphabet",
     _out_in_other_image: lambda doc: "'out' appears in the image of 'X'",
     _repeated_state_name: lambda doc: "state names are not unique",
+    _worded_polarity: lambda doc: "polarity must be '+' or '-', got 'forward'",
+    _string_output: lambda doc: "output must be a JSON list, got 'ab'",
+    _string_input_alphabet: lambda doc: "input_alphabet must be a JSON list",
+    _string_output_alphabet: lambda doc: "output_alphabet must be a JSON list",
+    _string_registers: lambda doc: "registers must be a JSON list",
     **dict.fromkeys(
         (_fractional_k, _string_k, _boolean_k, _fractional_ell),
         lambda doc: "k and ell must be integers",
@@ -384,6 +417,11 @@ _MESSAGES = {
         _zero_k_and_ell,
         _negative_ell,
         _negative_k,
+        _worded_polarity,
+        _string_output,
+        _string_input_alphabet,
+        _string_output_alphabet,
+        _string_registers,
     ],
     ids=[
         "no-initial",
@@ -405,6 +443,11 @@ _MESSAGES = {
         "zero-k-and-ell",
         "negative-ell",
         "negative-k",
+        "worded-polarity",
+        "string-output",
+        "string-input-alphabet",
+        "string-output-alphabet",
+        "string-registers",
     ],
 )
 def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):

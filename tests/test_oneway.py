@@ -2,7 +2,6 @@ from random import Random
 
 import pytest
 
-from omegatrans import oneway
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.evaluate import (
     _run_table,
@@ -19,13 +18,12 @@ from omegatrans.machines import (
     Transition,
     TwoWayParityTransducer,
     WrongMachineKind,
-    drop_untakeable,
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, sst_to_substitution_stream
 from builtin import identity_transducer
-from support import abv
+from support import abv, asked_moves, drop_untakeable
 
 
 def lw(prefix, period):
@@ -141,40 +139,45 @@ def test_order_preservation_on_random_corpus(lassos_ab):
 # --- only the moves a run can take ---------------------------------------------
 
 
-def untrimmed(machine):
-    """``one_way_to_reversible`` without its last step, ``drop_untakeable``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oneway, "drop_untakeable", lambda built: built)
-        return one_way_to_reversible(machine)
+@pytest.fixture(scope="module")
+def one_way_corpus():
+    """The substitution streams of det2rev corpus seeds 0-11 and the one-way
+    machine of ``gen --seed 3 --n 7 --kind 1dpt --alphabet-size 3``."""
+    sources = []
+    for seed in range(12):
+        sst = two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
+        sources.append(sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst))))
+    sources.append(generate_machine("1dpt", 3, 7, alphabet_size=3))
+    return sources
 
 
 @pytest.fixture(scope="module")
 def trim_corpus():
-    """(one-way source, its reversible machine before the trim) pairs: the
-    substitution streams of det2rev corpus seeds 0-11 and the one-way
-    machine of ``gen --seed 3 --n 7 --kind 1dpt --alphabet-size 3``."""
-    pairs = []
-    for seed in range(12):
-        sst = two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
-        stream = sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst)))
-        pairs.append((stream, untrimmed(stream)))
-    one_way = generate_machine("1dpt", 3, 7, alphabet_size=3)
-    pairs.append((one_way, untrimmed(one_way)))
-    return pairs
+    """Two-way machines that lose moves when walked: the det2rev outputs of
+    seeds 0, 2 and 3, which are compositions and so reversible, then two
+    generated two-way machines, which are not."""
+    outputs = [
+        dbt_to_rbt(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
+        for seed in (0, 2, 3)
+    ]
+    sources = [
+        generate_two_way(3, 7, 1, 2, alphabet_size=3, density=1.0),
+        generate_machine("2dpt", 0, 5, alphabet_size=2),
+    ]
+    return outputs + sources
 
 
-def test_one_way_to_reversible_ends_with_the_trim(trim_corpus):
-    for source, built in trim_corpus:
-        assert one_way_to_reversible(source) == drop_untakeable(built)
+def test_walking_the_output_again_keeps_every_move(one_way_corpus):
+    for source in one_way_corpus:
+        rev = one_way_to_reversible(source)
+        assert drop_untakeable(rev) == rev
 
 
 def test_every_move_a_run_takes_is_kept(trim_corpus):
     """Moves the oracle compiles are the moves its runs took.  Run on the
-    untrimmed machine, they must all be kept; the seed-2 stream and the
-    one-way machine's output lose transitions, so the check has teeth.
-    The det2rev output, a composition, is checked the same way."""
-    det2rev = dbt_to_rbt(generate_two_way(2, 7, 1, 2, alphabet_size=3, density=1.0))
-    for machine in (trim_corpus[2][1], trim_corpus[-1][1], det2rev):
+    machine itself, they must all be kept; each machine loses transitions,
+    so the check has teeth."""
+    for machine in trim_corpus:
         kept = drop_untakeable(machine).transitions
         assert len(kept) < len(machine.transitions)
         for w in random_lassos(machine.input_alphabet, 1000, Random(7), 10, 6):
@@ -185,22 +188,22 @@ def test_every_move_a_run_takes_is_kept(trim_corpus):
 
 
 def test_trimming_twice_equals_trimming_once(trim_corpus):
-    for _, built in trim_corpus:
-        once = drop_untakeable(built)
+    for machine in trim_corpus:
+        once = drop_untakeable(machine)
         assert drop_untakeable(once) == once
 
 
 def test_trim_keeps_reversibility_initial_state_k_and_ell(trim_corpus):
-    for _, built in trim_corpus:
-        trimmed = drop_untakeable(built)
-        assert validate_reversible(trimmed)
-        assert trimmed.initial == built.initial and trimmed.initial in trimmed.states
-        assert (trimmed.k, trimmed.ell) == (built.k, built.ell)
-        assert set(trimmed.transitions.items()) <= set(built.transitions.items())
+    for machine in trim_corpus:
+        trimmed = drop_untakeable(machine)
+        assert validate_reversible(trimmed) == validate_reversible(machine)
+        assert trimmed.initial == machine.initial and trimmed.initial in trimmed.states
+        assert (trimmed.k, trimmed.ell) == (machine.k, machine.ell)
+        assert set(trimmed.transitions.items()) <= set(machine.transitions.items())
 
 
-def test_trimmed_machine_agrees_with_its_source(trim_corpus):
-    for source, _ in trim_corpus:
+def test_trimmed_machine_agrees_with_its_source(one_way_corpus):
+    for source in one_way_corpus:
         lassos = enumerate_lassos(source.input_alphabet, 2, 3)
         report = equiv_on_lassos(source, one_way_to_reversible(source), lassos, require_class=True)
         assert report.disagreements == [] and report.inconclusive == []
@@ -214,17 +217,28 @@ def _machine(states, initial, moves):
     )
 
 
+P, P2, Q, R, R2 = (State(name, name != "q") for name in ("p", "p2", "q", "r", "r2"))
+# p reads a at position 0 and steps on; q turns back and reads that a again.
+CONTRADICTED = [(P, "a", P2), (P2, "a", Q), (P2, "b", Q), (Q, "a", R), (Q, "b", R2)]
+CONTRADICTED += [(s, a, s) for s in (R, R2) for a in "ab"]
+
+
 def test_backward_move_contradicting_the_forward_read_is_dropped():
-    """p reads a at position 0 and steps on; q turns back and reads that a
-    again, so its move on b, and the state r2 only it reaches, go."""
-    p, p2, r, r2 = (State(name, True) for name in ("p", "p2", "r", "r2"))
-    q = State("q", False)
-    moves = [(p, "a", p2), (p2, "a", q), (p2, "b", q), (q, "a", r), (q, "b", r2)]
-    moves += [(s, a, s) for s in (r, r2) for a in "ab"]
-    machine = _machine((p, p2, q, r, r2), p, moves)
+    """q's move on b, and the state r2 only it reaches, go."""
+    machine = _machine((P, P2, Q, R, R2), P, CONTRADICTED)
     assert drop_untakeable(machine) == _machine(
-        (p, p2, q, r), p, [m for m in moves if m[:2] != (q, "b") and m[0] != r2]
+        (P, P2, Q, R), P, [m for m in CONTRADICTED if m[:2] != (Q, "b") and m[0] != R2]
     )
+
+
+def test_the_walk_asks_for_each_move_once():
+    """r reads a in several configurations, with the letter known and
+    unknown, but each (state, letter) is asked for once; q is never asked
+    for b, and r2 is never reached."""
+    machine = _machine((P, P2, Q, R, R2), P, CONTRADICTED)
+    asked = asked_moves(machine)
+    assert len(asked) == len(set(asked))
+    assert set(asked) == {(s, a) for s in (P, P2, R) for a in "ab"} | {(Q, "a")}
 
 
 def test_endmarker_reached_only_through_an_unknown_letter_is_kept():
