@@ -32,7 +32,7 @@ from .evaluate import (
     eval_sst,
     equiv_on_lassos,
 )
-from .compose import FiniteRunSummary, run_on_finite, compose, compose_reachable
+from .compose import FiniteRunSummary, run_on_finite, compose_reachable
 from .oneway import one_way_to_reversible
 from .forests import two_way_to_sst, StateExplosion
 from .sst2rev import sst_to_substitution_stream, build_register_walker, sst_to_reversible
@@ -63,7 +63,6 @@ __all__ = [
     "equiv_on_lassos",
     "FiniteRunSummary",
     "run_on_finite",
-    "compose",
     "compose_reachable",
     "one_way_to_reversible",
     "two_way_to_sst",

@@ -6,6 +6,9 @@ machine's production), the first machine is simulated forward; when it
 moves backward, the first machine's run is rewound co-deterministically.
 Each composed transition consumes one transition of the first machine and
 runs the second machine across that transition's finite production.
+``compose_reachable`` builds only the pairs reachable from the initial
+pair; the full |Q|·|P| product is only the tests' reference
+(``full_product`` in ``tests/support.py``).
 """
 
 from __future__ import annotations
@@ -96,37 +99,19 @@ def run_on_finite(
         state = tr.target
 
 
-def compose(
-    first: TwoWayParityTransducer, second: TwoWayParityTransducer
-) -> TwoWayParityTransducer:
-    """Composition running ``first`` and piping its output into ``second``.
-
-    Both machines must be reversible and second's input alphabet must match
-    first's output alphabet.  The result has exactly |Q|·|P| states (junk
-    pairs included; ``compose_reachable`` builds only the pairs reachable
-    from the initial pair), k1 + k2 colorings, and is itself reversible.
-    """
-    return _product(first, second, [(q, p) for q in first.states for p in second.states])
-
-
+@collector_paused
 def compose_reachable(
     first: TwoWayParityTransducer, second: TwoWayParityTransducer
 ) -> TwoWayParityTransducer:
-    """``compose`` restricted to the pairs reachable from the initial pair.
+    """Composition running ``first`` and piping its output into ``second``,
+    over the pairs reachable from the initial pair.
 
-    States, their names and order, and transitions equal those of
-    ``prune_unreachable(compose(first, second))``, the reference the tests
-    keep; ``ell`` is one above the largest color the kept transitions use,
-    so it may be smaller.
-    """
-    return _product(first, second, [(first.initial, second.initial)])
-
-
-@collector_paused
-def _product(first, second, seeds) -> TwoWayParityTransducer:
-    """The product over the pairs reachable from ``seeds``, explored by
-    worklist and emitted in Q×P declaration order under the names the full
-    product would give them.
+    Both machines must be reversible and second's input alphabet must match
+    first's output alphabet.  The result has k1 + k2 colorings, is itself
+    reversible, and has at most |Q|·|P| states.  Pairs are explored by
+    worklist and emitted in Q×P declaration order, under the names
+    ``unique_names`` gives all Q×P "q.p" names; ``ell`` is one above the
+    largest color the built transitions use.
 
     States are numbered by declaration order and a pair by its position in
     Q×P.  Each distinct production word of the first machine is numbered
@@ -206,8 +191,8 @@ def _product(first, second, seeds) -> TwoWayParityTransducer:
             frontier.append(i)
         return state
 
-    for q, p in seeds:
-        reach(first_index[q] * width + second_index[p])
+    start = initial * width + second_index[second.initial]
+    reach(start)
     while frontier:
         i = frontier.pop()
         qi, pj = divmod(i, width)
@@ -255,7 +240,7 @@ def _product(first, second, seeds) -> TwoWayParityTransducer:
         input_alphabet=first.input_alphabet,
         output_alphabet=second.output_alphabet,
         states=tuple(reached[i] for i in emitted),
-        initial=reached[initial * width + second_index[second.initial]],
+        initial=reached[start],
         transitions=transitions,
         k=first.k + second.k,
         ell=ell,

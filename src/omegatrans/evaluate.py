@@ -176,6 +176,18 @@ def _run(machine, word: LassoWord, max_steps: int):
     configuration (state index, position) to the step that first reached
     it, in order; ``moves[t]`` is the compiled move from configuration t
     to configuration t + 1.
+
+    On a canonical lasso u·v^ω every run is classified within
+    |Q|·(|u| + |Q|·|v| + 2) steps, so a smaller ``max_steps`` is the only
+    way to get ``BUDGET_EXCEEDED``:
+
+    1. No configuration repeats, or ``REJECTED_LOOP`` fires.
+    2. Between two dips of the read position into the prefix, each new
+       rightmost position is reached by a forward state.
+    3. Two such arrivals with the same (state, position mod |v|) fire
+       ``SHIFT_LOOP``.
+    4. So the head never passes |u| + 1 + |Q|·|v|, which leaves
+       |Q|·(|u| + |Q|·|v| + 2) configurations to visit.
     """
     table = _run_table(machine)
     rows, back = table.rows, table.back

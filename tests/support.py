@@ -11,8 +11,11 @@ from omegatrans.lasso import lasso_equal
 from omegatrans.machines import (
     LEFT_END,
     State,
+    Transition,
     TwoWayParityTransducer,
+    drop_left_end_into_initial,
     odd_sentinels,
+    unique_names,
     walk_takeable,
 )
 
@@ -70,9 +73,64 @@ def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
     return None
 
 
+def full_product(first, second) -> TwoWayParityTransducer:
+    """The composition of ``first`` then ``second`` over all |Q|·|P| pairs,
+    straight from the definition: the reference ``compose_reachable`` is
+    checked against, once pruned to the reachable pairs.
+
+    A pair (q, p) is forward when q and p have the same polarity.  On each
+    letter, a forward p steps ``first`` forward from q, and a backward p
+    rewinds the unique move of ``first`` into q; ``second`` then runs from p
+    across that move's output, and the side it leaves on says whether
+    ``first`` stands after the move or before it.  With ``first`` fully
+    rewound (q initial), a backward p reads ``second``'s own endmarker.
+    Endmarker moves into an initial state are dropped first: they would
+    revisit the initial configuration.
+    """
+    first = drop_left_end_into_initial(first)
+    second = drop_left_end_into_initial(second)
+    pairs = [(q, p) for q in first.states for p in second.states]
+    names = unique_names(f"{q.name}.{p.name}" for q, p in pairs)
+    state = {
+        (q, p): State(name, q.forward == p.forward) for (q, p), name in zip(pairs, names)
+    }
+    # (before, move, after), by the state it leaves and by the state it enters
+    out_of, into = {}, {}
+    for (src, a), tr in first.transitions.items():
+        out_of[src, a] = into[tr.target, a] = (src, tr, tr.target)
+    transitions = {}
+    for q, p in pairs:
+        for a in (*first.input_alphabet, LEFT_END):
+            move = (out_of if p.forward else into).get((q, a))
+            if move is None:
+                continue
+            before, tr, after = move
+            run = run_on_finite(second, tr.output, p)
+            if isinstance(run.exit, State):
+                target = (after if run.exit.forward else before, run.exit)
+                transitions[(state[q, p], a)] = Transition(
+                    state[target], run.production, tr.colors + run.min_colors
+                )
+        end = second.transitions.get((p, LEFT_END))
+        if q == first.initial and not p.forward and end is not None:
+            transitions[(state[q, p], LEFT_END)] = Transition(
+                state[first.initial, end.target], end.output, odd_sentinels(first) + end.colors
+            )
+    return TwoWayParityTransducer(
+        input_alphabet=first.input_alphabet,
+        output_alphabet=second.output_alphabet,
+        states=tuple(state.values()),
+        initial=state[first.initial, second.initial],
+        transitions=transitions,
+        k=first.k + second.k,
+        ell=1 + max((c for tr in transitions.values() for c in tr.colors), default=0),
+    )
+
+
 def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Restrict to states reachable from the initial state in the transition
-    graph: the reference ``compose_reachable`` is checked against."""
+    graph; ``prune_unreachable(full_product(a, b))`` is the reference
+    ``compose_reachable(a, b)`` is checked against (up to ``ell``)."""
     succ: dict[State, list[State]] = {}
     for (src, _), tr in machine.transitions.items():
         succ.setdefault(src, []).append(tr.target)

@@ -6,11 +6,12 @@ lines and timings.
 
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, marking_from_colors
-from omegatrans.compose import compose
+from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_one_way, generate_two_way
@@ -22,7 +23,12 @@ from builtin import (
     finitely_many_a_identity,
     map_copy_reverse_rbt,
 )
-from support import check_forest_against_runs, check_two_stage
+from support import (
+    check_forest_against_runs,
+    check_two_stage,
+    full_product,
+    prune_unreachable,
+)
 
 
 def lw(prefix, period):
@@ -141,8 +147,9 @@ def test_criterion_4_composition_suite(reversible_pool, lassos_ab):
     for i in range(100):
         first = reversible_pool[(2 * i) % len(reversible_pool)][1]
         second = reversible_pool[(2 * i + 1) % len(reversible_pool)][1]
-        composed = compose(first, second)
-        if len(composed.states) != len(first.states) * len(second.states):
+        composed = compose_reachable(first, second)
+        pruned = prune_unreachable(full_product(first, second))
+        if composed != replace(pruned, ell=composed.ell):
             failures += 1
             continue
         if not validate_reversible(composed):

@@ -8,7 +8,6 @@ from omegatrans.compose import (
     AlphabetMismatch,
     FiniteRunSummary,
     NotReversible,
-    compose,
     compose_reachable,
     run_on_finite,
 )
@@ -21,13 +20,12 @@ from omegatrans.machines import (
     TwoWayParityTransducer,
     WrongMachineKind,
     odd_sentinels,
-    unique_names,
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.generate import generate_one_way
 from builtin import identity_transducer, map_copy_reverse_rbt
-from support import check_two_stage, prune_unreachable
+from support import check_two_stage, full_product, prune_unreachable
 
 
 def lw(prefix, period):
@@ -101,15 +99,14 @@ def test_run_on_prefix_word_bounces_off_the_endmarker(mcr_rbt):
 
 def test_compose_requires_matching_alphabets(mcr_rbt, identity_ab):
     with pytest.raises(AlphabetMismatch):
-        compose(identity_ab, mcr_rbt)
+        compose_reachable(identity_ab, mcr_rbt)
 
 
-@pytest.mark.parametrize("build", [compose, compose_reachable])
-def test_compose_rejects_register_machines(build, mcr_rbt, mcr_sst):
+def test_compose_rejects_register_machines(mcr_rbt, mcr_sst):
     with pytest.raises(WrongMachineKind):
-        build(mcr_sst, mcr_rbt)
+        compose_reachable(mcr_sst, mcr_rbt)
     with pytest.raises(WrongMachineKind):
-        build(mcr_rbt, mcr_sst)
+        compose_reachable(mcr_rbt, mcr_sst)
 
 
 def test_compose_requires_reversible(identity_ab):
@@ -128,35 +125,35 @@ def test_compose_requires_reversible(identity_ab):
         ell=1,
     )
     with pytest.raises(NotReversible):
-        compose(merging, identity_ab)
+        compose_reachable(merging, identity_ab)
 
 
 def test_identity_is_neutral(mcr_rbt, lassos_ab_hash):
     ident = identity_transducer("ab#")
-    left = compose(ident, mcr_rbt)
-    right = compose(mcr_rbt, ident)
+    left = compose_reachable(ident, mcr_rbt)
+    right = compose_reachable(mcr_rbt, ident)
     assert validate_reversible(left) and validate_reversible(right)
     assert equiv_on_lassos(left, mcr_rbt, lassos_ab_hash).ok
     assert equiv_on_lassos(right, mcr_rbt, lassos_ab_hash).ok
 
 
 def test_compose_mcr_twice(mcr_rbt):
-    twice = compose(mcr_rbt, mcr_rbt)
+    twice = compose_reachable(mcr_rbt, mcr_rbt)
     out = eval_two_way(twice, lw("", "ab#"))
     assert out.output == lw("", "ab#ba#ba#ab#")
 
 
 def test_state_count_is_full_product(mcr_rbt):
     ident = identity_transducer("ab#")
-    assert len(compose(mcr_rbt, mcr_rbt).states) == 9
-    assert len(compose(ident, mcr_rbt).states) == 3
-    assert compose(mcr_rbt, mcr_rbt).k == mcr_rbt.k * 2
+    assert len(full_product(mcr_rbt, mcr_rbt).states) == 9
+    assert len(full_product(ident, mcr_rbt).states) == 3
+    assert full_product(mcr_rbt, mcr_rbt).k == mcr_rbt.k * 2
 
 
 def test_empty_production_keeps_sentinel_colors(mcr_rbt):
     """Composed transitions whose intermediate chunk is empty carry the
     second machine's odd sentinel in the second color block."""
-    twice = compose(mcr_rbt, mcr_rbt)
+    twice = compose_reachable(mcr_rbt, mcr_rbt)
     sentinel = odd_sentinels(mcr_rbt)[0]
     found = False
     for (src, letter), tr in twice.transitions.items():
@@ -168,7 +165,7 @@ def test_empty_production_keeps_sentinel_colors(mcr_rbt):
 
 
 def test_two_stage_agreement_mcr(mcr_rbt, lassos_ab_hash):
-    twice = compose(mcr_rbt, mcr_rbt)
+    twice = compose_reachable(mcr_rbt, mcr_rbt)
     failures, inconclusive = check_two_stage(mcr_rbt, mcr_rbt, twice, lassos_ab_hash)
     assert failures == []
     assert inconclusive <= len(lassos_ab_hash) // 20
@@ -178,9 +175,10 @@ def test_two_stage_agreement_random_pairs(lassos_ab):
     for seed in range(12):
         first = one_way_to_reversible(generate_one_way(2 * seed, n=3, k=1, ell=2))
         second = one_way_to_reversible(generate_one_way(2 * seed + 1, n=3, k=1, ell=2))
-        composed = compose(first, second)
+        composed = compose_reachable(first, second)
         assert validate_reversible(composed)
-        assert len(composed.states) == len(first.states) * len(second.states)
+        pruned = prune_unreachable(full_product(first, second))
+        assert composed == replace(pruned, ell=composed.ell), seed
         failures, _ = check_two_stage(first, second, composed, lassos_ab)
         assert failures == [], (seed, failures[:3])
 
@@ -203,12 +201,9 @@ def test_colliding_pair_names_get_the_full_product_names(mcr_rbt):
     """"a" + "." + "b.c" and "a.b" + "." + "c" spell the same name."""
     first = _renamed(mcr_rbt, ["a", "a.b", "z"])
     second = _renamed(mcr_rbt, ["b.c", "c", "y"])
-    full = compose(first, second)
-    expected = unique_names(f"{q.name}.{p.name}" for q in first.states for p in second.states)
-    assert [s.name for s in full.states] == expected
-    assert "a.b.c~2" in expected
     reachable = compose_reachable(first, second)
-    pruned = prune_unreachable(full)
+    pruned = prune_unreachable(full_product(first, second))
+    assert "a.b.c~2" in [s.name for s in reachable.states]
     assert reachable.states == pruned.states
     assert reachable.transitions == pruned.transitions
 
@@ -216,6 +211,8 @@ def test_colliding_pair_names_get_the_full_product_names(mcr_rbt):
 def test_distinct_pair_names_are_formatted_directly(mcr_rbt):
     first = _renamed(mcr_rbt, ["a", "b.x", "c"])
     second = _renamed(mcr_rbt, ["c", "d.e", "f"])
-    names = [s.name for s in compose(first, second).states]
-    assert names == [f"{q.name}.{p.name}" for q in first.states for p in second.states]
-    assert len(set(names)) == len(names)
+    full = full_product(first, second)
+    assert [s.name for s in full.states] == [
+        f"{q.name}.{p.name}" for q in first.states for p in second.states
+    ]
+    assert compose_reachable(first, second).states == prune_unreachable(full).states

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from omegatrans.buchi import dbt_to_rbt
-from omegatrans.compose import _product, compose, compose_reachable
+from omegatrans.compose import compose_reachable
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_two_way
 from omegatrans.io import DocumentError, dumps_machine, loads_machine
@@ -21,7 +21,7 @@ from omegatrans.sst2rev import (
     merge_equal_states,
     sst_to_substitution_stream,
 )
-from support import check_two_stage, content_digest
+from support import check_two_stage, content_digest, full_product
 
 
 def source(seed):
@@ -72,7 +72,7 @@ def test_reachable_composition_of_outputs_is_pinned(outputs):
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
-    composed = compose(outputs[11], outputs[4])
+    composed = full_product(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
     assert digest(composed) == "68c7041c446f719940c12b33d7910f5a447d07726611cc104ac2899f139a1c55"
 
@@ -141,7 +141,7 @@ def stages():
     walker = build_register_walker(sst)
     return {
         "one_way_to_reversible": (one_way_to_reversible, (stream,)),
-        "_product": (_product, (rev, walker, [(rev.initial, walker.initial)])),
+        "compose_reachable": (compose_reachable, (rev, walker)),
         "loads_machine": (loads_machine, (dumps_machine(dbt_to_rbt(source(7))),)),
     }
 
@@ -158,7 +158,7 @@ def collector(enabled):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("builder", ["one_way_to_reversible", "_product", "loads_machine"])
+@pytest.mark.parametrize("builder", ["one_way_to_reversible", "compose_reachable", "loads_machine"])
 def test_paused_builders_restore_the_collector(stages, builder, enabled):
     build, args = stages[builder]
     with collector(enabled):
@@ -174,7 +174,7 @@ def test_failed_load_restores_the_collector(enabled):
         assert gc.isenabled() == enabled
 
 
-@pytest.mark.parametrize("builder", ["one_way_to_reversible", "_product", "loads_machine"])
+@pytest.mark.parametrize("builder", ["one_way_to_reversible", "compose_reachable", "loads_machine"])
 def test_paused_builders_leave_no_cyclic_garbage(stages, builder):
     """Pausing frees nothing later only while the builder makes no
     reference cycles."""

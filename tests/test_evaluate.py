@@ -17,6 +17,7 @@ from omegatrans.evaluate import (
     REJECTED_STUCK,
     Configuration,
     EvalBudget,
+    _run,
     eval_machine,
     eval_sst,
     eval_two_way,
@@ -24,7 +25,7 @@ from omegatrans.evaluate import (
     simulate_two_way,
     step_two_way,
 )
-from omegatrans.lasso import LassoWord, enumerate_lassos
+from omegatrans.lasso import LassoWord, enumerate_lassos, lasso_canonicalize
 from omegatrans.machines import (
     LEFT_END,
     State,
@@ -36,8 +37,9 @@ from omegatrans.machines import (
     reg,
     sym,
 )
+from omegatrans.buchi import dbt_to_rbt
 from omegatrans.forests import two_way_to_sst
-from omegatrans.generate import generate_sst, generate_two_way
+from omegatrans.generate import generate_machine, generate_sst, generate_two_way
 from builtin import map_copy_reverse_sst
 
 
@@ -388,6 +390,30 @@ def test_random_machines_classify_without_budget(seed):
     for w in [lw("", "ab"), lw("a", "b"), lw("bb", "aab")]:
         out = eval_two_way(machine, w)
         assert out.verdict != "budget-exceeded"
+
+
+@given(
+    kind=st.sampled_from(["1dpt", "2dpt", "cpsst", "det2rev"]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 7),
+    density=st.sampled_from([0.7, 0.9, 1.0]),
+    prefix=st.text("abc", max_size=3),
+    period=st.text("abc", min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_is_classified_within_the_step_bound(kind, seed, n, density, prefix, period):
+    """No run on a canonical lasso u·v^ω outlasts |Q|·(|u| + |Q|·|v| + 2)
+    steps, the bound stated on ``_run``: a run is inconclusive only when its
+    budget is below the bound."""
+    if kind == "det2rev":
+        source = generate_two_way(seed, min(n, 4), alphabet_size=3, density=density)
+        machine = dbt_to_rbt(source)
+    else:
+        machine = generate_machine(kind, seed, n, alphabet_size=3, density=density)
+    w = lasso_canonicalize(lw(prefix, period))
+    q = len(machine.states)
+    bound = q * (len(w.prefix) + q * len(w.period) + 2)
+    assert _run(machine, w, bound)[0] != BUDGET_EXCEEDED
 
 
 # --- run table ----------------------------------------------------------------

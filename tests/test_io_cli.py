@@ -7,7 +7,7 @@ import pytest
 
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, drop_acceptance, marking_from_colors
 from omegatrans.cli import BUILD_COMMANDS, main
-from omegatrans.compose import compose, compose_reachable
+from omegatrans.compose import compose_reachable
 from omegatrans.dot import machine_to_dot
 from omegatrans.generate import generate_machine, generate_one_way, generate_two_way
 from omegatrans.io import (
@@ -39,7 +39,7 @@ from builtin import (
     map_copy_reverse_rbt,
     map_copy_reverse_sst,
 )
-from support import load_machine, prune_unreachable
+from support import full_product, load_machine, prune_unreachable
 
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 BUNDLED = sorted(MACHINES.glob("*.json"))
@@ -687,7 +687,7 @@ def test_cli_compose_builds_the_reachable_product(tmp_path):
     second = one_way_to_reversible(generate_one_way(5, n=3, k=1, ell=2))
     for pair in [(mcr, mcr), (first, second)]:
         composed = _cli_compose(tmp_path, *pair)
-        reference = prune_unreachable(compose(*pair))
+        reference = prune_unreachable(full_product(*pair))
         assert composed.states == reference.states
         assert composed.transitions == reference.transitions
     assert len(composed.states) < len(first.states) * len(second.states)

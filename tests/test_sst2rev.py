@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-from omegatrans.compose import compose, compose_reachable
+from omegatrans.buchi import dbt_to_rbt
+from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_sst, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_sst, generate_two_way
@@ -31,7 +32,7 @@ from omegatrans.sst2rev import (
     substitution_alphabet,
 )
 from builtin import map_copy_reverse_rbt, map_copy_reverse_sst
-from support import load_machine, prune_unreachable
+from support import full_product, load_machine, prune_unreachable
 
 
 def lw(prefix, period):
@@ -266,17 +267,33 @@ def _reference_ssts():
         yield two_way_to_sst(generate_two_way(seed, n=4, k=1, ell=2, alphabet_size=2))
 
 
+def _reference_pairs():
+    """The stream and walker of each reference register machine, then two
+    det2rev outputs composed at corpus scale (8,554 and 910 pairs)."""
+    for sst in _reference_ssts():
+        yield one_way_to_reversible(sst_to_substitution_stream(sst)), build_register_walker(sst)
+    outputs = {
+        seed: dbt_to_rbt(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
+        for seed in (4, 7, 11)
+    }
+    yield outputs[7], outputs[4]
+    yield outputs[11], outputs[4]
+
+
 def test_reachable_composition_matches_pruned_full_product():
-    """compose + prune_unreachable is the reference the worklist builder
-    must reproduce; only ell may shrink, to the kept transitions' bound."""
-    for i, sst in enumerate(_reference_ssts()):
-        stream = one_way_to_reversible(sst_to_substitution_stream(sst))
-        walker = build_register_walker(sst)
-        out = compose_reachable(stream, walker)
-        pruned = prune_unreachable(compose(stream, walker))
+    """full_product + prune_unreachable is the reference the worklist
+    builder must reproduce; only ell may shrink, to the kept transitions'
+    bound."""
+    for i, (first, second) in enumerate(_reference_pairs()):
+        out = compose_reachable(first, second)
+        pruned = prune_unreachable(full_product(first, second))
         assert out == dataclasses.replace(pruned, ell=out.ell), i
         assert out.ell <= pruned.ell, i
         assert validate_machine(out) == [], i
+
+
+def test_pipeline_composes_the_reduced_stages():
+    for i, sst in enumerate(_reference_ssts()):
         assert sst_to_reversible(sst) == composed_stages(reduce(sst)), i
 
 
