@@ -64,17 +64,16 @@ def _load(path: str):
 
 
 def _budget(args) -> EvalBudget:
-    base = EvalBudget()
-    return EvalBudget(
-        max_steps=base.max_steps if args.max_steps is None else args.max_steps,
-        max_output=base.max_output if args.max_output is None else args.max_output,
-    )
+    return EvalBudget(args.max_steps, args.max_output)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=None, help="simulation step budget")
+    default = EvalBudget()
     p.add_argument(
-        "--max-output", type=int, default=None,
+        "--max-steps", type=int, default=default.max_steps, help="simulation step budget"
+    )
+    p.add_argument(
+        "--max-output", type=int, default=default.max_output,
         help="letter bound on register machines' register contents during the repeat search",
     )
 

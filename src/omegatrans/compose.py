@@ -108,14 +108,14 @@ def compose_reachable(
 
     Both machines must be reversible and second's input alphabet must match
     first's output alphabet.  The result has k1 + k2 colorings, is itself
-    reversible, and has at most |Q|·|P| states.  Pairs are explored by
-    worklist and emitted in Q×P declaration order, under the names
-    ``unique_names`` gives all Q×P "q.p" names; ``ell`` is one above the
-    largest color the built transitions use.
+    reversible, and has at most |Q|·|P| states.  Its states are the pairs
+    in the order a breadth-first walk from the initial pair first reaches
+    them, letters in alphabet order and then the endmarker, named by
+    ``unique_names`` over their "q.p" names in that order; ``ell`` is one
+    above the largest color the built transitions use.
 
-    States are numbered by declaration order and a pair by its position in
-    Q×P.  Each distinct production word of the first machine is numbered
-    once, and the second machine runs across a word once per (second state,
+    Each distinct production word of the first machine is numbered once,
+    and the second machine runs across a word once per (second state,
     word): pairs sharing both share that run.
     """
     for machine in (first, second):
@@ -131,7 +131,6 @@ def compose_reachable(
     first = drop_left_end_into_initial(first)
     second = drop_left_end_into_initial(second)
 
-    first_sentinels = odd_sentinels(first)
     second_sentinels = odd_sentinels(second)
     first_index = {q: i for i, q in enumerate(first.states)}
     second_index = {p: j for j, p in enumerate(second.states)}
@@ -152,6 +151,11 @@ def compose_reachable(
         word = words.setdefault(tr.output, len(words))
         s, t = first_index[src], first_index[tr.target]
         out_of[s][a] = into[t][a] = (a, word, tr.colors, t, s)
+    # A fully rewound first machine leaves the second one reading its own
+    # (virtual) endmarker at the start of the production stream: the first
+    # machine stays put while the second runs across the word LEFT_END.
+    word = words.setdefault((LEFT_END,), len(words))
+    into[initial][LEFT_END] = (LEFT_END, word, odd_sentinels(first), initial, initial)
     letters = tuple(first.input_alphabet) + (LEFT_END,)
     steps = [  # per first state, indexed by the second state's polarity
         (
@@ -162,43 +166,18 @@ def compose_reachable(
     ]
     word_list = list(words)
     n_words = len(word_list)
-    # A fully rewound first machine leaves the second one reading its own
-    # (virtual) endmarker at the start of the production stream.
-    rewound = first.initial.forward
 
-    name_of = _pair_names(first, second)
-    first_forward = [q.forward for q in first.states]
     # Run key (second state, word id) -> (exit state, its polarity,
     # production, minimum colors), or None when the run loops or sticks.
     runs: dict[int, Optional[tuple]] = {}
-    # Pair number -> its state, made when the pair is reached, and its
-    # moves as (letter, transition) in letter order.  Moves with the same
-    # target, run and first colors share one transition: over the det2rev
-    # corpus, 70,893 objects serve 232,493 transitions.
-    reached: dict[int, State] = {}
-    moves: dict[int, list] = {}
-    made: dict[tuple, Transition] = {}  # by (target, run key, first colors)
-    ends: list[Transition] = []  # the second machine reading its endmarker
-    frontier: list[int] = []
-
-    def reach(i: int) -> State:
-        state = reached.get(i)
-        if state is None:
-            state = reached[i] = State(
-                name_of(i), first_forward[i // width] == second_forward[i % width]
-            )
-            moves[i] = []
-            frontier.append(i)
-        return state
-
-    start = initial * width + second_index[second.initial]
-    reach(start)
-    while frontier:
-        i = frontier.pop()
+    # Pairs in the order they are reached, the initial pair first, and the
+    # moves as (source, letter, target, run key, first colors).
+    pairs = [initial * width + second_index[second.initial]]
+    number = {pairs[0]: 0}
+    edges: list[tuple] = []
+    for src, i in enumerate(pairs):
         qi, pj = divmod(i, width)
-        out = moves[i]
-        p_forward = second_forward[pj]
-        for a, word, colors, on_forward, on_backward in steps[qi][p_forward]:
+        for a, word, colors, on_forward, on_backward in steps[qi][second_forward[pj]]:
             key = pj * n_words + word
             if key not in runs:
                 summary = run_on_finite(second, word_list[word], second.states[pj], second_sentinels)
@@ -214,56 +193,38 @@ def compose_reachable(
             # The first machine stands before or after the transition
             # depending on which side of its production the second machine
             # leaves.
-            p2, exit_forward, production, mins = run
-            target = (on_forward if exit_forward else on_backward) * width + p2
-            move = (target, key, colors)
-            tr = made.get(move)
-            if tr is None:
-                tr = made[move] = Transition(reach(target), production, colors + mins)
-            out.append((a, tr))
-        if qi == initial and rewound and not p_forward:
-            tr2 = second.transitions.get((second.states[pj], LEFT_END))
-            if tr2 is not None:
-                target = qi * width + second_index[tr2.target]
-                tr = Transition(reach(target), tr2.output, first_sentinels + tr2.colors)
-                ends.append(tr)
-                out.append((LEFT_END, tr))
+            target = (on_forward if run[1] else on_backward) * width + run[0]
+            j = number.setdefault(target, len(pairs))
+            if j == len(pairs):
+                pairs.append(target)
+            edges.append((src, a, j, key, colors))
 
-    emitted = sorted(reached)
+    names = unique_names(
+        f"{first.states[i // width].name}.{second.states[i % width].name}" for i in pairs
+    )
+    states = [
+        State(name, first.states[i // width].forward == second_forward[i % width])
+        for i, name in zip(pairs, names)
+    ]
+    # Moves with the same target, run and first colors share one
+    # transition: over the det2rev corpus, 39,976 objects serve 102,947
+    # transitions.
+    made: dict[tuple, Transition] = {}
     transitions: dict = {}
-    for i in emitted:
-        src = reached[i]
-        for a, tr in moves[i]:
-            transitions[(src, a)] = tr
-    ell = 1 + max((c for tr in [*made.values(), *ends] for c in tr.colors), default=0)
+    for src, a, j, key, colors in edges:
+        tr = made.get((j, key, colors))
+        if tr is None:
+            _, _, production, mins = runs[key]
+            tr = made[j, key, colors] = Transition(states[j], production, colors + mins)
+        transitions[(states[src], a)] = tr
+    ell = 1 + max((c for tr in made.values() for c in tr.colors), default=0)
     return TwoWayParityTransducer(
         input_alphabet=first.input_alphabet,
         output_alphabet=second.output_alphabet,
-        states=tuple(reached[i] for i in emitted),
-        initial=reached[start],
+        states=tuple(states),
+        initial=states[0],
         transitions=transitions,
         k=first.k + second.k,
         ell=ell,
     )
 
-
-def _pair_names(first, second):
-    """The name ``unique_names`` gives each pair number among all Q×P "q.p"
-    names, as a function of the pair number.
-
-    Two such names coincide only when a machine repeats a state name, or
-    when a first-state name cut at one of its dots is another first-state
-    name ("a" + "." + "b.c" = "a.b" + "." + "c").  Otherwise every name is
-    its own and a pair's name is formatted when it is asked for.
-    """
-    q_names = [q.name for q in first.states]
-    p_names = [p.name for p in second.states]
-    known = set(q_names)
-    if (
-        len(known) < len(q_names)
-        or len(set(p_names)) < len(p_names)
-        or any(name[:i] in known for name in q_names for i, c in enumerate(name) if c == ".")
-    ):
-        return unique_names(f"{q}.{p}" for q in q_names for p in p_names).__getitem__
-    width = len(p_names)
-    return lambda i: f"{q_names[i // width]}.{p_names[i % width]}"

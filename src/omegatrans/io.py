@@ -64,6 +64,8 @@ def _build_machine(doc: dict) -> Machine:
         raise DocumentError(f"unknown machine kind {kind!r}")
     states = []
     for s in doc["states"]:
+        if type(s["name"]) is not str:
+            raise DocumentError(f"state {s['name']!r}: name must be a string")
         if s["polarity"] not in ("+", "-"):
             raise DocumentError(f"state {s['name']!r}: polarity must be '+' or '-', got {s['polarity']!r}")
         states.append(State(s["name"], s["polarity"] == "+"))

@@ -128,27 +128,24 @@ def full_product(first, second) -> TwoWayParityTransducer:
 
 
 def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
-    """Restrict to states reachable from the initial state in the transition
-    graph; ``prune_unreachable(full_product(a, b))`` is the reference
-    ``compose_reachable(a, b)`` is checked against (up to ``ell``)."""
-    succ: dict[State, list[State]] = {}
-    for (src, _), tr in machine.transitions.items():
-        succ.setdefault(src, []).append(tr.target)
+    """Restrict to the states reachable from the initial state, listed in
+    the order a breadth-first search first reaches them, trying letters in
+    alphabet order and then the endmarker; ``prune_unreachable(full_product(a,
+    b))`` is the reference ``compose_reachable(a, b)`` is checked against
+    (up to ``ell``)."""
+    letters = (*machine.input_alphabet, LEFT_END)
+    states = [machine.initial]
     reached = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        s = frontier.pop()
-        for t in succ.get(s, ()):
-            if t not in reached:
-                reached.add(t)
-                frontier.append(t)
-    states = tuple(s for s in machine.states if s in reached)
+    for s in states:
+        for a in letters:
+            tr = machine.transitions.get((s, a))
+            if tr is not None and tr.target not in reached:
+                reached.add(tr.target)
+                states.append(tr.target)
     transitions = {
-        (src, letter): tr
-        for (src, letter), tr in machine.transitions.items()
-        if src in reached and tr.target in reached
+        (src, letter): tr for (src, letter), tr in machine.transitions.items() if src in reached
     }
-    return replace(machine, states=states, transitions=transitions)
+    return replace(machine, states=tuple(states), transitions=transitions)
 
 
 def asked_moves(machine: TwoWayParityTransducer) -> list[tuple]:

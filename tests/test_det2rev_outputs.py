@@ -44,16 +44,16 @@ def outputs():
 # fix the order of states and transitions as well as the machine; what the
 # machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
-    (0, 60, "49377cd9737aa02bc254a3dee80ff03d22f9aeb5af8f405c0edfd23ce49037ba"),
-    (1, 6924, "01e60ad78bde5162e89e3ddc128e999f81f479a878e26c4c51e6e18cbf4448b7"),
-    (2, 75, "9f73bf26903b7166066909a4903d4cf2d93106ed515f672c463fdd2573fe7cd2"),
-    (3, 119, "43e3cb687d772a06b5fd09961a1aa59c092ae335d01389ee98216f20748cfeee"),
-    (4, 182, "5c639fc3b021fee97439d463d1a3ea6056299a5d93c2dda69a36a91157bb70e1"),
+    (0, 60, "8fa949a1bd928102cc3858134fbce2a1e8919d88d056106c31884912208e8c5a"),
+    (1, 6924, "5769123b82fb82c79dde09d9571eea6a6dbbfc4960110ed99067c2e85cd70cb8"),
+    (2, 75, "122cc3e0aea7f2ca155c4f68d33970a2d2223882313ed8664c8098e76d554bbb"),
+    (3, 119, "a8499bb151de9943c94132a39b4e98506aadd0600d9f58ffd978ebb30863f16e"),
+    (4, 182, "d87005ad2824d6ee8d792dff56f722838a27901894af1ba109b6728f781a0ff8"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 6554, "9cc87e89b3d25b3cbe4136d86e2ef4c7351fb2c83390f0d9bdbed0368c3afcd7"),
-    (7, 47, "017fe26c25eeb8e59cf525976b12aaa496f2ebcf6a74f75f5178137b464e4f2a"),
-    (8, 1171, "a3ff7953275f76527a8d13fa741ae93193f40ee914b3268b24f1b6eb7658b3c5"),
-    (9, 431, "370ff697b330c02e52381787a7ab821d404807ddfcaf04640efa983eb921e072"),
+    (6, 6554, "8deb112c7ab9e4703ee7408afa146f7315e232c3249c8c0d48581ffbda840738"),
+    (7, 47, "0710f118cb9846d9610cedebea36cab3d4e14b063183c58f2852a774ef84ead1"),
+    (8, 1171, "59deb6bc192ab1469cbc8aae4226e6b95c49e0bd0a3fb7c28d259c4691e34b15"),
+    (9, 431, "6c184d7420e359a9703f288ae1b6de8999b6b30fa97398675fd0df2ede0253fb"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
 ]
@@ -68,13 +68,13 @@ def test_det2rev_outputs_are_pinned(outputs):
 def test_reachable_composition_of_outputs_is_pinned(outputs):
     composed = compose_reachable(outputs[7], outputs[4])
     assert (len(composed.states), len(composed.transitions)) == (8503, 13764)
-    assert digest(composed) == "4b96e1a732b5e82afade0bf5e46b5a959392ac9621eb9381f07a3ccc3a0e0b26"
+    assert digest(composed) == "67a337bbfa00caccabeee9d672c1bd898cc2774b7c113513b6efcd68c946b9fd"
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
     composed = full_product(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
-    assert digest(composed) == "68c7041c446f719940c12b33d7910f5a447d07726611cc104ac2899f139a1c55"
+    assert digest(composed) == "1ec9505aeec434d0d6326f48412021ae22357deebd99b6e938753134d347fe9a"
 
 
 # content_digest of one_way_to_reversible of the substitution stream that

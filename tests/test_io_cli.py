@@ -332,6 +332,17 @@ def _worded_polarity(rbt_doc, sst_doc):
     return rbt_doc
 
 
+def _integer_state_name(rbt_doc, sst_doc):
+    """A state renamed to the number 5 everywhere it is named."""
+    old = rbt_doc["states"][1]["name"]
+    rbt_doc["states"][1]["name"] = 5
+    for record in rbt_doc["transitions"]:
+        for end in ("from", "to"):
+            if record[end] == old:
+                record[end] = 5
+    return rbt_doc
+
+
 def _string_output(rbt_doc, sst_doc):
     rbt_doc["transitions"][0]["output"] = "ab"
     return rbt_doc
@@ -381,6 +392,7 @@ _MESSAGES = {
     _out_in_other_image: lambda doc: "'out' appears in the image of 'X'",
     _repeated_state_name: lambda doc: "state names are not unique",
     _worded_polarity: lambda doc: "polarity must be '+' or '-', got 'forward'",
+    _integer_state_name: lambda doc: "state 5: name must be a string",
     _string_output: lambda doc: "output must be a JSON list, got 'ab'",
     _string_input_alphabet: lambda doc: "input_alphabet must be a JSON list",
     _string_output_alphabet: lambda doc: "output_alphabet must be a JSON list",
@@ -418,6 +430,7 @@ _MESSAGES = {
         _negative_ell,
         _negative_k,
         _worded_polarity,
+        _integer_state_name,
         _string_output,
         _string_input_alphabet,
         _string_output_alphabet,
@@ -444,6 +457,7 @@ _MESSAGES = {
         "negative-ell",
         "negative-k",
         "worded-polarity",
+        "integer-state-name",
         "string-output",
         "string-input-alphabet",
         "string-output-alphabet",
@@ -460,8 +474,9 @@ def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, ma
         assert _MESSAGES[malform](doc) in str(caught.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["eval", str(path), "(a)"]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    for command in (["eval", str(path), "(a)"], ["dot", str(path)]):
+        assert main(command) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
