@@ -110,7 +110,7 @@ _MARKINGS = {
     "all": lambda machine: frozenset(machine.transitions),
     "none": lambda machine: frozenset(),
 }
-_CAP = ("--cap", dict(type=int, default=10**6, help="explored state cap"))
+_CAP = ("--cap", dict(type=int, default=10**6, help="explored state cap, at least 1"))
 _MARKING = ("--marking", dict(
     choices=list(_MARKINGS), default="color0",
     help="marked transitions: those of color 0, all, or none",

@@ -110,9 +110,7 @@ class _Tables(NamedTuple):
     pool_slots: tuple  # position of pool[i] in ``registers``
 
 
-def _tables(
-    machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str, order: dict[str, int]
-) -> _Tables:
+def _tables(machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str) -> _Tables:
     boundary = {s.name: ("c", s.name) for s in machine.states}
     moves: dict = {}
     splices: dict = {}
@@ -129,13 +127,17 @@ def _tables(
                 (word, tr.colors),
             )
         )
+    # Reading the left endmarker, the main run stays where it starts: the
+    # key is free, as the initial state is forward and endmarker moves have
+    # a backward source.
+    moves[machine.initial.name, LEFT_END] = (machine.initial.name, True, (reg(out),), None)
     registers = tuple(sorted((out,) + pool))
     return _Tables(
         moves,
         splices,
         tuple(boundary[s.name] for s in machine.states if not s.forward),
         tuple(boundary[s.name] for s in machine.states if s.forward),
-        order,
+        {s.name: i for i, s in enumerate(machine.states)},
         tuple(((reg(r),), None) for r in pool),
         registers,
         registers.index(out),
@@ -213,7 +215,8 @@ def _subtree(node, children: dict, new_leaf_colors: dict, order: dict):
 
 
 def _step(q_name: str, flat: _Flat, a, tables: _Tables):
-    """Extend the summarized prefix by one letter.
+    """Extend the summarized prefix by one letter, or the empty prefix by
+    the left endmarker.
 
     Returns (state, preorder, substitution, colors), or None when the
     extended left-to-right run dies: it loops, falls off a dead branch, or
@@ -284,43 +287,6 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
 # Whole-machine conversion
 
 
-def _state_order(machine: TwoWayParityTransducer) -> dict[str, int]:
-    return {s.name: i for i, s in enumerate(machine.states)}
-
-
-def initial_state(machine: TwoWayParityTransducer):
-    """Starting summary (initial state, forest preorder) of the endmarker
-    bounces: a depth-one tree per bounce target, one leaf per bouncing
-    backward state, each edge's register initialized with the bounce's
-    production.
-
-    Bounces back into the initial state are omitted: a run using them
-    revisits the initial configuration and loops.
-    """
-    order = _state_order(machine)
-    by_root: dict[str, list[tuple[str, tuple, tuple]]] = {}
-    for (src, letter), tr in machine.transitions.items():
-        if letter != LEFT_END or tr.target == machine.initial:
-            continue
-        by_root.setdefault(tr.target.name, []).append((src.name, tr.colors, tr.output))
-    preorder: list = []
-    edge_productions: list[tuple[str, ...]] = []
-    for root_name in sorted(by_root, key=lambda r: order[r]):
-        entries = sorted(by_root[root_name], key=lambda e: order[e[0]])
-        preorder.extend((root_name, None, len(entries)))
-        for leaf, colors, prod in entries:
-            preorder.extend((leaf, colors, 0))
-            edge_productions.append(prod)
-    pool = _register_pool(len(machine.states))
-    # Edges own registers in preorder, which lists each tree's leaves.
-    init_contents = {pool[i]: prod for i, prod in enumerate(edge_productions) if prod}
-    return (machine.initial.name, tuple(preorder)), init_contents
-
-
-def _register_pool(n: int) -> tuple[str, ...]:
-    return tuple(f"r{i}" for i in range(1, max(2 * n - 2, 0) + 1))
-
-
 def two_way_to_sst(
     machine: TwoWayParityTransducer,
     state_cap: int = 10**6,
@@ -328,31 +294,35 @@ def two_way_to_sst(
 ) -> CopylessParitySST:
     """Equivalent copyless register machine over 2n-1 registers.
 
-    Initialized registers are realized by a synthetic initial state whose
-    updates inline the initial contents, keeping the standard all-empty
-    starting valuation.  Exploration is breadth-first over reachable
-    (endpoint, forest) summaries; exceeding ``state_cap`` raises
-    StateExplosion rather than truncating.
+    The starting summary is the step on the left endmarker, where the main
+    run stands still and the backward runs bounce into forward states.  A
+    synthetic initial state performs that step followed by the first
+    letter's, keeping the standard all-empty starting valuation.
+    Exploration is breadth-first over reachable (endpoint, forest)
+    summaries; exceeding ``state_cap`` (at least 1) raises StateExplosion
+    rather than truncating.
 
     ``details``, when given, is filled with ``state_map`` (each state's name
     to its (endpoint, forest preorder) summary), ``start`` and
     ``init_contents`` (the summary and register contents before the first
-    letter, as ``initial_state`` gives them), ``summary_count`` and the
-    observed forest maxima ``max_forest_nodes`` and ``max_forest_edges``.
+    letter), ``summary_count`` and the observed forest maxima
+    ``max_forest_nodes`` and ``max_forest_edges``.
     """
     require_two_way(machine, "two_way_to_sst")
     n = len(machine.states)
     if n < 1:
         raise ValueError("machine needs at least one state")
-    pool = _register_pool(n)
-    registers = ("out",) + pool
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be positive, got {state_cap}")
+    pool = tuple(f"r{i}" for i in range(1, 2 * n - 1))
     out = "out"
-    tables = _tables(machine, pool, out, _state_order(machine))
+    tables = _tables(machine, pool, out)
 
-    start, init_contents = initial_state(machine)
+    initial = machine.initial.name
+    _, preorder, end_update, _ = _step(initial, _flatten((), ()), LEFT_END, tables)
     # Summaries are numbered in the order they are reached, and keyed by
     # (endpoint, forest preorder); ``moves[i]`` lists the steps of summary i.
-    summaries = [start]
+    summaries = [(initial, preorder)]
     index_of = {summaries[0]: 0}
     moves: list[list] = []
     max_nodes = 0
@@ -384,14 +354,10 @@ def two_way_to_sst(
     for i, steps in enumerate(moves):
         for a, j, update, colors in steps:
             transitions[(states[i], a)] = SstTransition(states[j], update, colors)
-    # The synthetic initial state performs the first step with the initial
-    # register contents substituted in (``then`` maps every other register
-    # to ε), so no run ever returns to it.
-    preset = Substitution.from_dict(
-        {out: (reg(out),), **{r: tuple(map(sym, word)) for r, word in init_contents.items()}}
-    )
+    # The synthetic initial state reads the endmarker and the first letter
+    # in one move, so no run ever returns to it.
     for a, j, update, colors in moves[0]:
-        transitions[(ini, a)] = SstTransition(states[j], preset.then(update), colors)
+        transitions[(ini, a)] = SstTransition(states[j], end_update.then(update), colors)
 
     sst = CopylessParitySST(
         input_alphabet=machine.input_alphabet,
@@ -399,15 +365,19 @@ def two_way_to_sst(
         states=(ini,) + tuple(states),
         initial=ini,
         transitions=transitions,
-        registers=registers,
+        registers=(out,) + pool,
         out=out,
         k=machine.k,
         ell=machine.ell,
     )
     if details is not None:
         details["state_map"] = {state.name: key for state, key in zip(states, summaries)}
-        details["start"] = start
-        details["init_contents"] = init_contents
+        details["start"] = summaries[0]
+        details["init_contents"] = {
+            r: tuple(letter for _, letter in image)
+            for r, image in end_update.images
+            if r != out and image
+        }
         details["max_forest_nodes"] = max_nodes
         details["max_forest_edges"] = max_edges
         details["summary_count"] = len(summaries)

@@ -33,39 +33,17 @@ def _word(rng: Random, alphabet: tuple[str, ...], max_len: int = 2) -> tuple[str
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 
 
-def generate_one_way(
-    seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, density: float = 0.9
+def _two_way(
+    rng: Random,
+    states: tuple[State, ...],
+    alphabet: tuple[str, ...],
+    k: int,
+    ell: int,
+    density: float,
 ) -> TwoWayParityTransducer:
-    rng = Random(seed)
-    alphabet = tuple(LETTERS[:alphabet_size])
-    states = tuple(State(f"q{i}", True) for i in range(n))
-    transitions = {}
-    for s in states:
-        for a in alphabet:
-            if rng.random() < density:
-                transitions[(s, a)] = Transition(
-                    rng.choice(states), _word(rng, alphabet), _colors(rng, k, ell)
-                )
-    return TwoWayParityTransducer(
-        input_alphabet=alphabet,
-        output_alphabet=alphabet,
-        states=states,
-        initial=states[0],
-        transitions=transitions,
-        k=k,
-        ell=ell,
-    )
-
-
-def generate_two_way(
-    seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, density: float = 0.9
-) -> TwoWayParityTransducer:
-    rng = Random(seed)
-    alphabet = tuple(LETTERS[:alphabet_size])
-    states = [State("q0", True)]
-    for i in range(1, n):
-        states.append(State(f"q{i}", rng.random() < 0.5))
-    states = tuple(states)
+    """Machine over ``states`` with randomly drawn transitions: each letter
+    move, and each backward state's endmarker move into a forward state, is
+    present with probability ``density``."""
     forward = [s for s in states if s.forward]
     transitions = {}
     for s in states:
@@ -87,6 +65,21 @@ def generate_two_way(
         k=k,
         ell=ell,
     )
+
+
+def generate_one_way(
+    seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, density: float = 0.9
+) -> TwoWayParityTransducer:
+    states = tuple(State(f"q{i}", True) for i in range(n))
+    return _two_way(Random(seed), states, tuple(LETTERS[:alphabet_size]), k, ell, density)
+
+
+def generate_two_way(
+    seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, density: float = 0.9
+) -> TwoWayParityTransducer:
+    rng = Random(seed)
+    states = (State("q0", True),) + tuple(State(f"q{i}", rng.random() < 0.5) for i in range(1, n))
+    return _two_way(rng, states, tuple(LETTERS[:alphabet_size]), k, ell, density)
 
 
 def generate_sst(

@@ -75,6 +75,10 @@ def _build_machine(doc: dict) -> Machine:
         raise DocumentError(f"initial state {doc['initial']!r} not declared")
     alphabet = _listed(doc, "input_alphabet")
     out_alphabet = _listed(doc, "output_alphabet")
+    for field, letters in (("input_alphabet", alphabet), ("output_alphabet", out_alphabet)):
+        for letter in letters:
+            if type(letter) is not str:
+                raise DocumentError(f"{field}: letter {letter!r} must be a string")
     k, ell = doc["k"], doc["ell"]
     if type(k) is not int or type(ell) is not int:
         raise DocumentError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")

@@ -9,7 +9,6 @@ from omegatrans.forests import (
     _flatten,
     _splices,
     _tables,
-    initial_state,
     two_way_to_sst,
 )
 from omegatrans.generate import generate_two_way
@@ -52,6 +51,13 @@ def two_way(states, transitions, alphabet=("a", "b"), k=1, ell=2):
 # --- initial summaries ------------------------------------------------------
 
 
+def initial_summary(machine):
+    """((endpoint, forest preorder), register contents) after the endmarker."""
+    details = {}
+    two_way_to_sst(machine, details=details)
+    return details["start"], details["init_contents"]
+
+
 def test_initial_single_bounce():
     machine = two_way(
         [("q", True), ("p", False)],
@@ -62,7 +68,7 @@ def test_initial_single_bounce():
         alphabet=("a", "b", "x"),
     )
     # the bounce targets the initial state, so it is dropped
-    (q, forest), contents = initial_state(machine)
+    (q, forest), contents = initial_summary(machine)
     assert q == "q" and forest == ()
 
     machine = two_way(
@@ -70,13 +76,13 @@ def test_initial_single_bounce():
         [("p", LEFT_END, "r", "x", (1,))],
         alphabet=("a", "b", "x"),
     )
-    (q, forest), contents = initial_state(machine)
+    (q, forest), contents = initial_summary(machine)
     assert forest_leaf_root_pairs(forest) == {("p", "r")}
     assert list(contents.values()) == [("x",)]
 
 
 def test_initial_no_backward_states(first_two_automaton):
-    (_, forest), contents = initial_state(first_two_automaton)
+    (_, forest), contents = initial_summary(first_two_automaton)
     assert forest == () and contents == {}
 
 
@@ -88,7 +94,7 @@ def test_initial_two_bounces_to_distinct_targets():
             ("p2", LEFT_END, "r2", "b", (1,)),
         ],
     )
-    (_, forest), contents = initial_state(machine)
+    (_, forest), contents = initial_summary(machine)
     assert forest_leaf_root_pairs(forest) == {("p1", "r1"), ("p2", "r2")}
     roots = [node for node in forest_nodes(forest) if node[3] is None]
     assert len(roots) == 2 and sorted(contents.values()) == [("a",), ("b",)]
@@ -102,7 +108,7 @@ def test_initial_merged_bounces_share_a_root():
             ("p2", LEFT_END, "r", "b", (0,)),
         ],
     )
-    (_, forest), _ = initial_state(machine)
+    (_, forest), _ = initial_summary(machine)
     roots = [node for node in forest_nodes(forest) if node[3] is None]
     assert [(label, count) for label, _, count, _ in roots] == [("r", 2)]
 
@@ -113,8 +119,7 @@ def test_initial_merged_bounces_share_a_root():
 def letter_graph(forest, a, machine, pool):
     """The forest's edges plus the splice edges of letter ``a``: each node to
     (next node, edge label)."""
-    order = {s.name: i for i, s in enumerate(machine.states)}
-    tables = _tables(machine, pool, "out", order)
+    tables = _tables(machine, pool, "out")
     flat = _flatten(forest, tables.reg_labels)
     out_edge = dict(flat.edges)
     out_edge.update(_splices(flat, a, tables))
@@ -136,7 +141,7 @@ def test_graph_acquires_cycle():
             ("b", LEFT_END, "f", "", (0,)),
         ],
     )
-    (_, forest), _ = initial_state(machine)
+    (_, forest), _ = initial_summary(machine)
     out_edge, leaf_of = letter_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
     # from the old leaf: up to its root f, back into the leaf via f's a-move
     node = leaf_of["b"]
@@ -195,6 +200,12 @@ def test_state_cap_raises():
     machine = generate_two_way(4, n=3, k=1, ell=2)  # reaches three summaries
     with pytest.raises(StateExplosion):
         two_way_to_sst(machine, state_cap=1)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_non_positive_state_cap_is_rejected(first_two_automaton, cap):
+    with pytest.raises(ValueError, match="state_cap must be positive"):
+        two_way_to_sst(first_two_automaton, state_cap=cap)
 
 
 def test_rejects_register_machine(mcr_sst):

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import itertools
 import json
 import pathlib
 from dataclasses import replace
@@ -343,6 +345,28 @@ def _integer_state_name(rbt_doc, sst_doc):
     return rbt_doc
 
 
+def _integer_letter(field, letter):
+    """The letter ``letter`` of ``field`` renamed to the number 7 everywhere
+    it is written."""
+
+    def malform(rbt_doc, sst_doc):
+        rbt_doc[field] = [7 if b == letter else b for b in rbt_doc[field]]
+        for record in rbt_doc["transitions"]:
+            if field == "input_alphabet" and record["letter"] == letter:
+                record["letter"] = 7
+            if field == "output_alphabet":
+                record["output"] = [7 if b == letter else b for b in record["output"]]
+        return rbt_doc
+
+    return malform
+
+
+_integer_input_letter, _integer_output_letter = (
+    _integer_letter("input_alphabet", "a"),
+    _integer_letter("output_alphabet", "a"),
+)
+
+
 def _string_output(rbt_doc, sst_doc):
     rbt_doc["transitions"][0]["output"] = "ab"
     return rbt_doc
@@ -393,6 +417,8 @@ _MESSAGES = {
     _repeated_state_name: lambda doc: "state names are not unique",
     _worded_polarity: lambda doc: "polarity must be '+' or '-', got 'forward'",
     _integer_state_name: lambda doc: "state 5: name must be a string",
+    _integer_input_letter: lambda doc: "input_alphabet: letter 7 must be a string",
+    _integer_output_letter: lambda doc: "output_alphabet: letter 7 must be a string",
     _string_output: lambda doc: "output must be a JSON list, got 'ab'",
     _string_input_alphabet: lambda doc: "input_alphabet must be a JSON list",
     _string_output_alphabet: lambda doc: "output_alphabet must be a JSON list",
@@ -431,6 +457,8 @@ _MESSAGES = {
         _negative_k,
         _worded_polarity,
         _integer_state_name,
+        _integer_input_letter,
+        _integer_output_letter,
         _string_output,
         _string_input_alphabet,
         _string_output_alphabet,
@@ -458,6 +486,8 @@ _MESSAGES = {
         "negative-k",
         "worded-polarity",
         "integer-state-name",
+        "integer-input-letter",
+        "integer-output-letter",
         "string-output",
         "string-input-alphabet",
         "string-output-alphabet",
@@ -474,7 +504,7 @@ def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, ma
         assert _MESSAGES[malform](doc) in str(caught.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    for command in (["eval", str(path), "(a)"], ["dot", str(path)]):
+    for command in (["validate", str(path)], ["eval", str(path), "(a)"], ["dot", str(path)]):
         assert main(command) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -567,6 +597,20 @@ def test_gen_reproducible():
     b = dumps_machine(generate_machine("2dpt", 7, 3))
     assert a == b
     assert a != dumps_machine(generate_machine("2dpt", 8, 3))
+
+
+def test_generated_machines_are_pinned():
+    """The generator's random streams: the same seeds and parameters give
+    the same bytes across refactors of the drawing code."""
+    digest = hashlib.sha256()
+    for kind, seed, (n, k, ell, size, density) in itertools.product(
+        ("1dpt", "2dpt", "cpsst"),
+        range(8),
+        [(1, 0, 1, 1, 0.5), (3, 1, 2, 2, 0.9), (5, 2, 3, 3, 1.0), (7, 1, 2, 4, 0.7)],
+    ):
+        machine = generate_machine(kind, seed, n, k, ell, alphabet_size=size, density=density)
+        digest.update(dumps_machine(machine).encode())
+    assert digest.hexdigest() == "b8f975280ee83cf03495b705d1b4c1f264374803088c35ad366f6991ebebb05a"
 
 
 # --- CLI --------------------------------------------------------------------
@@ -678,6 +722,15 @@ def test_cli_rejects_wrong_machine_kind(tmp_path, mcr_path, mcr_sst_path, capsys
     assert main([cmd, *(paths[m] for m in machines), str(out_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "expected a" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("cmd", ["2w2sst", "det2rev"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_non_positive_cap_is_a_usage_error(tmp_path, mcr_path, capsys, cmd, cap):
+    out_path = tmp_path / "out.json"
+    assert main([cmd, mcr_path, str(out_path), "--cap", cap]) == 3
+    assert "state_cap must be positive" in capsys.readouterr().err
     assert not out_path.exists()
 
 
