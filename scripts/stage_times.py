@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
-"""Seconds per stage of the det2rev pipeline over a seeded corpus.
+"""Seconds per stage of the det2rev or 2w2sst pipeline over a seeded corpus.
 
-A job is what ``omegatrans det2rev`` does plus the checks the benchmark's
-det2rev workload makes: load the source document, ``two_way_to_sst``,
-``sst_to_reversible``, ``validate_reversible``, ``dumps_machine``, load
-the output, compare it with the built machine (``==``), and run the
-oracle on lassos (1,2).  The corpus is ``generate_two_way(seed, 7, 1, 2,
-alphabet_size=3, density=1.0)`` for seeds 0 .. N-1.  The cyclic collector
-is left as the pipeline leaves it.
+With ``--corpus det2rev`` (the default), a job is what ``omegatrans
+det2rev`` does plus the checks the benchmark's det2rev workload makes:
+load the source document, ``two_way_to_sst``, ``sst_to_reversible``,
+``validate_reversible``, ``dumps_machine``, load the output, compare it
+with the built machine (``==``), and run the oracle on lassos (1,2).  The
+corpus is ``generate_two_way(seed, 7, 1, 2, alphabet_size=3,
+density=1.0)`` for seeds 0 .. N-1 (N = 30 by default).
+
+With ``--corpus 2w2sst``, a job is the benchmark's 2w2sst workload:
+``two_way_to_sst`` and the oracle on lassos (1,2), over
+``generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0)`` for
+seeds 0 .. N-1 (N = 40 by default).  The cyclic collector is left as the
+pipeline leaves it.
 
 Each column is a library source directory, ``--src NAME=DIR`` (default:
 this checkout's ``src``).  A repeat runs one fresh process per column, in
 alternating order, all with the same PYTHONHASHSEED.  The report gives
 each stage's total seconds over the corpus as median and quartiles over
 the repeats, next to the counts, which must repeat exactly: output states
-and transitions, and distinct transition objects of the built output.
+and transitions, and (det2rev) distinct transition objects of the built
+output.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
+    python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_forests.json
 """
 
 import argparse
@@ -30,19 +39,23 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = (
-    "load source",
-    "two_way_to_sst",
-    "sst_to_reversible",
-    "validate_reversible",
-    "dumps_machine",
-    "load output",
-    "==",
-    "oracle",
-)
+STAGES = {
+    "det2rev": (
+        "load source",
+        "two_way_to_sst",
+        "sst_to_reversible",
+        "validate_reversible",
+        "dumps_machine",
+        "load output",
+        "==",
+        "oracle",
+    ),
+    "2w2sst": ("two_way_to_sst", "oracle"),
+}
+CORPORA = {"det2rev": (7, 3, 30), "2w2sst": (22, 4, 40)}  # n, alphabet size, seeds
 
 
-def one_pass(seeds: int) -> dict:
+def one_pass(corpus: str, seeds: int) -> dict:
     """Seconds per stage and counts of one pass over the corpus."""
     from omegatrans.evaluate import EvalBudget, equiv_on_lassos
     from omegatrans.forests import two_way_to_sst
@@ -52,13 +65,14 @@ def one_pass(seeds: int) -> dict:
     from omegatrans.machines import validate_reversible
     from omegatrans.sst2rev import sst_to_reversible
 
+    n, size, _ = CORPORA[corpus]
     sources = [
-        generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(seeds)
+        generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in range(seeds)
     ]
-    docs = [dumps_machine(source) for source in sources]
+    docs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else []
     lassos = enumerate_lassos(sources[0].input_alphabet, 1, 2)
-    seconds = dict.fromkeys(STAGES, 0.0)
-    counts = {"output_states": 0, "output_transitions": 0, "distinct_transitions": 0}
+    seconds = dict.fromkeys(STAGES[corpus], 0.0)
+    counts = {"output_states": 0, "output_transitions": 0}
 
     def timed(stage, build, *args):
         start = time.perf_counter()
@@ -66,6 +80,17 @@ def one_pass(seeds: int) -> dict:
         seconds[stage] += time.perf_counter() - start
         return result
 
+    if corpus == "2w2sst":
+        for seed, source in enumerate(sources):
+            sst = timed("two_way_to_sst", two_way_to_sst, source)
+            report = timed("oracle", equiv_on_lassos, source, sst, lassos, EvalBudget())
+            if report.disagreements or report.inconclusive:
+                raise SystemExit(f"seed {seed}: the 2w2sst output failed a check")
+            counts["output_states"] += len(sst.states)
+            counts["output_transitions"] += len(sst.transitions)
+        return {"seconds": seconds, "counts": counts}
+
+    counts["distinct_transitions"] = 0
     for seed, doc in enumerate(docs):
         source = timed("load source", loads_machine, doc)
         sst = timed("two_way_to_sst", two_way_to_sst, source)
@@ -83,10 +108,10 @@ def one_pass(seeds: int) -> dict:
     return {"seconds": seconds, "counts": counts}
 
 
-def run_worker(src: str, seeds: int, hash_seed: int) -> dict:
+def run_worker(src: str, corpus: str, seeds: int, hash_seed: int) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     done = subprocess.run(
-        [sys.executable, __file__, "--seeds", str(seeds), "--worker", src],
+        [sys.executable, __file__, "--corpus", corpus, "--seeds", str(seeds), "--worker", src],
         env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -106,12 +131,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--seeds", type=int, default=30, help="corpus size")
+    parser.add_argument("--corpus", choices=sorted(CORPORA), default="det2rev")
+    parser.add_argument("--seeds", type=int, help="corpus size (default: 30 det2rev, 40 2w2sst)")
     parser.add_argument("--repeats", type=int, default=1, help="fresh processes per column")
     parser.add_argument("--src", action="append", metavar="NAME=DIR", help="a column to measure")
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    n, size, default_seeds = CORPORA[args.corpus]
+    seeds = default_seeds if args.seeds is None else args.seeds
 
     if args.worker:
         sys.path.insert(0, args.worker)
@@ -120,7 +148,7 @@ def main() -> None:
         found = Path(omegatrans.__file__).resolve().parent.parent
         if found != Path(args.worker).resolve():
             raise SystemExit(f"omegatrans imported from {found}, not from {args.worker}")
-        print(json.dumps(one_pass(args.seeds)))
+        print(json.dumps(one_pass(args.corpus, seeds)))
         return
 
     columns = dict(spec.split("=", 1) for spec in args.src or [f"change={ROOT / 'src'}"])
@@ -128,10 +156,10 @@ def main() -> None:
     for repeat in range(args.repeats):
         names = list(columns) if repeat % 2 == 0 else list(reversed(columns))
         for name in names:
-            passes[name].append(run_worker(columns[name], args.seeds, repeat))
+            passes[name].append(run_worker(columns[name], args.corpus, seeds, repeat))
     report = {
-        "corpus": "generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0)"
-        f", seeds 0-{args.seeds - 1}",
+        "corpus": f"generate_two_way(seed, {n}, 1, 2, alphabet_size={size}, density=1.0)"
+        f", seeds 0-{seeds - 1}",
         "lassos": "enumerate_lassos(alphabet, 1, 2)",
         "repeats": args.repeats,
         "python": sys.version.split()[0],
@@ -142,7 +170,9 @@ def main() -> None:
         counts = runs[0]["counts"]
         if any(run["counts"] != counts for run in runs):
             raise SystemExit(f"{name}: counts differ between repeats")
-        seconds = {stage: spread([run["seconds"][stage] for run in runs]) for stage in STAGES}
+        seconds = {
+            stage: spread([run["seconds"][stage] for run in runs]) for stage in STAGES[args.corpus]
+        }
         seconds["total"] = spread([sum(run["seconds"].values()) for run in runs])
         report["columns"][name] = {"seconds": seconds, "counts": counts}
     text = json.dumps(report, indent=2) + "\n"

@@ -14,7 +14,6 @@ keeps the updates copyless.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .machines import (
@@ -23,8 +22,8 @@ from .machines import (
     SstTransition,
     State,
     Substitution,
-    Token,
     TwoWayParityTransducer,
+    collector_paused,
     reg,
     require_two_way,
     sym,
@@ -43,50 +42,45 @@ class StateExplosion(RuntimeError):
 # per-coloring tuple of the minimum colors along the summarized run; roots
 # carry a forward-state label; internal merge nodes are unlabeled and have
 # at least two children.  Equal forests have equal preorders, so the tuple
-# is the summary's hash key.  A node's id is its position in the preorder,
-# and the edges of a forest own the pool's registers in preorder (traversal
-# order meets pool order).
+# is the summary's hash key.  A root or leaf is named by its label, a merge
+# node by its position in the preorder, and the edges of a forest own the
+# pool's registers in preorder (traversal order meets pool order).
 
 
 class _Flat(NamedTuple):
-    """A summary's forest as int nodes, shared by all letters read from it."""
+    """A summary's forest, shared by all letters read from it."""
 
-    edges: dict  # child id -> (parent id, register label), in pool order
-    leaf_of: dict  # backward-state label -> leaf id
-    root_of: dict  # forward-state label -> root id
-    climb: dict  # leaf id -> (root id, nodes from the leaf up to the root, label)
+    edges: dict  # child -> (parent, register label), in pool order
+    climb: dict  # leaf -> (its root, label)
 
 
 def _flatten(preorder: tuple, reg_labels: tuple) -> _Flat:
     """The climb from a leaf to its root reads the registers on the way up,
     and its label carries the leaf's colors."""
     edges: dict = {}
-    leaf_of: dict = {}
-    root_of: dict = {}
     climb: dict = {}
-    up: list = []  # node id -> (root id, nodes up to the root, register tokens)
-    open_nodes: list[list[int]] = []  # [id, children still to come]
-    for node in range(len(preorder) // 3):
-        label, colors, count = preorder[3 * node : 3 * node + 3]
+    up: dict = {}  # node -> (its root, register tokens up to the root)
+    open_nodes: list[list] = []  # [node, children still to come]
+    for position in range(0, len(preorder), 3):
+        label, colors, count = preorder[position : position + 3]
+        node = position if label is None else label
         if open_nodes:
             parent = open_nodes[-1]
             reg_label = reg_labels[len(edges)]
             edges[node] = (parent[0], reg_label)
-            root, path, tokens = up[parent[0]]
-            up.append((root, (node,) + path, reg_label[0] + tokens))
+            root, tokens = up[parent[0]]
+            up[node] = (root, reg_label[0] + tokens)
             parent[1] -= 1
             if not parent[1]:
                 open_nodes.pop()
         else:
-            root_of[label] = node
-            up.append((node, (node,), ()))
+            up[node] = (node, ())
         if count:
             open_nodes.append([node, count])
         else:
-            leaf_of[label] = node
-            root, path, tokens = up[node]
-            climb[node] = (root, path, (tokens, colors))
-    return _Flat(edges, leaf_of, root_of, climb)
+            root, tokens = up[node]
+            climb[node] = (root, (tokens, colors))
+    return _Flat(edges, climb)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +91,14 @@ class _Tables(NamedTuple):
     """What a step reads of the machine and the register pool, built once
     per conversion.  Edge labels are (tokens, colors): a forest edge's
     tokens are its register, with colors None; a splice edge's tokens are
-    the output letters, with the transition's colors."""
+    the output letters, with the transition's colors.  Splice edges lead
+    from a root or an entry to a leaf or an exit; a forest lacking the root
+    or the leaf just leaves its splice edges unused."""
 
     moves: dict  # (state name, letter) -> (target name, target forward, out image, colors)
-    splices: dict  # letter -> [(origin, origin is a root name, dest, dest is a leaf name, label)]
+    splices: dict  # letter -> {root name or entry: (leaf name or exit, label)}
     entries: tuple  # boundary nodes of the backward states, in state order
     exits: tuple  # boundary nodes of the forward states, in state order
-    order: dict  # state name -> position
     reg_labels: tuple  # edge index -> label of the forest edge owning pool[index]
     registers: tuple  # ("out",) + pool, sorted as Substitution stores them
     out_slot: int
@@ -118,15 +113,9 @@ def _tables(machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str) ->
         target = tr.target
         word = tuple(sym(b) for b in tr.output)
         moves[src.name, a] = (target.name, target.forward, (reg(out),) + word, tr.colors)
-        splices.setdefault(a, []).append(
-            (
-                src.name if src.forward else boundary[src.name],
-                src.forward,
-                boundary[target.name] if target.forward else target.name,
-                not target.forward,
-                (word, tr.colors),
-            )
-        )
+        origin = src.name if src.forward else boundary[src.name]
+        dest = boundary[target.name] if target.forward else target.name
+        splices.setdefault(a, {})[origin] = (dest, (word, tr.colors))
     # Reading the left endmarker, the main run stays where it starts: the
     # key is free, as the initial state is forward and endmarker moves have
     # a backward source.
@@ -137,7 +126,6 @@ def _tables(machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str) ->
         splices,
         tuple(boundary[s.name] for s in machine.states if not s.forward),
         tuple(boundary[s.name] for s in machine.states if s.forward),
-        {s.name: i for i, s in enumerate(machine.states)},
         tuple(((reg(r),), None) for r in pool),
         registers,
         registers.index(out),
@@ -145,73 +133,56 @@ def _tables(machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str) ->
     )
 
 
-def _splices(flat: _Flat, a, tables: _Tables) -> dict:
-    """The splice edges of letter ``a`` that this forest's runs can take."""
-    jump: dict = {}
-    root_of, leaf_of = flat.root_of, flat.leaf_of
-    for origin, from_root, dest, to_leaf, label in tables.splices.get(a, ()):
-        if from_root:
-            origin = root_of.get(origin)
-            if origin is None:
-                continue
-        if to_leaf:
-            dest = leaf_of.get(dest)
-            if dest is None:
-                continue
-        jump[origin] = (dest, label)
-    return jump
+def _min_colors(colors, more):
+    """Elementwise minimum of two color tuples, where None means no colors."""
+    if more is None:
+        return colors
+    return more if colors is None else tuple(map(min, colors, more))
 
 
-def _walk(jump: dict, climb: dict, node, nodes: list, labels: list):
-    """Extend the walk that reached ``node``: splice edges lead from a root or
-    an entry to a leaf or an exit, and each leaf climbs to its root.  Returns
-    the exit, or None when the walk dies: a root with no splice edge, or a
-    cycle (more leaves entered than the forest has)."""
-    for _ in range(len(climb) + 1):
-        edge = jump.get(node)
+def _resolve(jump: dict, climb: dict, leaf, memo: dict):
+    """(exit, colors) of the walk that enters ``leaf``, or None when it dies:
+    a leaf the forest lacks, a root with no splice edge, or a cycle.  Each
+    leaf climbs to its root, and a splice edge leads from the root to a
+    leaf or an exit.  ``memo`` keeps every leaf's result, so each is
+    resolved once; a leaf still being resolved maps to None, so a walk back
+    into it dies."""
+    steps = []  # (leaf, colors from it up to the next leaf)
+    while leaf not in memo:
+        memo[leaf] = None
+        up = climb.get(leaf)
+        if up is None:
+            return None
+        root, (_, colors) = up
+        edge = jump.get(root)
         if edge is None:
             return None
-        dest, label = edge
-        labels.append(label)
+        dest, (_, more) = edge
+        colors = _min_colors(colors, more)
         if type(dest) is tuple:
-            nodes.append(dest)
-            return dest
-        node, path, label = climb[dest]
-        nodes.extend(path)
-        labels.append(label)
-    return None
+            memo[leaf] = (dest, colors)
+            break
+        steps.append((leaf, colors))
+        leaf = dest
+    found = memo[leaf]
+    if found is not None:
+        end, colors = found
+        for leaf, more in reversed(steps):
+            colors = _min_colors(more, colors)
+            found = memo[leaf] = (end, colors)
+    return found
 
 
-def _fold_colors(colors, labels: list):
-    """``colors`` folded by minimum with the colors of ``labels``."""
-    for _, more in labels:
-        if more is not None:
-            colors = more if colors is None else tuple(map(min, colors, more))
-    return colors
-
-
-def _subtree(node, children: dict, new_leaf_colors: dict, order: dict):
-    """(least leaf position, preorder, edge images in preorder) of the
-    canonical subtree at ``node`` of a step's kept nodes; unary chains below
-    it are contracted into single edges."""
-    kids = []
-    for child, (image, _) in children[node]:
-        while type(child) is not tuple and len(children[child]) == 1:
-            (child, (tokens, _)), = children[child]
-            image = tokens + image
-        leaf_colors = new_leaf_colors.get(child)
-        if leaf_colors is None:
-            kids.append((*_subtree(child, children, new_leaf_colors, order), image))
-        else:
-            kids.append((order[child[1]], (child[1], leaf_colors, 0), (), image))
-    kids.sort(key=itemgetter(0))  # subtrees have disjoint leaves
-    preorder = (node[1] if type(node) is tuple else None, None, len(kids))
-    images: list[tuple[Token, ...]] = []
-    for _, sub_preorder, sub_images, image in kids:
-        preorder += sub_preorder
-        images.append(image)
-        images.extend(sub_images)
-    return kids[0][0], preorder, images
+def _walk(jump: dict, climb: dict, leaf, tokens: list) -> None:
+    """Append the tokens of the walk that enters ``leaf``, which reaches an
+    exit."""
+    while True:
+        root, (more, _) = climb[leaf]
+        tokens.extend(more)
+        leaf, (more, _) = jump[root]
+        tokens.extend(more)
+        if type(leaf) is tuple:
+            return
 
 
 def _step(q_name: str, flat: _Flat, a, tables: _Tables):
@@ -226,67 +197,83 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
     if move is None:
         return None
     target, target_forward, head, colors = move
-    jump = _splices(flat, a, tables)
+    jump = tables.splices.get(a, {})
     climb = flat.climb
+    memo: dict = {}
     out_image = list(head)
     if target_forward:
         p_name = target
     else:
-        leaf = flat.leaf_of.get(target)
-        if leaf is None:
+        found = _resolve(jump, climb, target, memo)
+        if found is None:
             return None
-        root, _, label = climb[leaf]
-        labels = [label]
-        end = _walk(jump, climb, root, [], labels)
-        if end is None:
-            return None
-        p_name = end[1]
-        colors = _fold_colors(colors, labels)
-        for tokens, _ in labels:
-            out_image.extend(tokens)
+        p_name = found[0][1]
+        colors = _min_colors(colors, found[1])
+        _walk(jump, climb, target, out_image)
 
     # Keep exactly the nodes on an entry-to-exit walk that does not reach
     # the new endpoint: a run merging with the main run could only recur by
     # looping on a finite prefix, so it is dropped (and its registers freed).
-    kept: set = set()
-    new_leaf_colors: dict = {}
-    for start in tables.entries:
-        if start not in jump:
-            continue
-        nodes = [start]
-        labels = []
-        end = _walk(jump, climb, start, nodes, labels)
-        if end is None or end[1] == p_name:
-            continue
-        kept.update(nodes)
-        # Color tuple of the new leaf: minimum over the whole summarized run.
-        new_leaf_colors[start] = _fold_colors(None, labels)
-
-    children: dict = {}
+    # Entries go in state order and mark their walks upward until they meet
+    # a kept node, so every child list comes out least leaf first.
+    children: dict = {}  # kept node -> [(child, tokens of the edge up to it)]
+    leaf_colors: dict = {}  # entry -> minimum colors over its whole run
     edges = flat.edges
-    for node in kept:
-        edge = edges.get(node) or jump.get(node)
-        if edge is not None:  # it leads on to the next node of its walk
-            children.setdefault(edge[0], []).append((node, edge[1]))
+    for entry in tables.entries:
+        edge = jump.get(entry)
+        if edge is None:
+            continue
+        end, (_, run_colors) = edge
+        if type(end) is not tuple:
+            found = _resolve(jump, climb, end, memo)
+            if found is None:
+                continue
+            end, more = found
+            run_colors = _min_colors(run_colors, more)
+        if end[1] == p_name:
+            continue
+        leaf_colors[entry] = run_colors
+        node = entry
+        while True:
+            parent, (tokens, _) = edges.get(node) or jump[node]
+            kids = children.setdefault(parent, [])
+            kids.append((node, tokens))
+            if len(kids) > 1 or type(parent) is tuple:
+                break
+            node = parent
 
-    preorder: tuple = ()
+    # One depth-first pass over the kept nodes, contracting unary chains:
+    # edges take registers in preorder.
+    preorder: list = []
+    images: list = []
+    stack = [(root, None) for root in reversed(tables.exits) if root in children]
+    while stack:
+        node, image = stack.pop()
+        if image is not None:
+            images.append(image)
+        kids = children.get(node)
+        if kids is None:
+            preorder += (node[1], leaf_colors[node], 0)
+            continue
+        preorder += (node[1] if type(node) is tuple else None, None, len(kids))
+        for child, image in reversed(kids):
+            while len(children.get(child, ())) == 1:
+                (child, tokens), = children[child]
+                image = tokens + image
+            stack.append((child, image))
     slots: list = [()] * len(tables.registers)
     slots[tables.out_slot] = tuple(out_image)
-    pool_slots = iter(tables.pool_slots)  # edges take registers in preorder
-    for root in tables.exits:
-        if root in kept:
-            _, tree, images = _subtree(root, children, new_leaf_colors, tables.order)
-            preorder += tree
-            for image in images:
-                slots[next(pool_slots)] = image
+    for slot, image in zip(tables.pool_slots, images):
+        slots[slot] = image
     update = Substitution(tuple(zip(tables.registers, slots)))
-    return p_name, preorder, update, colors
+    return p_name, tuple(preorder), update, colors
 
 
 # ---------------------------------------------------------------------------
 # Whole-machine conversion
 
 
+@collector_paused
 def two_way_to_sst(
     machine: TwoWayParityTransducer,
     state_cap: int = 10**6,

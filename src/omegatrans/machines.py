@@ -207,8 +207,15 @@ def validate_reversible(machine) -> bool:
     deterministic."""
     # Keys are unique, so transitions sharing (letter, target) have
     # distinct sources.
-    transitions = machine.transitions
-    return len({(letter, tr.target) for (_, letter), tr in transitions.items()}) == len(transitions)
+    targets: dict = {}  # letter -> targets reached on it so far
+    for (_, letter), tr in machine.transitions.items():
+        seen = targets.get(letter)
+        if seen is None:
+            seen = targets[letter] = set()
+        if tr.target in seen:
+            return False
+        seen.add(tr.target)
+    return True
 
 
 def validate_one_way(machine: TwoWayParityTransducer) -> bool:

@@ -134,12 +134,13 @@ def test_two_stage_agreement_at_det2rev_scale(outputs):
 
 @pytest.fixture(scope="module")
 def stages():
-    """Inputs of the three paused builders for one det2rev machine."""
+    """Inputs of the paused builders for one det2rev machine."""
     sst = two_way_to_sst(source(7))
     stream = sst_to_substitution_stream(sst)
     rev = one_way_to_reversible(stream)
     walker = build_register_walker(sst)
     return {
+        "two_way_to_sst": (two_way_to_sst, (source(7),)),
         "one_way_to_reversible": (one_way_to_reversible, (stream,)),
         "compose_reachable": (compose_reachable, (rev, walker)),
         "loads_machine": (loads_machine, (dumps_machine(dbt_to_rbt(source(7))),)),
@@ -158,7 +159,9 @@ def collector(enabled):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("builder", ["one_way_to_reversible", "compose_reachable", "loads_machine"])
+@pytest.mark.parametrize(
+    "builder", ["two_way_to_sst", "one_way_to_reversible", "compose_reachable", "loads_machine"]
+)
 def test_paused_builders_restore_the_collector(stages, builder, enabled):
     build, args = stages[builder]
     with collector(enabled):

@@ -7,7 +7,6 @@ from omegatrans.evaluate import equiv_on_lassos
 from omegatrans.forests import (
     StateExplosion,
     _flatten,
-    _splices,
     _tables,
     two_way_to_sst,
 )
@@ -117,34 +116,40 @@ def test_initial_merged_bounces_share_a_root():
 
 
 def letter_graph(forest, a, machine, pool):
-    """The forest's edges plus the splice edges of letter ``a``: each node to
-    (next node, edge label)."""
+    """The forest's edges plus the splice edges of letter ``a`` that its runs
+    can take: each node to (next node, edge label).  Roots and leaves are
+    named by their labels."""
     tables = _tables(machine, pool, "out")
     flat = _flatten(forest, tables.reg_labels)
+    roots = {root for root, _ in flat.climb.values()}
     out_edge = dict(flat.edges)
-    out_edge.update(_splices(flat, a, tables))
-    return out_edge, flat.leaf_of
+    for origin, (dest, label) in tables.splices.get(a, {}).items():
+        from_node = type(origin) is tuple or origin in roots
+        if from_node and (type(dest) is tuple or dest in flat.climb):
+            out_edge[origin] = (dest, label)
+    return out_edge
 
 
 def test_graph_without_backward_states(first_two_automaton):
-    out_edge, _ = letter_graph((), "a", first_two_automaton, ())
+    out_edge = letter_graph((), "a", first_two_automaton, ())
     for origin, (dest, label) in out_edge.items():
         assert origin[0] == "c" and dest[0] == "c"
 
 
+CYCLE_STATES = [("q", True), ("f", True), ("b", False)]
+CYCLE_MOVES = [
+    ("f", "a", "b", "", (0,)),
+    ("b", "a", "f", "", (0,)),
+    ("b", LEFT_END, "f", "", (0,)),
+]
+
+
 def test_graph_acquires_cycle():
-    machine = two_way(
-        [("q", True), ("f", True), ("b", False)],
-        [
-            ("f", "a", "b", "", (0,)),
-            ("b", "a", "f", "", (0,)),
-            ("b", LEFT_END, "f", "", (0,)),
-        ],
-    )
+    machine = two_way(CYCLE_STATES, CYCLE_MOVES)
     (_, forest), _ = initial_summary(machine)
-    out_edge, leaf_of = letter_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
+    out_edge = letter_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
     # from the old leaf: up to its root f, back into the leaf via f's a-move
-    node = leaf_of["b"]
+    node = "b"
     seen = set()
     cyclic = False
     while node in out_edge:
@@ -154,6 +159,54 @@ def test_graph_acquires_cycle():
         seen.add(node)
         node = out_edge[node][0]
     assert cyclic
+
+
+# The main run stays alive on both letters and turns back into the old leaf
+# b on "b".  On "a" the entries c and then d walk into leaf b, up to its
+# root f, and round the cycle f -> b -> f: c finds the cycle, d merges into
+# the walk c has already resolved.  Both walks must die.
+CYCLE_MERGE_STATES = CYCLE_STATES + [("c", False), ("d", False)]
+CYCLE_MERGE_MOVES = CYCLE_MOVES + [
+    ("d", "a", "b", "b", (1,)),
+    ("d", "b", "q", "a", (0,)),
+    ("d", LEFT_END, "f", "b", (1,)),
+    ("q", "a", "q", "a", (1,)),
+    ("q", "b", "b", "b", (0,)),
+    ("f", "b", "f", "a", (1,)),
+    ("b", "b", "q", "b", (1,)),
+    ("c", "a", "b", "a", (0,)),
+    ("c", "b", "f", "b", (1,)),
+    ("c", LEFT_END, "q", "a", (0,)),
+]
+
+
+# The main run turns back into leaf b on "a" and walks round the cycle: it
+# dies there, while on "b" it stays alive.
+CYCLE_MAIN_MOVES = CYCLE_MOVES + [
+    ("q", "a", "b", "a", (0,)),
+    ("q", "b", "q", "b", (1,)),
+    ("f", "b", "q", "a", (0,)),
+    ("b", "b", "f", "b", (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "states,moves",
+    [
+        (CYCLE_STATES, CYCLE_MOVES),
+        (CYCLE_MERGE_STATES, CYCLE_MERGE_MOVES),
+        (CYCLE_STATES, CYCLE_MAIN_MOVES),
+    ],
+    ids=["cycle", "entry-merges-into-cycle", "main-run-enters-cycle"],
+)
+def test_conversion_with_a_cyclic_letter_graph(states, moves):
+    machine = two_way(states, moves)
+    details = {}
+    sst = two_way_to_sst(machine, details=details)
+    assert validate_sst_machine(sst) == []
+    for length in range(5):
+        for word in itertools.product(machine.input_alphabet, repeat=length):
+            assert check_forest_against_runs(machine, sst, details, word) == []
 
 
 def test_forward_only_step_keeps_forest_empty(first_two_automaton):
@@ -308,3 +361,20 @@ def test_conversion_output_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, n)
         found = (details["summary_count"], details["max_forest_nodes"], details["max_forest_edges"])
         assert found == (summaries, nodes, edges), (seed, n)
+
+
+# One SHA-256 over the whole 2w2sst benchmark corpus: for each seed in turn,
+# dumps_machine(two_way_to_sst(m)) and then repr((summary count, forest node
+# maximum, forest edge maximum)).
+PINNED_2W2SST_CORPUS = "e85d07a7cf252082c447822f7108fba8bcabb16c8109cb256a6e9e6c8b342672"
+
+
+def test_2w2sst_corpus_output_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        machine = generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0)
+        details = {}
+        digest.update(dumps_machine(two_way_to_sst(machine, details=details)).encode())
+        found = (details["summary_count"], details["max_forest_nodes"], details["max_forest_edges"])
+        digest.update(repr(found).encode())
+    assert digest.hexdigest() == PINNED_2W2SST_CORPUS

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -19,3 +20,23 @@ def test_script_runs(script):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_stage_times_on_the_2w2sst_corpus():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"), "--corpus", "2w2sst", "--seeds", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["corpus"] == (
+        "generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0), seeds 0-2"
+    )
+    (column,) = report["columns"].values()
+    assert set(column["seconds"]) == {"two_way_to_sst", "oracle", "total"}
+    assert set(column["counts"]) == {"output_states", "output_transitions"}
+    assert column["counts"]["output_states"] > 3
