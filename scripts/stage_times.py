@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seconds per stage of the det2rev or 2w2sst pipeline over a seeded corpus.
+"""Seconds per stage of the det2rev, 2w2sst or equiv pipeline over a seeded
+corpus.
 
 With ``--corpus det2rev`` (the default), a job is what ``omegatrans
 det2rev`` does plus the checks the benchmark's det2rev workload makes:
@@ -15,6 +16,13 @@ With ``--corpus 2w2sst``, a job is the benchmark's 2w2sst workload:
 seeds 0 .. N-1 (N = 40 by default).  The cyclic collector is left as the
 pipeline leaves it.
 
+With ``--corpus equiv``, a job is the benchmark's equiv workload:
+``two_way_to_sst``, ``dbt_to_rbt`` and ``validate_reversible``, then the
+oracle on lassos (3,5) against the register machine and against the
+reversible output, over ``generate_two_way(seed, 4, 1, 2, alphabet_size=2,
+density=1.0)`` for seeds 0 .. N-1 (N = 30 by default).  Both oracle stages
+run the source too, so the oracle's share is their sum.
+
 Each column is a library source directory, ``--src NAME=DIR`` (default:
 this checkout's ``src``).  A repeat runs one fresh process per column, in
 alternating order, all with the same PYTHONHASHSEED.  The report gives
@@ -27,6 +35,8 @@ output.
         --src parent=../parent/src --src change=src --out BENCH_records.json
     python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_forests.json
+    python scripts/stage_times.py --corpus equiv --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_oracle.json
 """
 
 import argparse
@@ -51,12 +61,25 @@ STAGES = {
         "oracle",
     ),
     "2w2sst": ("two_way_to_sst", "oracle"),
+    "equiv": (
+        "two_way_to_sst",
+        "dbt_to_rbt",
+        "validate_reversible",
+        "oracle vs register machine",
+        "oracle vs reversible output",
+    ),
 }
-CORPORA = {"det2rev": (7, 3, 30), "2w2sst": (22, 4, 40)}  # n, alphabet size, seeds
+# n, alphabet size, seeds, lassos (max prefix, max period)
+CORPORA = {
+    "det2rev": (7, 3, 30, (1, 2)),
+    "2w2sst": (22, 4, 40, (1, 2)),
+    "equiv": (4, 2, 30, (3, 5)),
+}
 
 
 def one_pass(corpus: str, seeds: int) -> dict:
     """Seconds per stage and counts of one pass over the corpus."""
+    from omegatrans.buchi import dbt_to_rbt
     from omegatrans.evaluate import EvalBudget, equiv_on_lassos
     from omegatrans.forests import two_way_to_sst
     from omegatrans.generate import generate_two_way
@@ -65,12 +88,12 @@ def one_pass(corpus: str, seeds: int) -> dict:
     from omegatrans.machines import validate_reversible
     from omegatrans.sst2rev import sst_to_reversible
 
-    n, size, _ = CORPORA[corpus]
+    n, size, _, (max_prefix, max_period) = CORPORA[corpus]
     sources = [
         generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in range(seeds)
     ]
     docs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else []
-    lassos = enumerate_lassos(sources[0].input_alphabet, 1, 2)
+    lassos = enumerate_lassos(sources[0].input_alphabet, max_prefix, max_period)
     seconds = dict.fromkeys(STAGES[corpus], 0.0)
     counts = {"output_states": 0, "output_transitions": 0}
 
@@ -88,6 +111,21 @@ def one_pass(corpus: str, seeds: int) -> dict:
                 raise SystemExit(f"seed {seed}: the 2w2sst output failed a check")
             counts["output_states"] += len(sst.states)
             counts["output_transitions"] += len(sst.transitions)
+        return {"seconds": seconds, "counts": counts}
+
+    if corpus == "equiv":
+        for seed, source in enumerate(sources):
+            sst = timed("two_way_to_sst", two_way_to_sst, source)
+            built = timed("dbt_to_rbt", dbt_to_rbt, source)
+            reversible = timed("validate_reversible", validate_reversible, built)
+            reports = [
+                timed(f"oracle vs {name}", equiv_on_lassos, source, machine, lassos, EvalBudget())
+                for name, machine in (("register machine", sst), ("reversible output", built))
+            ]
+            if not reversible or any(r.disagreements or r.inconclusive for r in reports):
+                raise SystemExit(f"seed {seed}: the equiv outputs failed a check")
+            counts["output_states"] += len(built.states)
+            counts["output_transitions"] += len(built.transitions)
         return {"seconds": seconds, "counts": counts}
 
     counts["distinct_transitions"] = 0
@@ -132,13 +170,15 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--corpus", choices=sorted(CORPORA), default="det2rev")
-    parser.add_argument("--seeds", type=int, help="corpus size (default: 30 det2rev, 40 2w2sst)")
+    parser.add_argument(
+        "--seeds", type=int, help="corpus size (default: 30 det2rev, 40 2w2sst, 30 equiv)"
+    )
     parser.add_argument("--repeats", type=int, default=1, help="fresh processes per column")
     parser.add_argument("--src", action="append", metavar="NAME=DIR", help="a column to measure")
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    n, size, default_seeds = CORPORA[args.corpus]
+    n, size, default_seeds, (max_prefix, max_period) = CORPORA[args.corpus]
     seeds = default_seeds if args.seeds is None else args.seeds
 
     if args.worker:
@@ -160,7 +200,7 @@ def main() -> None:
     report = {
         "corpus": f"generate_two_way(seed, {n}, 1, 2, alphabet_size={size}, density=1.0)"
         f", seeds 0-{seeds - 1}",
-        "lassos": "enumerate_lassos(alphabet, 1, 2)",
+        "lassos": f"enumerate_lassos(alphabet, {max_prefix}, {max_period})",
         "repeats": args.repeats,
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),

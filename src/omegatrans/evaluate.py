@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .lasso import LassoWord, lasso_canonicalize
 from .machines import (
@@ -65,8 +65,7 @@ class Configuration:
     position: int
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Verdict of evaluating a machine on a lasso.
 
     Every field is certified.  ``output`` is the exact, canonical output
@@ -173,9 +172,13 @@ def _run(machine, word: LassoWord, max_steps: int):
     run is classified or ``max_steps`` transitions ran.
 
     Returns (kind, trail, moves, loop_start, loop_end): ``trail`` maps each
-    configuration (state index, position) to the step that first reached
-    it, in order; ``moves[t]`` is the compiled move from configuration t
-    to configuration t + 1.
+    configuration to the step that first reached it, in order; ``moves[t]``
+    is the compiled move from configuration t to configuration t + 1.  A
+    configuration (state index q, position p) is the int p·|Q| + q, so
+    ``divmod(config, |Q|)`` gives (p, q).  Two configurations c, c' with
+    c ≡ c' (mod |v|·|Q|) hold the same state at positions equal modulo |v|,
+    which is the shift-loop key (state, (p − |u|) mod |v|) up to renaming,
+    and then c > c' exactly when c is further right.
 
     On a canonical lasso u·v^ω every run is classified within
     |Q|·(|u| + |Q|·|v| + 2) steps, so a smaller ``max_steps`` is the only
@@ -193,20 +196,23 @@ def _run(machine, word: LassoWord, max_steps: int):
     rows, back = table.rows, table.back
     prefix, period = word.prefix, word.period
     plen, vlen = len(prefix), len(period)
+    width = len(back)  # |Q|
+    span = vlen * width
     # A backward initial state reads the endmarker at position 0, as in
     # ``step_two_way``.
     state, pos = table.start, 0
     read = -back[state]
-    trail = {(state, 0): 0}
+    trail = {state: 0}
     moves = []
-    # Earliest periodic-region visit per (state, residue) since the head
-    # last dipped below the prefix; cleared on every dip so the shift-loop
-    # guard (head stays in the periodic region) holds by construction.  The
-    # start configuration is one when it already reads the periodic region,
-    # that is when the prefix is empty.
-    anchors: dict[tuple[int, int], tuple[int, int]] = {}
+    # Leftmost periodic-region configuration per (state, residue) since the
+    # head last dipped below the prefix, reached at step ``trail[config]``;
+    # cleared on every dip so the shift-loop guard (head stays in the
+    # periodic region) holds by construction.  The start configuration is
+    # one when it already reads the periodic region, that is when the
+    # prefix is empty.
+    anchors: dict[int, int] = {}
     if read >= plen:
-        anchors[state, 0] = (0, 0)
+        anchors[state % span] = state
     for t in range(1, max_steps + 1):
         if read >= plen:
             letter = period[(read - plen) % vlen]
@@ -220,7 +226,8 @@ def _run(machine, word: LassoWord, max_steps: int):
         moves.append(move)
         state = move[0]
         pos += move[1]
-        first = trail.setdefault((state, pos), t)
+        config = pos * width + state
+        first = trail.setdefault(config, t)
         if first != t:
             return REJECTED_LOOP, trail, moves, first, t
         # The loop argument needs every letter read inside the candidate
@@ -230,14 +237,11 @@ def _run(machine, word: LassoWord, max_steps: int):
         if read < plen:
             anchors.clear()
             continue
-        key = (state, (pos - plen) % vlen)
-        prev = anchors.get(key)
-        if prev is None:
-            anchors[key] = (t, pos)
-        elif pos > prev[1]:
-            return SHIFT_LOOP, trail, moves, prev[0], t
-        elif pos < prev[1]:
-            anchors[key] = (t, pos)
+        key = config % span
+        prev = anchors.get(key, config)
+        if config > prev:
+            return SHIFT_LOOP, trail, moves, trail[prev], t
+        anchors[key] = config
     return BUDGET_EXCEEDED, trail, moves, -1, -1
 
 
@@ -247,7 +251,7 @@ def simulate_two_way(
     """Simulate until the run is classified or ``max_steps`` transitions ran."""
     kind, trail, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(word), max_steps)
     states = machine.states
-    configs = [Configuration(states[i], pos) for i, pos in trail]
+    configs = [Configuration(states[c % len(states)], c // len(states)) for c in trail]
     if kind == REJECTED_LOOP:
         configs.append(configs[loop_start])
     return TwoWayRun(
@@ -320,7 +324,8 @@ def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output:
     for move in head:
         valuation = move[2].apply(valuation)
     loop_update = reduce(Substitution.then, map(itemgetter(2), loop))
-    out_tail = loop_update.image(sst.out)[1:]  # image is out · tail
+    images = dict(loop_update.images)
+    out_tail = images.get(sst.out, ())[1:]  # image is out · tail
 
     # Registers feeding out, closed under the loop update's own flow; their
     # contents evolve autonomously, so a literal repeat proves the appended
@@ -329,7 +334,7 @@ def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output:
     while True:
         grown = set(feeding)
         for r in feeding:
-            grown.update(v for kind, v in loop_update.image(r) if kind == "reg")
+            grown.update(v for kind, v in images.get(r, ()) if kind == "reg")
         if grown == feeding:
             break
         feeding = grown
@@ -337,7 +342,7 @@ def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output:
     # Only out and its feeding registers are updated and charged against the
     # budget: the other registers never reach the output.
     kept = (sst.out, *others)
-    loop_update = Substitution.from_dict({r: loop_update.image(r) for r in kept})
+    loop_update = Substitution.from_dict({r: images.get(r, ()) for r in kept})
     valuation = {r: valuation[r] for r in kept}
 
     # The loop update is copyless and out is read only by itself, so each

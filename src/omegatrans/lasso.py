@@ -26,6 +26,8 @@ class LassoWord:
         return cls(tuple(prefix), tuple(period))
 
     def letter(self, position: int) -> Letter:
+        if position < 0:
+            raise IndexError(f"lasso position must be non-negative, got {position}")
         if position < len(self.prefix):
             return self.prefix[position]
         return self.period[(position - len(self.prefix)) % len(self.period)]
@@ -43,19 +45,12 @@ class LassoWord:
 
 
 def _primitive_root(word: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Shortest word whose power equals ``word`` (border-array method)."""
+    """Shortest word whose power equals ``word``; ``word`` itself when it
+    is primitive."""
     n = len(word)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k > 0 and word[i] != word[k]:
-            k = fail[k - 1]
-        if word[i] == word[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[-1]
-    if p < n and n % p == 0:
-        return word[:p]
+    for p in range(1, n):
+        if n % p == 0 and word[:p] * (n // p) == word:
+            return word[:p]
     return word
 
 
@@ -64,13 +59,16 @@ def lasso_canonicalize(w: LassoWord) -> LassoWord:
 
     The period is reduced to its primitive root, then prefix letters equal
     to the aligned period letter are absorbed by rotating the period.
-    Idempotent and denotation-preserving.
+    Idempotent and denotation-preserving; a canonical ``w`` is returned
+    as is.
     """
     period = _primitive_root(w.period)
     prefix = w.prefix
     while prefix and prefix[-1] == period[-1]:
         prefix = prefix[:-1]
         period = period[-1:] + period[:-1]
+    if prefix is w.prefix and period is w.period:
+        return w
     return LassoWord(prefix, period)
 
 
@@ -87,6 +85,10 @@ def enumerate_lassos(
     Only canonical representations are produced (primitive period, minimal
     prefix), so each ultimately periodic word appears exactly once.
     """
+    if max_prefix < 0 or max_period < 1:
+        raise ValueError(
+            f"need max_prefix >= 0 and max_period >= 1, got {max_prefix} and {max_period}"
+        )
     letters = list(alphabet)
     result = []
     for plen in range(1, max_period + 1):
@@ -109,6 +111,8 @@ def random_lassos(
     max_period: int = 5,
 ) -> list[LassoWord]:
     """Sample ``count`` distinct canonical lassos."""
+    if count < 1:
+        raise ValueError(f"need a positive lasso count, got {count}")
     seen = set()
     result = []
     attempts = 0

@@ -148,17 +148,19 @@ class Substitution:
         return new
 
     def then(self, later: "Substitution") -> "Substitution":
-        """Sequential composition: apply ``self`` first, then ``later``."""
-        images = {}
+        """Sequential composition: apply ``self`` first, then ``later``.
+        The result lists ``later``'s registers, so it stays sorted."""
+        earlier = dict(self.images)
+        images = []
         for r, img in later.images:
             expanded: list[Token] = []
-            for kind, value in img:
-                if kind == "reg":
-                    expanded.extend(self.image(value))
+            for token in img:
+                if token[0] == "reg":
+                    expanded.extend(earlier.get(token[1], ()))
                 else:
-                    expanded.append((kind, value))
-            images[r] = tuple(expanded)
-        return Substitution.from_dict(images)
+                    expanded.append(token)
+            images.append((r, tuple(expanded)))
+        return Substitution(tuple(images))
 
     def display(self) -> str:
         parts = []

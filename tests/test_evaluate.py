@@ -345,6 +345,43 @@ def test_sst_outcomes_are_pinned():
     assert (count, digest.hexdigest()) == PINNED_SST_OUTCOMES
 
 
+def _spellings(w):
+    """``w`` and two non-canonical spellings of the same word: the period
+    doubled, and one period letter moved into the prefix."""
+    period = w.period[1:] + w.period[:1]
+    return w, LassoWord(w.prefix, w.period * 2), LassoWord(w.prefix + w.period[:1], period * 3)
+
+
+# SHA-256 over the outcomes of ``eval_machine`` on sources, their register
+# machines and their det2rev outputs, on canonical and non-canonical lassos,
+# at the default budget and at one small enough to run out; then one full
+# ``simulate_two_way`` record.  Any change to a verdict, output, finite
+# output, colour, step count or simulated run shows here.
+PINNED_ORACLE_OUTCOMES = (15_012, "368a0057fa323db074960aef5731d667e4fca71a19c38b814be8000eae3addd6")
+
+
+def test_oracle_outcomes_are_pinned():
+    sources = [generate_two_way(seed, 4, 1, 2, alphabet_size=2, density=1.0) for seed in range(6)]
+    sources += [generate_two_way(seed, 5, 1, 2, alphabet_size=3, density=1.0) for seed in (1, 4)]
+    machines = [m for s in sources for m in (s, two_way_to_sst(s), dbt_to_rbt(s))]
+    digest = hashlib.sha256()
+    count = 0
+    for machine in machines:
+        for w in enumerate_lassos(machine.input_alphabet, 2, 3):
+            for spelling in _spellings(w):
+                for budget in (None, EvalBudget(7, 5)):
+                    o = eval_machine(machine, spelling, budget)
+                    digest.update(
+                        repr((o.verdict, o.output, o.output_prefix, o.min_colors, o.steps)).encode()
+                    )
+                    count += 1
+    run = simulate_two_way(sources[7], LassoWord(tuple("cabcb"), tuple("bcbbcb")), 1_000)
+    digest.update(
+        repr((run.kind, run.configs, run.outputs, run.colors, run.loop_start, run.loop_end)).encode()
+    )
+    assert (count, digest.hexdigest()) == PINNED_ORACLE_OUTCOMES
+
+
 # --- equivalence driver -----------------------------------------------------
 
 

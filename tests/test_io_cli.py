@@ -675,6 +675,19 @@ def test_cli_equiv_detects_difference(tmp_path, mcr_path, capsys):
     assert main(["equiv", mcr_path, str(ident), "--exhaustive", "1", "2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "batch",
+    [["--exhaustive", "0", "0"], ["--exhaustive", "-2", "-1"], ["--random", "0", "1"],
+     ["--random", "-5", "1"]],
+)
+def test_cli_equiv_rejects_an_empty_lasso_batch(mcr_path, mcr_sst_path, batch, capsys):
+    """A batch that checks nothing is a usage error, never a pass."""
+    assert main(["equiv", mcr_path, mcr_sst_path, *batch]) == 3
+    captured = capsys.readouterr()
+    assert "summary:" not in captured.out
+    assert captured.err.startswith("error: need ")
+
+
 @pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
 def test_cli_gen_kinds_validate(tmp_path, kind, capsys):
     out = tmp_path / "m.json"

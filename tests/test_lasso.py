@@ -88,9 +88,21 @@ def test_enumerate_lassos_canonical_and_distinct():
     lassos = enumerate_lassos(("a", "b"), 2, 2)
     assert len(lassos) == len(set(lassos))
     for w in lassos:
-        assert lasso_canonicalize(w) == w
+        assert lasso_canonicalize(w) is w
     unrollings = {w.unroll(12) for w in lassos}
     assert len(unrollings) == len(lassos)
+
+
+@given(st.text("ab", min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_primitive_root_is_the_shortest_rotation_period(word):
+    """A word is a power of its prefix of length p exactly when rotating
+    it by p gives it back; the root takes the smallest such p."""
+    from omegatrans.lasso import _primitive_root
+
+    word = tuple(word)
+    p = next(p for p in range(1, len(word) + 1) if word[p:] + word[:p] == word)
+    assert _primitive_root(word) == word[:p]
 
 
 def test_enumerate_lassos_bounds():
@@ -110,6 +122,30 @@ def test_random_lassos_reproducible():
 def test_letter_indexing():
     w = lw("ab", "cd")
     assert [w.letter(i) for i in range(6)] == list("abcdcd")
+
+
+@pytest.mark.parametrize("position", [-1, -3])
+def test_letter_rejects_negative_positions(position):
+    with pytest.raises(IndexError):
+        lw("ab", "c").letter(position)
+
+
+@pytest.mark.parametrize("max_prefix, max_period", [(0, 0), (-2, -1), (-1, 2), (3, 0)])
+def test_enumerate_lassos_rejects_an_empty_batch(max_prefix, max_period):
+    with pytest.raises(ValueError):
+        enumerate_lassos(("a", "b"), max_prefix, max_period)
+
+
+def test_enumerate_lassos_smallest_batch():
+    assert enumerate_lassos(("a", "b"), 0, 1) == [lw("", "a"), lw("", "b")]
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_random_lassos_rejects_an_empty_batch(count):
+    from random import Random
+
+    with pytest.raises(ValueError):
+        random_lassos(("a", "b"), count, Random(1))
 
 
 def test_unroll_matches_letter_by_letter():

@@ -9,34 +9,49 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["size_report.py", "fuzz_pipeline.py", "stage_times.py"])
-def test_script_runs(script):
+def _run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--seeds", "4"],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("script", ["size_report.py", "fuzz_pipeline.py", "stage_times.py"])
+def test_script_runs(script):
+    _run_script(script, "--seeds", "4")
 
 
 def test_stage_times_on_the_2w2sst_corpus():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "stage_times.py"), "--corpus", "2w2sst", "--seeds", "3"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    report = json.loads(_run_script("stage_times.py", "--corpus", "2w2sst", "--seeds", "3"))
     assert report["corpus"] == (
         "generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0), seeds 0-2"
     )
     (column,) = report["columns"].values()
     assert set(column["seconds"]) == {"two_way_to_sst", "oracle", "total"}
+    assert set(column["counts"]) == {"output_states", "output_transitions"}
+    assert column["counts"]["output_states"] > 3
+
+
+def test_stage_times_on_the_equiv_corpus():
+    report = json.loads(_run_script("stage_times.py", "--corpus", "equiv", "--seeds", "3"))
+    assert report["corpus"] == (
+        "generate_two_way(seed, 4, 1, 2, alphabet_size=2, density=1.0), seeds 0-2"
+    )
+    assert report["lassos"] == "enumerate_lassos(alphabet, 3, 5)"
+    (column,) = report["columns"].values()
+    assert set(column["seconds"]) == {
+        "two_way_to_sst",
+        "dbt_to_rbt",
+        "validate_reversible",
+        "oracle vs register machine",
+        "oracle vs reversible output",
+        "total",
+    }
     assert set(column["counts"]) == {"output_states", "output_transitions"}
     assert column["counts"]["output_states"] > 3
