@@ -23,6 +23,13 @@ reversible output, over ``generate_two_way(seed, 4, 1, 2, alphabet_size=2,
 density=1.0)`` for seeds 0 .. N-1 (N = 30 by default).  Both oracle stages
 run the source too, so the oracle's share is their sum.
 
+With ``--corpus compose``, a job is ``compose_reachable`` over every
+ordered pair of distinct ``dbt_to_rbt`` outputs of the det2rev corpus's
+seeds 0, 2, 3, 4, 7 and 11 (the first N of them, N = 6 by default).  The
+outputs are built before timing starts.  The counts are the reached pairs
+next to their |Q|·|P| bound, the output transitions, and the distinct
+transition objects.
+
 Each column is a library source directory, ``--src NAME=DIR`` (default:
 this checkout's ``src``).  A repeat runs one fresh process per column, in
 alternating order, all with the same PYTHONHASHSEED.  The report gives
@@ -37,6 +44,8 @@ output.
         --src parent=../parent/src --src change=src --out BENCH_forests.json
     python scripts/stage_times.py --corpus equiv --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_oracle.json
+    python scripts/stage_times.py --corpus compose --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_compose.json
 """
 
 import argparse
@@ -68,18 +77,23 @@ STAGES = {
         "oracle vs register machine",
         "oracle vs reversible output",
     ),
+    "compose": ("compose_reachable",),
 }
-# n, alphabet size, seeds, lassos (max prefix, max period)
+# n, alphabet size, seeds, lassos (max prefix, max period) or None
 CORPORA = {
     "det2rev": (7, 3, 30, (1, 2)),
     "2w2sst": (22, 4, 40, (1, 2)),
     "equiv": (4, 2, 30, (3, 5)),
+    "compose": (7, 3, 6, None),
 }
+# det2rev seeds whose outputs the compose corpus pairs: 5 to 182 states.
+COMPOSE_SEEDS = (0, 2, 3, 4, 7, 11)
 
 
 def one_pass(corpus: str, seeds: int) -> dict:
     """Seconds per stage and counts of one pass over the corpus."""
     from omegatrans.buchi import dbt_to_rbt
+    from omegatrans.compose import compose_reachable
     from omegatrans.evaluate import EvalBudget, equiv_on_lassos
     from omegatrans.forests import two_way_to_sst
     from omegatrans.generate import generate_two_way
@@ -88,12 +102,13 @@ def one_pass(corpus: str, seeds: int) -> dict:
     from omegatrans.machines import validate_reversible
     from omegatrans.sst2rev import sst_to_reversible
 
-    n, size, _, (max_prefix, max_period) = CORPORA[corpus]
+    n, size, _, bounds = CORPORA[corpus]
+    picked = COMPOSE_SEEDS[:seeds] if corpus == "compose" else range(seeds)
     sources = [
-        generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in range(seeds)
+        generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in picked
     ]
     docs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else []
-    lassos = enumerate_lassos(sources[0].input_alphabet, max_prefix, max_period)
+    lassos = bounds and enumerate_lassos(sources[0].input_alphabet, *bounds)
     seconds = dict.fromkeys(STAGES[corpus], 0.0)
     counts = {"output_states": 0, "output_transitions": 0}
 
@@ -102,6 +117,24 @@ def one_pass(corpus: str, seeds: int) -> dict:
         result = build(*args)
         seconds[stage] += time.perf_counter() - start
         return result
+
+    if corpus == "compose":
+        outputs = [dbt_to_rbt(source) for source in sources]
+        counts = dict.fromkeys(
+            ("reached_pairs", "product_bound", "output_transitions", "distinct_transitions"), 0
+        )
+        for first in outputs:
+            for second in outputs:
+                if first is second:
+                    continue
+                composed = timed("compose_reachable", compose_reachable, first, second)
+                counts["reached_pairs"] += len(composed.states)
+                counts["product_bound"] += len(first.states) * len(second.states)
+                counts["output_transitions"] += len(composed.transitions)
+                counts["distinct_transitions"] += len(
+                    {id(tr) for tr in composed.transitions.values()}
+                )
+        return {"seconds": seconds, "counts": counts}
 
     if corpus == "2w2sst":
         for seed, source in enumerate(sources):
@@ -171,15 +204,18 @@ def main() -> None:
     )
     parser.add_argument("--corpus", choices=sorted(CORPORA), default="det2rev")
     parser.add_argument(
-        "--seeds", type=int, help="corpus size (default: 30 det2rev, 40 2w2sst, 30 equiv)"
+        "--seeds", type=int,
+        help="corpus size (default: 30 det2rev, 40 2w2sst, 30 equiv, 6 compose)",
     )
     parser.add_argument("--repeats", type=int, default=1, help="fresh processes per column")
     parser.add_argument("--src", action="append", metavar="NAME=DIR", help="a column to measure")
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    n, size, default_seeds, (max_prefix, max_period) = CORPORA[args.corpus]
+    n, size, default_seeds, bounds = CORPORA[args.corpus]
     seeds = default_seeds if args.seeds is None else args.seeds
+    if args.corpus == "compose" and seeds > len(COMPOSE_SEEDS):
+        parser.error(f"the compose corpus has {len(COMPOSE_SEEDS)} seeds")
 
     if args.worker:
         sys.path.insert(0, args.worker)
@@ -197,15 +233,19 @@ def main() -> None:
         names = list(columns) if repeat % 2 == 0 else list(reversed(columns))
         for name in names:
             passes[name].append(run_worker(columns[name], args.corpus, seeds, repeat))
+    machine = f"generate_two_way(seed, {n}, 1, 2, alphabet_size={size}, density=1.0)"
     report = {
-        "corpus": f"generate_two_way(seed, {n}, 1, 2, alphabet_size={size}, density=1.0)"
-        f", seeds 0-{seeds - 1}",
-        "lassos": f"enumerate_lassos(alphabet, {max_prefix}, {max_period})",
+        "corpus": f"ordered pairs of distinct dbt_to_rbt({machine}), seeds {COMPOSE_SEEDS[:seeds]}"
+        if args.corpus == "compose"
+        else f"{machine}, seeds 0-{seeds - 1}",
+        "lassos": bounds and f"enumerate_lassos(alphabet, {bounds[0]}, {bounds[1]})",
         "repeats": args.repeats,
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "columns": {},
     }
+    if bounds is None:
+        del report["lassos"]
     for name, runs in passes.items():
         counts = runs[0]["counts"]
         if any(run["counts"] != counts for run in runs):

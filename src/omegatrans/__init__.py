@@ -19,7 +19,7 @@ from .machines import (
     CopylessParitySST,
     validate_reversible,
     validate_one_way,
-    validate_sst,
+    validate_sst_machine,
     validate_machine,
 )
 from .lasso import LassoWord, lasso_canonicalize, lasso_equal, enumerate_lassos
@@ -48,7 +48,7 @@ __all__ = [
     "CopylessParitySST",
     "validate_reversible",
     "validate_one_way",
-    "validate_sst",
+    "validate_sst_machine",
     "validate_machine",
     "LassoWord",
     "lasso_canonicalize",

@@ -19,14 +19,13 @@ from typing import Optional, Union
 from .machines import (
     LEFT_END,
     State,
-    Transition,
     TwoWayParityTransducer,
     advance,
     collector_paused,
     drop_left_end_into_initial,
+    materialize,
     odd_sentinels,
     require_two_way,
-    unique_names,
     validate_reversible,
 )
 
@@ -171,7 +170,7 @@ def compose_reachable(
     # production, minimum colors), or None when the run loops or sticks.
     runs: dict[int, Optional[tuple]] = {}
     # Pairs in the order they are reached, the initial pair first, and the
-    # moves as (source, letter, target, run key, first colors).
+    # moves as (source, letter, target, production, colors).
     pairs = [initial * width + second_index[second.initial]]
     number = {pairs[0]: 0}
     edges: list[tuple] = []
@@ -197,31 +196,18 @@ def compose_reachable(
             j = number.setdefault(target, len(pairs))
             if j == len(pairs):
                 pairs.append(target)
-            edges.append((src, a, j, key, colors))
+            edges.append((src, a, j, run[2], colors + run[3]))
 
-    names = unique_names(
-        f"{first.states[i // width].name}.{second.states[i % width].name}" for i in pairs
+    states, transitions = materialize(
+        (f"{first.states[i // width].name}.{second.states[i % width].name}" for i in pairs),
+        (first.states[i // width].forward == second_forward[i % width] for i in pairs),
+        edges,
     )
-    states = [
-        State(name, first.states[i // width].forward == second_forward[i % width])
-        for i, name in zip(pairs, names)
-    ]
-    # Moves with the same target, run and first colors share one
-    # transition: over the det2rev corpus, 39,976 objects serve 102,947
-    # transitions.
-    made: dict[tuple, Transition] = {}
-    transitions: dict = {}
-    for src, a, j, key, colors in edges:
-        tr = made.get((j, key, colors))
-        if tr is None:
-            _, _, production, mins = runs[key]
-            tr = made[j, key, colors] = Transition(states[j], production, colors + mins)
-        transitions[(states[src], a)] = tr
-    ell = 1 + max((c for tr in made.values() for c in tr.colors), default=0)
+    ell = 1 + max((c for colors in {edge[4] for edge in edges} for c in colors), default=0)
     return TwoWayParityTransducer(
         input_alphabet=first.input_alphabet,
         output_alphabet=second.output_alphabet,
-        states=tuple(states),
+        states=states,
         initial=states[0],
         transitions=transitions,
         k=first.k + second.k,

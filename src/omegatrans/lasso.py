@@ -110,20 +110,19 @@ def random_lassos(
     max_prefix: int = 4,
     max_period: int = 5,
 ) -> list[LassoWord]:
-    """Sample ``count`` distinct canonical lassos."""
+    """Sample ``count`` distinct canonical lassos; raise ValueError, naming
+    how many it found, when 50·count + 100 draws find fewer."""
     if count < 1:
         raise ValueError(f"need a positive lasso count, got {count}")
-    seen = set()
-    result = []
+    found: dict[LassoWord, None] = {}  # an insertion-ordered set
     attempts = 0
-    while len(result) < count and attempts < 50 * count + 100:
+    while len(found) < count and attempts < 50 * count + 100:
         attempts += 1
         ulen = rng.randint(0, max_prefix)
         vlen = rng.randint(1, max_period)
         prefix = tuple(rng.choice(alphabet) for _ in range(ulen))
         period = tuple(rng.choice(alphabet) for _ in range(vlen))
-        w = lasso_canonicalize(LassoWord(prefix, period))
-        if w not in seen:
-            seen.add(w)
-            result.append(w)
-    return result
+        found.setdefault(lasso_canonicalize(LassoWord(prefix, period)))
+    if len(found) < count:
+        raise ValueError(f"found {len(found)} distinct lassos in {attempts} draws, not {count}")
+    return list(found)

@@ -18,14 +18,12 @@ from typing import Optional
 
 from .machines import (
     LEFT_END,
-    State,
-    Transition,
     TwoWayParityTransducer,
     WrongMachineKind,
     collector_paused,
+    materialize,
     max_colors,
     require_two_way,
-    unique_names,
     validate_one_way,
     walk_takeable,
 )
@@ -114,7 +112,8 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
 
     pairs = [(UNDER, initial, OVER, initial)]
     number = {pairs[0]: 0}
-    edges: list[tuple[int, object, int, Optional[Transition]]] = []
+    edges: list[tuple] = []
+    global_max = max_colors(machine)
 
     def move(i: int, c: int) -> Optional[tuple[int, bool]]:
         t1, p, t2, q = src = pairs[i]
@@ -132,30 +131,25 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
         j = number.setdefault(tgt, len(pairs))
         if j == len(pairs):
             pairs.append(tgt)
+        # Only diagonal states, where both heads pin one base state,
+        # produce output and the real colors.
         diagonal = t1 == UNDER and t2 == OVER and p == q
-        edges.append((i, row[0], j, row[1][p] if diagonal else None))
+        emit = (row[1][p].output, row[1][p].colors) if diagonal else ((), global_max)
+        edges.append((i, row[0], j, *emit))
         return j, x1 != x2
 
     walk_takeable(len(machine.input_alphabet), move)
 
     mark = {UNDER: "_", OVER: "^"}
-    names = unique_names(
-        f"{mark[t1]}{states[p].name}.{mark[t2]}{states[q].name}" for t1, p, t2, q in pairs
+    out_states, transitions = materialize(
+        (f"{mark[t1]}{states[p].name}.{mark[t2]}{states[q].name}" for t1, p, t2, q in pairs),
+        (t1 != t2 for t1, _, t2, _ in pairs),
+        edges,
     )
-    out_states = [State(name, pair[0] != pair[2]) for pair, name in zip(pairs, names)]
-
-    global_max = max_colors(machine)
-    transitions: dict = {}
-    for i, a, j, base in edges:
-        # Only diagonal states, where both heads pin one base state,
-        # produce output and the real colors.
-        output, colors = ((), global_max) if base is None else (base.output, base.colors)
-        transitions[(out_states[i], a)] = Transition(out_states[j], output, colors)
-
     return TwoWayParityTransducer(
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
-        states=tuple(out_states),
+        states=out_states,
         initial=out_states[0],
         transitions=transitions,
         k=machine.k,

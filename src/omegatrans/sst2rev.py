@@ -21,7 +21,7 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
-    validate_sst,
+    validate_sst_machine,
 )
 from .oneway import one_way_to_reversible
 
@@ -33,7 +33,7 @@ class InvalidSst(ValueError):
 def _require_valid_sst(sst) -> None:
     if not isinstance(sst, CopylessParitySST):
         raise InvalidSst(f"expected a register machine, got a {type(sst).__name__}")
-    problems = validate_sst(sst)
+    problems = validate_sst_machine(sst)
     if problems:
         raise InvalidSst("; ".join(problems))
 

@@ -16,7 +16,7 @@ from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_one_way, generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos, lasso_equal
-from omegatrans.machines import validate_reversible, validate_sst
+from omegatrans.machines import validate_reversible, validate_sst_machine
 from omegatrans.oneway import one_way_to_reversible
 from builtin import (
     a_in_first_two_automaton,
@@ -173,7 +173,7 @@ def test_criterion_5_two_way_to_sst_suite(lassos_ab):
         machine = generate_two_way(seed, n=n, k=1, ell=ell)
         details = {}
         sst = two_way_to_sst(machine, details=details)
-        if validate_sst(sst):
+        if validate_sst_machine(sst):
             failures += 1
             continue
         if details["max_forest_nodes"] > 2 * n - 2 or details["max_forest_edges"] > 2 * n - 2:

@@ -1,6 +1,6 @@
-"""The det2rev conversion and composition at corpus scale: pinned output
-bytes, two-stage agreement, and the builders that run with the cyclic
-garbage collector paused."""
+"""The det2rev, 1w2rev and composition builders at corpus scale: pinned
+output bytes, shared transition objects, two-stage agreement, and the
+builders that run with the cyclic garbage collector paused."""
 
 import gc
 import hashlib
@@ -11,7 +11,7 @@ import pytest
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.compose import compose_reachable
 from omegatrans.forests import two_way_to_sst
-from omegatrans.generate import generate_two_way
+from omegatrans.generate import generate_one_way, generate_two_way
 from omegatrans.io import DocumentError, dumps_machine, loads_machine
 from omegatrans.lasso import enumerate_lassos
 from omegatrans.oneway import one_way_to_reversible
@@ -75,6 +75,30 @@ def test_full_composition_of_outputs_is_pinned(outputs):
     composed = full_product(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
     assert digest(composed) == "1ec9505aeec434d0d6326f48412021ae22357deebd99b6e938753134d347fe9a"
+
+
+@pytest.fixture(scope="module")
+def one_way_outputs():
+    return [
+        one_way_to_reversible(generate_one_way(seed, 7, 1, 2, alphabet_size=3))
+        for seed in range(10)
+    ]
+
+
+def test_one_way_to_reversible_bytes_are_pinned(one_way_outputs):
+    texts = [dumps_machine(machine) for machine in one_way_outputs]
+    assert sum(len(m.states) for m in one_way_outputs) == 1585
+    assert sum(len(m.transitions) for m in one_way_outputs) == 4834
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "5201cc797fbd3ae3ce2169a3d42b17c720334f118fe7405232c5f61d32b32361"
+    )
+
+
+def test_equal_transitions_are_one_object(outputs, one_way_outputs):
+    machines = [*one_way_outputs, *outputs.values(), compose_reachable(outputs[7], outputs[4])]
+    for machine in machines:
+        ts = list(machine.transitions.values())
+        assert len({id(t) for t in ts}) == len(set(ts))
 
 
 # content_digest of one_way_to_reversible of the substitution stream that

@@ -19,7 +19,6 @@ from omegatrans.machines import (
     Transition,
     TwoWayParityTransducer,
     WrongMachineKind,
-    validate_sst,
     validate_sst_machine,
 )
 from support import (

@@ -688,6 +688,18 @@ def test_cli_equiv_rejects_an_empty_lasso_batch(mcr_path, mcr_sst_path, batch, c
     assert captured.err.startswith("error: need ")
 
 
+def test_cli_equiv_rejects_a_random_batch_it_cannot_fill(tmp_path, capsys):
+    """Fewer distinct lassos than asked is a usage error, not a smaller check."""
+    from builtin import identity_transducer
+
+    ident = tmp_path / "ident.json"
+    ident.write_text(dumps_machine(identity_transducer("ab")))
+    assert main(["equiv", str(ident), str(ident), "--random", "1000", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "summary:" not in captured.out
+    assert captured.err.startswith("error: found 827 distinct lassos")
+
+
 @pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
 def test_cli_gen_kinds_validate(tmp_path, kind, capsys):
     out = tmp_path / "m.json"

@@ -148,6 +148,14 @@ def test_random_lassos_rejects_an_empty_batch(count):
         random_lassos(("a", "b"), count, Random(1))
 
 
+@pytest.mark.parametrize("alphabet, count, found", [(("a", "b"), 1000, 827), (("a",), 5, 1)])
+def test_random_lassos_rejects_a_shortfall(alphabet, count, found):
+    from random import Random
+
+    with pytest.raises(ValueError, match=f"found {found} distinct lassos in .* draws, not {count}"):
+        random_lassos(alphabet, count, Random(1))
+
+
 def test_unroll_matches_letter_by_letter():
     for w in enumerate_lassos(("a", "b"), 3, 4):
         for n in range(-1, 3 * (len(w.prefix) + len(w.period)) + 1):

@@ -21,7 +21,7 @@ from omegatrans.machines import (
     unique_names,
     validate_machine,
     validate_reversible,
-    validate_sst,
+    validate_sst_machine,
 )
 from support import (
     codeterministic_triples,
@@ -56,7 +56,7 @@ def test_reversible(mcr_rbt, first_two_automaton):
 
 
 def test_validate_sst_accepts_golden(mcr_sst):
-    assert validate_sst(mcr_sst) == []
+    assert validate_sst_machine(mcr_sst) == []
 
 
 def _one_state_sst(update):
@@ -76,13 +76,13 @@ def _one_state_sst(update):
 
 def test_validate_sst_copy_violation():
     bad = _one_state_sst(Substitution.from_dict({"out": (reg("out"),), "r": (reg("r"), reg("r"))}))
-    problems = validate_sst(bad)
+    problems = validate_sst_machine(bad)
     assert len(problems) == 1 and "copyless" in problems[0]
 
 
 def test_validate_sst_out_discipline():
     bad = _one_state_sst(Substitution.from_dict({"out": (sym("a"), reg("out")), "r": ()}))
-    problems = validate_sst(bad)
+    problems = validate_sst_machine(bad)
     assert any("must start with" in p for p in problems)
 
 

@@ -55,3 +55,18 @@ def test_stage_times_on_the_equiv_corpus():
     }
     assert set(column["counts"]) == {"output_states", "output_transitions"}
     assert column["counts"]["output_states"] > 3
+
+
+def test_stage_times_on_the_compose_corpus():
+    report = json.loads(_run_script("stage_times.py", "--corpus", "compose", "--seeds", "3"))
+    assert report["corpus"] == (
+        "ordered pairs of distinct dbt_to_rbt(generate_two_way(seed, 7, 1, 2,"
+        " alphabet_size=3, density=1.0)), seeds (0, 2, 3)"
+    )
+    assert "lassos" not in report
+    (column,) = report["columns"].values()
+    assert set(column["seconds"]) == {"compose_reachable", "total"}
+    counts = column["counts"]
+    assert counts["product_bound"] == 2 * (60 * 75 + 60 * 119 + 75 * 119)
+    assert 0 < counts["reached_pairs"] <= counts["product_bound"]
+    assert 0 < counts["distinct_transitions"] <= counts["output_transitions"]

@@ -249,6 +249,24 @@ def test_rejects_two_way_machine(mcr_rbt):
         sst_to_reversible(mcr_rbt)
 
 
+def test_sst_to_reversible_rejects_an_undeclared_register():
+    q = State("q", True)
+    ghost = Substitution.from_dict({"out": (reg("out"), reg("ghost"))})
+    sst = CopylessParitySST(
+        input_alphabet=("a",),
+        output_alphabet=("a",),
+        states=(q,),
+        initial=q,
+        transitions={(q, "a"): SstTransition(q, ghost, (0,))},
+        registers=("out",),
+        out="out",
+        k=1,
+        ell=1,
+    )
+    with pytest.raises(InvalidSst, match="update reads unknown register 'ghost'"):
+        sst_to_reversible(sst)
+
+
 def reduce(sst):
     return merge_equal_states(drop_dead_registers(sst))
 
