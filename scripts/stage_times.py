@@ -33,10 +33,11 @@ transition objects.
 Each column is a library source directory, ``--src NAME=DIR`` (default:
 this checkout's ``src``).  A repeat runs one fresh process per column, in
 alternating order, all with the same PYTHONHASHSEED.  The report gives
-each stage's total seconds over the corpus as median and quartiles over
-the repeats, next to the counts, which must repeat exactly: output states
-and transitions, and (det2rev) distinct transition objects of the built
-output.
+each stage's total seconds over the corpus and the process's peak resident
+memory (``ru_maxrss``, in MB, corpus generation included) as median and
+quartiles over the repeats, next to the counts, which must repeat
+exactly: output states and transitions, and (det2rev) distinct transition
+objects of the built output.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
@@ -51,6 +52,7 @@ output.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -224,7 +226,11 @@ def main() -> None:
         found = Path(omegatrans.__file__).resolve().parent.parent
         if found != Path(args.worker).resolve():
             raise SystemExit(f"omegatrans imported from {found}, not from {args.worker}")
-        print(json.dumps(one_pass(args.corpus, seeds)))
+        measured = one_pass(args.corpus, seeds)
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        scale = 2**20 if sys.platform == "darwin" else 2**10
+        measured["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+        print(json.dumps(measured))
         return
 
     columns = dict(spec.split("=", 1) for spec in args.src or [f"change={ROOT / 'src'}"])
@@ -254,7 +260,11 @@ def main() -> None:
             stage: spread([run["seconds"][stage] for run in runs]) for stage in STAGES[args.corpus]
         }
         seconds["total"] = spread([sum(run["seconds"].values()) for run in runs])
-        report["columns"][name] = {"seconds": seconds, "counts": counts}
+        report["columns"][name] = {
+            "seconds": seconds,
+            "peak_rss_mb": spread([run["peak_rss_mb"] for run in runs]),
+            "counts": counts,
+        }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 from .machines import (
     LEFT_END,
     CopylessParitySST,
+    InvalidMachine,
     SstTransition,
     State,
     Substitution,
@@ -27,6 +28,7 @@ from .machines import (
     reg,
     require_two_way,
     sym,
+    validate_machine,
 )
 
 
@@ -287,7 +289,8 @@ def two_way_to_sst(
     letter's, keeping the standard all-empty starting valuation.
     Exploration is breadth-first over reachable (endpoint, forest)
     summaries; exceeding ``state_cap`` (at least 1) raises StateExplosion
-    rather than truncating.
+    rather than truncating.  A machine that ``validate_machine`` finds
+    malformed raises InvalidMachine, naming each problem.
 
     ``details``, when given, is filled with ``state_map`` (each state's name
     to its (endpoint, forest preorder) summary), ``start`` and
@@ -296,9 +299,10 @@ def two_way_to_sst(
     ``max_forest_nodes`` and ``max_forest_edges``.
     """
     require_two_way(machine, "two_way_to_sst")
+    problems = validate_machine(machine)
+    if problems:
+        raise InvalidMachine("; ".join(problems))
     n = len(machine.states)
-    if n < 1:
-        raise ValueError("machine needs at least one state")
     if state_cap < 1:
         raise ValueError(f"state_cap must be positive, got {state_cap}")
     pool = tuple(f"r{i}" for i in range(1, 2 * n - 1))

@@ -38,7 +38,7 @@ class DocumentError(ValueError):
 
 
 def document_to_machine(doc: dict) -> Machine:
-    """Machine described by a parsed JSON document.
+    """Machine described by a parsed JSON document; ``doc`` is left as it is.
 
     Every malformed document raises DocumentError: a missing field, or a
     value of the wrong type wherever it is first used, is reported here
@@ -243,11 +243,6 @@ def _update_document(update: Substitution) -> dict:
     return {r: [{kind: value} for kind, value in img] for r, img in update.images}
 
 
-def _json_list(records: list[str]) -> str:
-    """A list of records already indented one level deep."""
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-
-
 def dumps_machine(machine: Machine) -> str:
     """The machine's JSON document, pretty-printed with sorted keys.
 
@@ -296,11 +291,24 @@ def dumps_machine(machine: Machine) -> str:
     if sst:
         fields["out"] = machine.out
         fields["registers"] = machine.registers
-    lines = {key: _json_text(value, 1) for key, value in fields.items()}
-    lines["states"] = _json_list(state_records)
-    lines["transitions"] = _json_list(records)
-    body = ",\n".join(f'  "{key}": {lines[key]}' for key in sorted(lines))
-    return "{\n" + body + "\n}\n"
+    # The text is joined once, from the fields, the separators and the
+    # records themselves; "states" and "transitions" sort after every
+    # other field.
+    parts = ["{\n"]
+    for key in sorted(fields):
+        parts += (f'  "{key}": ', _json_text(fields[key], 1), ",\n")
+    for key, listed in (("states", state_records), ("transitions", records)):
+        parts.append(f'  "{key}": ')
+        if listed:
+            parts.append("[\n")
+            for record in listed:
+                parts += (record, ",\n")
+            parts[-1] = "\n  ]"
+        else:
+            parts.append("[]")
+        parts.append(",\n")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 @collector_paused
@@ -309,7 +317,23 @@ def loads_machine(text: str) -> Machine:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        # The parse is this function's own, so its record lists are handed
+        # over as generators that drop each record once it is read: a built
+        # record can be freed before the next one is.  Any other value is
+        # left to fail as it would in document_to_machine, which reads each
+        # of these fields once.
+        for field in ("states", "transitions"):
+            if type(doc.get(field)) is list:
+                doc[field] = _draining(doc[field])
     return document_to_machine(doc)
+
+
+def _draining(records: list):
+    for i in range(len(records)):
+        record = records[i]
+        records[i] = None
+        yield record
 
 
 # ---------------------------------------------------------------------------

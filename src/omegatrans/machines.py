@@ -328,6 +328,10 @@ class WrongMachineKind(ValueError):
     """A construction was given a machine of a kind it does not take."""
 
 
+class InvalidMachine(ValueError):
+    """A construction was given a machine that fails its structural check."""
+
+
 def require_two_way(machine, construction: str) -> None:
     """Raise WrongMachineKind unless ``machine`` is a two-way transducer."""
     if not isinstance(machine, TwoWayParityTransducer):

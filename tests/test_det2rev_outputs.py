@@ -1,9 +1,11 @@
 """The det2rev, 1w2rev and composition builders at corpus scale: pinned
-output bytes, shared transition objects, two-stage agreement, and the
-builders that run with the cyclic garbage collector paused."""
+output bytes, shared transition objects, two-stage agreement, the builders
+that run with the cyclic garbage collector paused, and the memory the
+document layer takes for a large output."""
 
 import gc
 import hashlib
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -232,3 +234,45 @@ def test_dumps_machine_leaves_no_cyclic_garbage(outputs, kind):
     with collector(False):
         dumps_machine(machine)
         assert gc.collect() == 0
+
+
+# --- document memory ----------------------------------------------------------
+
+
+def _extra_memory(call, arg):
+    """``call(arg)`` and the peak bytes it allocated, its result included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def large_output():
+    """The det2rev output of seed 18 and its text (2.4 MB)."""
+    machine = dbt_to_rbt(source(18))
+    assert (len(machine.states), len(machine.transitions)) == (3767, 12869)
+    return machine, dumps_machine(machine)
+
+
+# The writer joins its text once, and the loader frees each parsed record
+# once it has built it, so each holds a few copies of the text at its peak,
+# not one per layer of nesting.
+
+
+def test_dumps_machine_takes_few_copies_of_its_text(large_output):
+    machine, text = large_output
+    written, peak = _extra_memory(dumps_machine, machine)
+    assert written == text
+    assert peak <= 3.5 * len(text), peak / len(text)
+
+
+def test_loads_machine_takes_few_copies_of_its_text(large_output):
+    machine, text = large_output
+    loaded, peak = _extra_memory(loads_machine, text)
+    assert loaded == machine
+    assert peak <= 3.5 * len(text), peak / len(text)

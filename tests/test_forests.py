@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from omegatrans.buchi import dbt_to_rbt
 from omegatrans.evaluate import equiv_on_lassos
 from omegatrans.forests import (
     StateExplosion,
@@ -15,6 +16,7 @@ from omegatrans.io import dumps_machine
 from omegatrans.lasso import enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
+    InvalidMachine,
     State,
     Transition,
     TwoWayParityTransducer,
@@ -263,6 +265,22 @@ def test_non_positive_state_cap_is_rejected(first_two_automaton, cap):
 def test_rejects_register_machine(mcr_sst):
     with pytest.raises(WrongMachineKind):
         two_way_to_sst(mcr_sst)
+
+
+@pytest.mark.parametrize("construction", [two_way_to_sst, dbt_to_rbt])
+def test_rejects_a_transition_into_an_undeclared_state(construction):
+    q = State("q", True)
+    machine = TwoWayParityTransducer(
+        input_alphabet=("a",),
+        output_alphabet=("a",),
+        states=(q,),
+        initial=q,
+        transitions={(q, "a"): Transition(State("g", True), ("a",), (0,))},
+        k=1,
+        ell=2,
+    )
+    with pytest.raises(InvalidMachine, match=r"^\(q, 'a'\): unknown target state$"):
+        construction(machine)
 
 
 def test_forest_content_matches_oracle_small_corpus():

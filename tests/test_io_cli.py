@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import itertools
@@ -568,6 +569,31 @@ def test_loader_lets_a_repeated_key_with_the_same_target_replace_the_record(mcr_
     ]
     assert tr.colors == (1 - first["colors"][0],)
     assert machine.transitions.keys() == mcr_rbt.transitions.keys()
+
+
+def _unknown_last_target(rbt_doc, sst_doc):
+    rbt_doc["transitions"][-1]["to"] = "nowhere"
+    return rbt_doc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rbt_doc, sst_doc: rbt_doc,
+        lambda rbt_doc, sst_doc: sst_doc,
+        _string_colors,
+        _unknown_last_target,
+    ],
+    ids=["2dpt", "cpsst", "string-colors", "unknown-last-target"],
+)
+def test_document_to_machine_leaves_its_document_unchanged(mcr_rbt, mcr_sst, make):
+    doc = make(json.loads(dumps_machine(mcr_rbt)), json.loads(dumps_machine(mcr_sst)))
+    before = copy.deepcopy(doc)
+    try:
+        document_to_machine(doc)
+    except DocumentError:
+        pass
+    assert doc == before
 
 
 def test_lasso_syntax():

@@ -28,12 +28,17 @@ def test_script_runs(script):
 
 
 def test_stage_times_on_the_2w2sst_corpus():
-    report = json.loads(_run_script("stage_times.py", "--corpus", "2w2sst", "--seeds", "3"))
+    report = json.loads(
+        _run_script("stage_times.py", "--corpus", "2w2sst", "--seeds", "3", "--repeats", "2")
+    )
     assert report["corpus"] == (
         "generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0), seeds 0-2"
     )
     (column,) = report["columns"].values()
+    assert set(column) == {"seconds", "peak_rss_mb", "counts"}
     assert set(column["seconds"]) == {"two_way_to_sst", "oracle", "total"}
+    peak = column["peak_rss_mb"]
+    assert 0 < peak["q1"] <= peak["median"] <= peak["q3"] < 4096
     assert set(column["counts"]) == {"output_states", "output_transitions"}
     assert column["counts"]["output_states"] > 3
 
