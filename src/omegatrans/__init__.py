@@ -22,12 +22,10 @@ from .machines import (
     validate_sst_machine,
     validate_machine,
 )
-from .lasso import LassoWord, lasso_canonicalize, lasso_equal, enumerate_lassos
+from .lasso import LassoWord, lasso_canonicalize, enumerate_lassos
 from .evaluate import (
     EvalBudget,
     RunOutcome,
-    Configuration,
-    step_two_way,
     eval_two_way,
     eval_sst,
     equiv_on_lassos,
@@ -52,12 +50,9 @@ __all__ = [
     "validate_machine",
     "LassoWord",
     "lasso_canonicalize",
-    "lasso_equal",
     "enumerate_lassos",
     "EvalBudget",
     "RunOutcome",
-    "Configuration",
-    "step_two_way",
     "eval_two_way",
     "eval_sst",
     "equiv_on_lassos",

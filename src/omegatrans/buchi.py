@@ -22,7 +22,7 @@ from .machines import (
     Transition,
     TwoWayParityTransducer,
     drop_left_end_into_initial,
-    require_two_way,
+    require,
     validate_reversible,
 )
 from .sst2rev import sst_to_reversible
@@ -75,7 +75,7 @@ def buchi_to_noacc(
     the output machine accepts by producing infinitely, which happens iff
     marked transitions recur and the source's output is infinite.
     """
-    require_two_way(machine, "buchi_to_noacc")
+    require(machine, TwoWayParityTransducer, "buchi_to_noacc")
     if not validate_reversible(machine):
         raise NotReversible("marked-transition folding needs a reversible machine")
     machine = drop_left_end_into_initial(machine)

@@ -25,7 +25,7 @@ from .machines import (
     drop_left_end_into_initial,
     materialize,
     odd_sentinels,
-    require_two_way,
+    require,
     validate_reversible,
 )
 
@@ -118,7 +118,7 @@ def compose_reachable(
     word): pairs sharing both share that run.
     """
     for machine in (first, second):
-        require_two_way(machine, "composition")
+        require(machine, TwoWayParityTransducer, "composition")
     if set(first.output_alphabet) != set(second.input_alphabet):
         raise AlphabetMismatch(
             "first machine's output alphabet must equal second machine's input alphabet"

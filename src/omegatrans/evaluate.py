@@ -38,7 +38,7 @@ REJECTED_PARITY = "rejected-parity"
 REJECTED_STUCK = "rejected-stuck"
 REJECTED_LOOP = "rejected-loop"
 BUDGET_EXCEEDED = "budget-exceeded"
-SHIFT_LOOP = "shift-loop"  # a TwoWayRun kind, classified further by _evaluate
+SHIFT_LOOP = "shift-loop"  # a kind of run ``_run`` returns; ``_evaluate`` classifies it
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +53,6 @@ class EvalBudget:
     def __post_init__(self):
         if self.max_steps <= 0 or self.max_output <= 0:
             raise ValueError("budgets must be positive")
-
-
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    """Head state and position; a forward state reads the letter at
-    ``position``, a backward state the letter at ``position - 1`` (the
-    endmarker when that is negative)."""
-
-    state: State
-    position: int
 
 
 class RunOutcome(NamedTuple):
@@ -97,33 +87,6 @@ class RunOutcome(NamedTuple):
         if self.verdict == BUDGET_EXCEEDED:
             return "inconclusive"
         return "reject"
-
-
-def step_two_way(
-    machine: TwoWayParityTransducer, word: LassoWord, config: Configuration
-):
-    """One successor step (see ``advance``); None when the needed
-    transition is undefined.  Returns (next configuration, output word,
-    colors)."""
-    state, pos = config.state, config.position
-    read_pos = pos if state.forward else pos - 1
-    step = advance(machine, state, pos, word.letter(read_pos) if read_pos >= 0 else LEFT_END)
-    if step is None:
-        return None
-    tr, new_pos = step
-    return Configuration(tr.target, new_pos), tr.output, tr.colors
-
-
-@dataclass
-class TwoWayRun:
-    """Full record of a classified two-way simulation (testing hook)."""
-
-    kind: str  # one of the verdict constants
-    configs: list[Configuration] = field(default_factory=list)
-    outputs: list[tuple[str, ...]] = field(default_factory=list)
-    colors: list[tuple[int, ...]] = field(default_factory=list)
-    loop_start: int = -1
-    loop_end: int = -1
 
 
 class _RunTable:
@@ -198,8 +161,8 @@ def _run(machine, word: LassoWord, max_steps: int):
     plen, vlen = len(prefix), len(period)
     width = len(back)  # |Q|
     span = vlen * width
-    # A backward initial state reads the endmarker at position 0, as in
-    # ``step_two_way``.
+    # A backward initial state at position 0 reads the endmarker, as in
+    # ``advance``.
     state, pos = table.start, 0
     read = -back[state]
     trail = {state: 0}
@@ -243,20 +206,6 @@ def _run(machine, word: LassoWord, max_steps: int):
             return SHIFT_LOOP, trail, moves, trail[prev], t
         anchors[key] = config
     return BUDGET_EXCEEDED, trail, moves, -1, -1
-
-
-def simulate_two_way(
-    machine: TwoWayParityTransducer, word: LassoWord, max_steps: int
-) -> TwoWayRun:
-    """Simulate until the run is classified or ``max_steps`` transitions ran."""
-    kind, trail, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(word), max_steps)
-    states = machine.states
-    configs = [Configuration(states[c % len(states)], c // len(states)) for c in trail]
-    if kind == REJECTED_LOOP:
-        configs.append(configs[loop_start])
-    return TwoWayRun(
-        kind, configs, [m[2] for m in moves], [m[3] for m in moves], loop_start, loop_end
-    )
 
 
 def _loop_colors(loop: list) -> tuple[int, ...]:

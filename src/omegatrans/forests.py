@@ -19,16 +19,14 @@ from typing import NamedTuple, Optional
 from .machines import (
     LEFT_END,
     CopylessParitySST,
-    InvalidMachine,
     SstTransition,
     State,
     Substitution,
     TwoWayParityTransducer,
     collector_paused,
     reg,
-    require_two_way,
+    require,
     sym,
-    validate_machine,
 )
 
 
@@ -289,8 +287,7 @@ def two_way_to_sst(
     letter's, keeping the standard all-empty starting valuation.
     Exploration is breadth-first over reachable (endpoint, forest)
     summaries; exceeding ``state_cap`` (at least 1) raises StateExplosion
-    rather than truncating.  A machine that ``validate_machine`` finds
-    malformed raises InvalidMachine, naming each problem.
+    rather than truncating.
 
     ``details``, when given, is filled with ``state_map`` (each state's name
     to its (endpoint, forest preorder) summary), ``start`` and
@@ -298,10 +295,7 @@ def two_way_to_sst(
     letter), ``summary_count`` and the observed forest maxima
     ``max_forest_nodes`` and ``max_forest_edges``.
     """
-    require_two_way(machine, "two_way_to_sst")
-    problems = validate_machine(machine)
-    if problems:
-        raise InvalidMachine("; ".join(problems))
+    require(machine, TwoWayParityTransducer, "two_way_to_sst")
     n = len(machine.states)
     if state_cap < 1:
         raise ValueError(f"state_cap must be positive, got {state_cap}")

@@ -109,6 +109,8 @@ def _build_machine(doc: dict) -> Machine:
             ell=ell,
         )
         problems = validate_machine(machine)
+        if not alphabet:
+            problems.append("input alphabet is empty")
         if kind == "1dpt" and not validate_one_way(machine):
             problems.append("declared one-way but has backward states or endmarker transitions")
     if problems:

@@ -72,11 +72,6 @@ def lasso_canonicalize(w: LassoWord) -> LassoWord:
     return LassoWord(prefix, period)
 
 
-def lasso_equal(w1: LassoWord, w2: LassoWord) -> bool:
-    """True iff the two representations denote the same infinite word."""
-    return lasso_canonicalize(w1) == lasso_canonicalize(w2)
-
-
 def enumerate_lassos(
     alphabet: Sequence[Letter], max_prefix: int, max_period: int
 ) -> list[LassoWord]:

@@ -272,8 +272,6 @@ def validate_machine(machine: TwoWayParityTransducer) -> list[str]:
     problems = _common_problems(machine)
     if machine.initial in machine.states and not machine.initial.forward:
         problems.append("initial state must be forward")
-    if not machine.input_alphabet:
-        problems.append("input alphabet is empty")
     for (src, letter), tr in machine.transitions.items():
         if letter == LEFT_END:
             if src.forward:
@@ -332,12 +330,23 @@ class InvalidMachine(ValueError):
     """A construction was given a machine that fails its structural check."""
 
 
-def require_two_way(machine, construction: str) -> None:
-    """Raise WrongMachineKind unless ``machine`` is a two-way transducer."""
-    if not isinstance(machine, TwoWayParityTransducer):
-        raise WrongMachineKind(
-            f"{construction}: expected a two-way transducer, got a {type(machine).__name__}"
-        )
+# Each kind a construction takes: its name in errors, and its validator.
+_KINDS = {
+    TwoWayParityTransducer: ("a two-way transducer", validate_machine),
+    CopylessParitySST: ("a register machine", validate_sst_machine),
+}
+
+
+def require(machine, kind: type, construction: str) -> None:
+    """The input check of every construction: raise WrongMachineKind unless
+    ``machine`` is a ``kind``, and InvalidMachine naming each problem
+    that kind's validator finds."""
+    words, validate = _KINDS[kind]
+    if not isinstance(machine, kind):
+        raise WrongMachineKind(f"{construction}: expected {words}, got a {type(machine).__name__}")
+    problems = validate(machine)
+    if problems:
+        raise InvalidMachine("; ".join(problems))
 
 
 def collector_paused(build):

@@ -23,7 +23,7 @@ from .machines import (
     collector_paused,
     materialize,
     max_colors,
-    require_two_way,
+    require,
     validate_one_way,
     walk_takeable,
 )
@@ -74,7 +74,7 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     them, and no other move is built.  The result has at most 4·n² states
     for n input states and keeps k and the color bound.
     """
-    require_two_way(machine, "one_way_to_reversible")
+    require(machine, TwoWayParityTransducer, "one_way_to_reversible")
     if not validate_one_way(machine):
         raise WrongMachineKind("input must be a one-way machine")
 

@@ -21,21 +21,9 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
-    validate_sst_machine,
+    require,
 )
 from .oneway import one_way_to_reversible
-
-
-class InvalidSst(ValueError):
-    pass
-
-
-def _require_valid_sst(sst) -> None:
-    if not isinstance(sst, CopylessParitySST):
-        raise InvalidSst(f"expected a register machine, got a {type(sst).__name__}")
-    problems = validate_sst_machine(sst)
-    if problems:
-        raise InvalidSst("; ".join(problems))
 
 
 def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
@@ -48,7 +36,7 @@ def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
     target to the empty word.  Updates stay copyless and keep the out
     discipline, and the function is unchanged.
     """
-    _require_valid_sst(sst)
+    require(sst, CopylessParitySST, "drop_dead_registers")
     live = {s: {sst.out} for s in sst.states}
     changed = True
     while changed:
@@ -74,7 +62,7 @@ def merge_equal_states(sst: CopylessParitySST) -> CopylessParitySST:
     Each class keeps its first-declared member, and states stay in
     declaration order.
     """
-    _require_valid_sst(sst)
+    require(sst, CopylessParitySST, "merge_equal_states")
     block = dict.fromkeys(sst.states, 0)
     count = 1
     while True:
@@ -116,7 +104,7 @@ def substitution_alphabet(sst: CopylessParitySST) -> tuple[Substitution, ...]:
 def sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Same automaton as the register machine, each transition emitting its
     own update as a single letter of the substitution alphabet."""
-    _require_valid_sst(sst)
+    require(sst, CopylessParitySST, "sst_to_substitution_stream")
     transitions = {
         key: Transition(tr.target, (tr.update,), tr.colors)
         for key, tr in sst.transitions.items()
@@ -162,7 +150,7 @@ def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     bouncing off it simply yields nothing.  The walker needs no acceptance
     condition of its own.
     """
-    _require_valid_sst(sst)
+    require(sst, CopylessParitySST, "build_register_walker")
     alphabet = substitution_alphabet(sst)
     fetch = {r: State(f"{r}.fetch", False) for r in sst.registers}
     done = {r: State(f"{r}.done", True) for r in sst.registers}

@@ -1,18 +1,19 @@
 """Shared checking helpers and reference constructions for the test modules."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from omegatrans.compose import run_on_finite
-from omegatrans.evaluate import eval_machine
+from omegatrans.evaluate import REJECTED_LOOP, _run, eval_machine
 from omegatrans.io import loads_machine
-from omegatrans.lasso import lasso_equal
+from omegatrans.lasso import LassoWord, lasso_canonicalize
 from omegatrans.machines import (
     LEFT_END,
     State,
     Transition,
     TwoWayParityTransducer,
+    advance,
     drop_left_end_into_initial,
     odd_sentinels,
     unique_names,
@@ -24,6 +25,66 @@ def load_machine(path):
     """The machine in the JSON document at ``path``."""
     with open(path) as fh:
         return loads_machine(fh.read())
+
+
+def lasso_equal(w1: LassoWord, w2: LassoWord) -> bool:
+    """True iff the two representations denote the same infinite word."""
+    return lasso_canonicalize(w1) == lasso_canonicalize(w2)
+
+
+# --- two-way runs step by step, a reference for the oracle's run loop --------
+
+
+@dataclass(frozen=True, slots=True)
+class Configuration:
+    """Head state and position; a forward state reads the letter at
+    ``position``, a backward state the letter at ``position - 1`` (the
+    endmarker when that is negative)."""
+
+    state: State
+    position: int
+
+
+def step_two_way(
+    machine: TwoWayParityTransducer, word: LassoWord, config: Configuration
+):
+    """One successor step (see ``advance``); None when the needed
+    transition is undefined.  Returns (next configuration, output word,
+    colors)."""
+    state, pos = config.state, config.position
+    read_pos = pos if state.forward else pos - 1
+    step = advance(machine, state, pos, word.letter(read_pos) if read_pos >= 0 else LEFT_END)
+    if step is None:
+        return None
+    tr, new_pos = step
+    return Configuration(tr.target, new_pos), tr.output, tr.colors
+
+
+@dataclass
+class TwoWayRun:
+    """Full record of a classified two-way simulation."""
+
+    kind: str  # one of the verdict constants, or SHIFT_LOOP
+    configs: list[Configuration] = field(default_factory=list)
+    outputs: list[tuple[str, ...]] = field(default_factory=list)
+    colors: list[tuple[int, ...]] = field(default_factory=list)
+    loop_start: int = -1
+    loop_end: int = -1
+
+
+def simulate_two_way(
+    machine: TwoWayParityTransducer, word: LassoWord, max_steps: int
+) -> TwoWayRun:
+    """Simulate until the run is classified or ``max_steps`` transitions
+    ran, decoding the oracle's int-keyed trail into configurations."""
+    kind, trail, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(word), max_steps)
+    states = machine.states
+    configs = [Configuration(states[c % len(states)], c // len(states)) for c in trail]
+    if kind == REJECTED_LOOP:
+        configs.append(configs[loop_start])
+    return TwoWayRun(
+        kind, configs, [m[2] for m in moves], [m[3] for m in moves], loop_start, loop_end
+    )
 
 
 # --- reversibility on raw (source, letter, target) triples ---------------------

@@ -15,7 +15,7 @@ from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_one_way, generate_two_way
-from omegatrans.lasso import LassoWord, enumerate_lassos, lasso_equal
+from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import validate_reversible, validate_sst_machine
 from omegatrans.oneway import one_way_to_reversible
 from builtin import (
@@ -27,6 +27,7 @@ from support import (
     check_forest_against_runs,
     check_two_stage,
     full_product,
+    lasso_equal,
     prune_unreachable,
 )
 
@@ -233,8 +234,6 @@ def test_criterion_7_marked_machine_folding(pipeline_pool, lassos_ab):
 
 def test_criterion_8_separation_witness():
     crit = Criterion(8, "finitely-many-a identity witness", 1.0)
-    from omegatrans.lasso import lasso_equal
-
     machine = finitely_many_a_identity()
     identity_accepted = [lw("b", "b"), lw("ab", "b")]
     parity_rejected = [lw("", "a"), lw("", "ab")]

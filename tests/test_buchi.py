@@ -8,7 +8,7 @@ from omegatrans.buchi import (
     drop_acceptance,
     marking_from_colors,
 )
-from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos, simulate_two_way
+from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
 from omegatrans.generate import generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import (
@@ -18,6 +18,7 @@ from omegatrans.machines import (
     WrongMachineKind,
     validate_reversible,
 )
+from support import simulate_two_way
 
 
 def lw(prefix, period):

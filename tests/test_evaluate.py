@@ -15,15 +15,12 @@ from omegatrans.evaluate import (
     REJECTED_LOOP,
     REJECTED_PARITY,
     REJECTED_STUCK,
-    Configuration,
     EvalBudget,
     _run,
     eval_machine,
     eval_sst,
     eval_two_way,
     equiv_on_lassos,
-    simulate_two_way,
-    step_two_way,
 )
 from omegatrans.lasso import LassoWord, enumerate_lassos, lasso_canonicalize
 from omegatrans.machines import (
@@ -41,6 +38,7 @@ from omegatrans.buchi import dbt_to_rbt
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_machine, generate_sst, generate_two_way
 from builtin import map_copy_reverse_sst
+from support import Configuration, simulate_two_way, step_two_way
 
 
 def lw(prefix, period):

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from omegatrans.buchi import dbt_to_rbt
+from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt
+from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import equiv_on_lassos
 from omegatrans.forests import (
     StateExplosion,
@@ -23,6 +24,7 @@ from omegatrans.machines import (
     WrongMachineKind,
     validate_sst_machine,
 )
+from omegatrans.oneway import one_way_to_reversible
 from support import (
     check_forest_against_runs,
     forest_leaf_root_pairs,
@@ -267,20 +269,42 @@ def test_rejects_register_machine(mcr_sst):
         two_way_to_sst(mcr_sst)
 
 
-@pytest.mark.parametrize("construction", [two_way_to_sst, dbt_to_rbt])
-def test_rejects_a_transition_into_an_undeclared_state(construction):
+def one_state(target):
+    """One forward state q whose only move, on a, goes to ``target``."""
     q = State("q", True)
-    machine = TwoWayParityTransducer(
+    return TwoWayParityTransducer(
         input_alphabet=("a",),
         output_alphabet=("a",),
         states=(q,),
         initial=q,
-        transitions={(q, "a"): Transition(State("g", True), ("a",), (0,))},
+        transitions={(q, "a"): Transition(State(target, True), ("a",), (0,))},
         k=1,
         ell=2,
     )
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [
+        two_way_to_sst,
+        dbt_to_rbt,
+        one_way_to_reversible,
+        lambda machine: compose_reachable(machine, one_state("q")),
+        lambda machine: compose_reachable(one_state("q"), machine),
+        lambda machine: buchi_to_noacc(machine, frozenset()),
+    ],
+    ids=[
+        "two_way_to_sst",
+        "dbt_to_rbt",
+        "one_way_to_reversible",
+        "compose_reachable-first",
+        "compose_reachable-second",
+        "buchi_to_noacc",
+    ],
+)
+def test_rejects_a_transition_into_an_undeclared_state(construction):
     with pytest.raises(InvalidMachine, match=r"^\(q, 'a'\): unknown target state$"):
-        construction(machine)
+        construction(one_state("g"))
 
 
 def test_forest_content_matches_oracle_small_corpus():

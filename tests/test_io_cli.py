@@ -391,6 +391,13 @@ def _string_registers(rbt_doc, sst_doc):
     }
 
 
+def _empty_input_alphabet(rbt_doc, sst_doc):
+    """A two-way document that reads no letter and has no transitions."""
+    rbt_doc["input_alphabet"] = []
+    rbt_doc["transitions"] = []
+    return rbt_doc
+
+
 _zero_k_and_ell, _negative_ell, _negative_k = (
     _one_state_one_way(0, 0, 1),
     _one_state_one_way(0, -5, 1),
@@ -424,6 +431,7 @@ _MESSAGES = {
     _string_input_alphabet: lambda doc: "input_alphabet must be a JSON list",
     _string_output_alphabet: lambda doc: "output_alphabet must be a JSON list",
     _string_registers: lambda doc: "registers must be a JSON list",
+    _empty_input_alphabet: lambda doc: "input alphabet is empty",
     **dict.fromkeys(
         (_fractional_k, _string_k, _boolean_k, _fractional_ell),
         lambda doc: "k and ell must be integers",
@@ -464,6 +472,7 @@ _MESSAGES = {
         _string_input_alphabet,
         _string_output_alphabet,
         _string_registers,
+        _empty_input_alphabet,
     ],
     ids=[
         "no-initial",
@@ -493,6 +502,7 @@ _MESSAGES = {
         "string-input-alphabet",
         "string-output-alphabet",
         "string-registers",
+        "empty-input-alphabet",
     ],
 )
 def test_malformed_documents_raise_document_error(tmp_path, mcr_rbt, mcr_sst, malform, capsys):

@@ -6,9 +6,9 @@ from omegatrans.lasso import (
     LassoWord,
     enumerate_lassos,
     lasso_canonicalize,
-    lasso_equal,
     random_lassos,
 )
+from support import lasso_equal
 
 
 def lw(prefix, period):

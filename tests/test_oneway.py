@@ -7,7 +7,6 @@ from omegatrans.evaluate import (
     _run_table,
     eval_two_way,
     equiv_on_lassos,
-    simulate_two_way,
 )
 from omegatrans.forests import two_way_to_sst
 from omegatrans.generate import generate_machine, generate_one_way, generate_two_way
@@ -23,7 +22,7 @@ from omegatrans.machines import (
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, sst_to_substitution_stream
 from builtin import identity_transducer
-from support import abv, asked_moves, drop_untakeable
+from support import abv, asked_moves, drop_untakeable, simulate_two_way
 
 
 def lw(prefix, period):

@@ -12,9 +12,11 @@ from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
     CopylessParitySST,
+    InvalidMachine,
     SstTransition,
     State,
     Substitution,
+    WrongMachineKind,
     reg,
     sym,
     validate_machine,
@@ -23,7 +25,6 @@ from omegatrans.machines import (
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import (
-    InvalidSst,
     build_register_walker,
     drop_dead_registers,
     merge_equal_states,
@@ -65,7 +66,7 @@ def test_stream_rejects_invalid_sst(mcr_sst):
         1,
         1,
     )
-    with pytest.raises(InvalidSst):
+    with pytest.raises(InvalidMachine):
         sst_to_substitution_stream(broken)
 
 
@@ -245,7 +246,7 @@ def test_size_accounting(mcr_sst):
 
 
 def test_rejects_two_way_machine(mcr_rbt):
-    with pytest.raises(InvalidSst):
+    with pytest.raises(WrongMachineKind):
         sst_to_reversible(mcr_rbt)
 
 
@@ -263,12 +264,23 @@ def test_sst_to_reversible_rejects_an_undeclared_register():
         k=1,
         ell=1,
     )
-    with pytest.raises(InvalidSst, match="update reads unknown register 'ghost'"):
+    with pytest.raises(InvalidMachine, match="update reads unknown register 'ghost'"):
         sst_to_reversible(sst)
 
 
 def reduce(sst):
     return merge_equal_states(drop_dead_registers(sst))
+
+
+def test_walker_of_a_machine_without_transitions_is_valid():
+    """A register machine that reduces to no transitions uses no update, so
+    its walker reads an empty alphabet; it is still a valid machine, and
+    the composition's input check accepts it."""
+    sst = reduce(two_way_to_sst(generate_two_way(0, 3, alphabet_size=2, density=1.0)))
+    assert len(sst.states) == 1 and not sst.transitions
+    walker = build_register_walker(sst)
+    assert walker.input_alphabet == ()
+    assert validate_machine(walker) == []
 
 
 def composed_stages(sst):

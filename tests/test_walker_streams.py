@@ -6,10 +6,11 @@ over such lassos.
 """
 
 from omegatrans.evaluate import eval_sst, eval_two_way
-from omegatrans.lasso import LassoWord, lasso_equal
+from omegatrans.lasso import LassoWord
 from omegatrans.machines import validate_machine
 from omegatrans.sst2rev import build_register_walker, sst_to_substitution_stream
 from builtin import map_copy_reverse_sst
+from support import lasso_equal
 
 
 def mcr_updates():
