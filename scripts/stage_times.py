@@ -36,7 +36,8 @@ alternating order, all with the same PYTHONHASHSEED.  The report gives
 each stage's total seconds over the corpus and the process's peak resident
 memory (``ru_maxrss``, in MB, corpus generation included) as median and
 quartiles over the repeats, next to the counts, which must repeat
-exactly: output states and transitions, and (det2rev) distinct transition
+exactly: output states and transitions, (det2rev and equiv) the states of
+``two_way_to_sst``'s register machine, and (det2rev) distinct transition
 objects of the built output.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
@@ -113,6 +114,8 @@ def one_pass(corpus: str, seeds: int) -> dict:
     lassos = bounds and enumerate_lassos(sources[0].input_alphabet, *bounds)
     seconds = dict.fromkeys(STAGES[corpus], 0.0)
     counts = {"output_states": 0, "output_transitions": 0}
+    if corpus in ("det2rev", "equiv"):
+        counts["register_states"] = 0
 
     def timed(stage, build, *args):
         start = time.perf_counter()
@@ -159,6 +162,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             ]
             if not reversible or any(r.disagreements or r.inconclusive for r in reports):
                 raise SystemExit(f"seed {seed}: the equiv outputs failed a check")
+            counts["register_states"] += len(sst.states)
             counts["output_states"] += len(built.states)
             counts["output_transitions"] += len(built.transitions)
         return {"seconds": seconds, "counts": counts}
@@ -175,6 +179,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
         report = timed("oracle", equiv_on_lassos, source, built, lassos, EvalBudget())
         if not (reversible and same and not report.disagreements and not report.inconclusive):
             raise SystemExit(f"seed {seed}: the det2rev output failed a check")
+        counts["register_states"] += len(sst.states)
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)
         counts["distinct_transitions"] += len({id(tr) for tr in built.transitions.values()})

@@ -284,13 +284,16 @@ def two_way_to_sst(
     The starting summary is the step on the left endmarker, where the main
     run stands still and the backward runs bounce into forward states.  A
     synthetic initial state performs that step followed by the first
-    letter's, keeping the standard all-empty starting valuation.
-    Exploration is breadth-first over reachable (endpoint, forest)
-    summaries; exceeding ``state_cap`` (at least 1) raises StateExplosion
-    rather than truncating.
+    letter's, keeping the standard all-empty starting valuation.  So the
+    starting summary is a state of the output only when some step
+    re-enters it; otherwise ``ini`` stands in for it and every state is
+    reachable.  Exploration is breadth-first over reachable (endpoint,
+    forest) summaries; exceeding ``state_cap`` (at least 1) raises
+    StateExplosion rather than truncating.
 
-    ``details``, when given, is filled with ``state_map`` (each state's name
-    to its (endpoint, forest preorder) summary), ``start`` and
+    ``details``, when given, is filled with ``state_map`` (each emitted
+    state's name, ``ini`` aside, to its (endpoint, forest preorder)
+    summary), ``start`` and
     ``init_contents`` (the summary and register contents before the first
     letter), ``summary_count`` and the observed forest maxima
     ``max_forest_nodes`` and ``max_forest_edges``.
@@ -335,8 +338,11 @@ def two_way_to_sst(
 
     ini = State("ini", True)
     states = [State(f"s{i}_{q_name}", True) for i, (q_name, _) in enumerate(summaries)]
+    # Every summary but the start is reached from ``ini``; the start itself
+    # is emitted only when some step re-enters it.
+    first = 0 if any(j == 0 for steps in moves for _, j, _, _ in steps) else 1
     transitions: dict = {}
-    for i, steps in enumerate(moves):
+    for i, steps in enumerate(moves[first:], first):
         for a, j, update, colors in steps:
             transitions[(states[i], a)] = SstTransition(states[j], update, colors)
     # The synthetic initial state reads the endmarker and the first letter
@@ -347,7 +353,7 @@ def two_way_to_sst(
     sst = CopylessParitySST(
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
-        states=(ini,) + tuple(states),
+        states=(ini,) + tuple(states[first:]),
         initial=ini,
         transitions=transitions,
         registers=(out,) + pool,
@@ -356,7 +362,9 @@ def two_way_to_sst(
         ell=machine.ell,
     )
     if details is not None:
-        details["state_map"] = {state.name: key for state, key in zip(states, summaries)}
+        details["state_map"] = {
+            state.name: key for state, key in zip(states[first:], summaries[first:])
+        }
         details["start"] = summaries[0]
         details["init_contents"] = {
             r: tuple(letter for _, letter in image)

@@ -8,7 +8,7 @@ from omegatrans.buchi import (
     drop_acceptance,
     marking_from_colors,
 )
-from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
+from omegatrans.evaluate import eval_two_way, equiv_on_lassos
 from omegatrans.generate import generate_two_way
 from omegatrans.lasso import LassoWord, enumerate_lassos
 from omegatrans.machines import (

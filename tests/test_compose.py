@@ -6,13 +6,12 @@ from omegatrans.compose import (
     LOOPING,
     STUCK,
     AlphabetMismatch,
-    FiniteRunSummary,
     NotReversible,
     compose_reachable,
     run_on_finite,
 )
-from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
-from omegatrans.lasso import LassoWord, enumerate_lassos
+from omegatrans.evaluate import eval_two_way, equiv_on_lassos
+from omegatrans.lasso import LassoWord
 from omegatrans.machines import (
     LEFT_END,
     State,
@@ -24,7 +23,7 @@ from omegatrans.machines import (
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.generate import generate_one_way
-from builtin import identity_transducer, map_copy_reverse_rbt
+from builtin import identity_transducer
 from support import check_two_stage, full_product, prune_unreachable
 
 

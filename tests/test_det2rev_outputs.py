@@ -46,14 +46,14 @@ def outputs():
 # fix the order of states and transitions as well as the machine; what the
 # machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
-    (0, 60, "8fa949a1bd928102cc3858134fbce2a1e8919d88d056106c31884912208e8c5a"),
-    (1, 6924, "5769123b82fb82c79dde09d9571eea6a6dbbfc4960110ed99067c2e85cd70cb8"),
-    (2, 75, "122cc3e0aea7f2ca155c4f68d33970a2d2223882313ed8664c8098e76d554bbb"),
+    (0, 36, "a9c874739da4effc92349a0ab1bff2d40615efa662f52247591750f20c9c647f"),
+    (1, 6244, "68b07051a7151e899b56d3fe840fd5524d625b27d1b3bdccc3f7bf25b5057f22"),
+    (2, 50, "4ac67bfcb1bab8b1652ebc0bb511979002a4cca052fcc563ca1d7a27547443dc"),
     (3, 119, "a8499bb151de9943c94132a39b4e98506aadd0600d9f58ffd978ebb30863f16e"),
     (4, 182, "d87005ad2824d6ee8d792dff56f722838a27901894af1ba109b6728f781a0ff8"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 6554, "8deb112c7ab9e4703ee7408afa146f7315e232c3249c8c0d48581ffbda840738"),
-    (7, 47, "0710f118cb9846d9610cedebea36cab3d4e14b063183c58f2852a774ef84ead1"),
+    (6, 5690, "4e112df9183605b6aaf522c6acb932761666d336a85e3e1363877dce47c0f109"),
+    (7, 33, "0b14a18355efa52685f02cb80e3b215d453ffaa106aa6b827fccc6a5c83b60a1"),
     (8, 1171, "59deb6bc192ab1469cbc8aae4226e6b95c49e0bd0a3fb7c28d259c4691e34b15"),
     (9, 431, "6c184d7420e359a9703f288ae1b6de8999b6b30fa97398675fd0df2ede0253fb"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
@@ -69,8 +69,8 @@ def test_det2rev_outputs_are_pinned(outputs):
 
 def test_reachable_composition_of_outputs_is_pinned(outputs):
     composed = compose_reachable(outputs[7], outputs[4])
-    assert (len(composed.states), len(composed.transitions)) == (8503, 13764)
-    assert digest(composed) == "67a337bbfa00caccabeee9d672c1bd898cc2774b7c113513b6efcd68c946b9fd"
+    assert (len(composed.states), len(composed.transitions)) == (5973, 9614)
+    assert digest(composed) == "abc690810b8b2bad23f78bacd9d82d1f798b78e8afa684389ad37498510b2e3b"
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
@@ -107,26 +107,26 @@ def test_equal_transitions_are_one_object(outputs, one_way_outputs):
 # dbt_to_rbt makes reversible, then of dbt_to_rbt itself, for the same
 # sources.  A change that only reorders states or transitions keeps these.
 PINNED_CONTENT = [
-    (0, "2805a7e18d40a11cd578b6b69e5fc91ba6f866fb0b9e0c0efe1d3a9a4832088c",
-        "53c43a6155ac7c00b1ce588286f04838fe68206a46272e9cb33a2a41db90440b"),
-    (1, "069250720125aa35d1c81778d0d7ae270fcdcdd15b06b526aacf7853961f33f9",
-        "752c98bb8627e4930abd3a43941e111861a82d3823ef2b11564abb685ae7d66e"),
-    (2, "7c948dabe89db6981f461a0200f19e620195f0c6b9cfb5c9191f7228438ac42f",
-        "a1171dfa40ce0982cb9ef523121dfaa3eb0e8c0c833fa8be0ae5a9c73d68cd2f"),
+    (0, "357f4ec5d82c73e593e3f35902d85de17533225ba6a04a7a7782d50a2401460c",
+         "78fdbef14861b582c7c27bfec76bd385d65a6234e5727289a1f9c5b53b341bc8"),
+    (1, "db5d6fe452e87ccea1351871875be5172dc219c818260f11095de129c6070d85",
+         "c36b7bf995d33d3d46407a0c07801276dad3f809054c96cac715729d8dbd8a97"),
+    (2, "bbb388a1eda1179fc9602bbb0d37e9fd6387e1cd55fe7abaca984008fd2247e7",
+         "db2f4b774d8b21e8fd8ee58a6b16736084e275b61ad385d5f262050ab1cf26de"),
     (3, "87979bfb0a99688f89ee9e6352e576b5ef5df7aeb3b4962665e30c590a9be59a",
-        "508a64e8051de096e5d780220da96a14f68fb2e17aa980ec26aef0dfbdb37e19"),
+         "508a64e8051de096e5d780220da96a14f68fb2e17aa980ec26aef0dfbdb37e19"),
     (4, "55c46da7b55746a63ef2ddedf0c3554bf1ec127a2258f5cbd1a03adcd743abd3",
-        "aa6365e6414cf85e7694221ee5009d40ed25aa6da6bb28c83fef64278b9ed5bf"),
+         "aa6365e6414cf85e7694221ee5009d40ed25aa6da6bb28c83fef64278b9ed5bf"),
     (5, "b3e12c032597073b82541a827f105c3801839a62d727d7fd58b8d50f43c59761",
-        "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
-    (6, "7b6f3dfce3bb452f15e7d88b429ccaa4526a262ed6a5469b97395f5c752a62ac",
-        "1d19b8990de61e8b1432b1c67532d34d2e651b1fc302f106ed7b7d41baefd7bc"),
-    (7, "9dfb7df6e9044fe747ca871c89547ff32c77994362d267ca7d143ffcd6a8df6e",
-        "0d8acc5408fe9f77b627a3cabcbe4b0d23d53ac553a923f4671c3d911bc1a59f"),
+         "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
+    (6, "b931c31d598624df6bfc70434598ae722c3798475cf0530b85acc904c4880fe6",
+         "d35b655fcb3b362f80192e669963f089969a3f86b11d13f811b29e9ac894d94b"),
+    (7, "d8714e0d6d8edf2142298f281b45d4c64efb47f5e902d730d960f4eb3d11ead9",
+         "663950afac3969d45c000f01c5ad79394e8c7dff62b7b8977c8b363bdef04162"),
     (8, "212309becd89c0b31bd0c81cef2f16b06f334733a68f7c21b205f5b111e44152",
-        "a666bc2b71afd9bc73db4985df5aa3f13368e134e744b34bee5ca0bf315f9ebb"),
+         "a666bc2b71afd9bc73db4985df5aa3f13368e134e744b34bee5ca0bf315f9ebb"),
     (9, "8695b2c265284c485dad8004a0d579b17f3820f52d46fbeafe9ed3a66c39e92b",
-        "428be2a699b70f487f5b45342cdf9747ed8d10f558217fa2a0839ef24d8ccd9f"),
+         "428be2a699b70f487f5b45342cdf9747ed8d10f558217fa2a0839ef24d8ccd9f"),
     (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",
         "abf1ca8f0fd43487bf644ba0bb761c1c35759edf2e658f68f855ecbfb480d079"),
     (11, "79671bd0a421ba1345b3e6bbf5fc281c3b68e1665115f7fb746cf56b91865fb8",

@@ -8,6 +8,7 @@ one of its documented codes without a traceback.
 """
 
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -119,7 +120,9 @@ def _edit_token(doc, data):
     image = _pick(data, images)
     if image is None:
         return
-    token = data.draw(TOKENS)
+    # ``st.just`` hands out the same object every time; a later mutation of
+    # this document must not edit it.
+    token = copy.deepcopy(data.draw(TOKENS))
     if image and data.draw(st.booleans()):
         image[data.draw(st.integers(0, len(image) - 1))] = token
     else:

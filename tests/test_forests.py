@@ -14,7 +14,6 @@ from omegatrans.forests import (
 )
 from omegatrans.generate import generate_two_way
 from omegatrans.io import dumps_machine
-from omegatrans.lasso import enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
     InvalidMachine,
@@ -216,7 +215,9 @@ def test_forward_only_step_keeps_forest_empty(first_two_automaton):
     details = {}
     sst = two_way_to_sst(first_two_automaton, details=details)
     assert details["start"] == ("1", ())
-    tr = sst.transitions[State("s0_1", True), "b"]  # summary 0 is the start
+    # No step re-enters the start, so ``ini`` makes its moves.
+    assert "s0_1" not in {state.name for state in sst.states}
+    tr = sst.transitions[sst.initial, "b"]
     assert details["state_map"][tr.target.name] == ("2", ())
     assert tr.update.image("out") == (("reg", "out"),)
     assert tr.colors == (1,)
@@ -342,6 +343,33 @@ def test_reachable_summary_bound():
         assert details["summary_count"] <= bound
 
 
+# det2rev corpus seeds (n=7) where some step re-enters the start summary.
+START_REENTERED = (4, 5, 16, 18, 28)
+
+
+@pytest.mark.parametrize(
+    "seed,n,size",
+    [(seed, 7, 3) for seed in (*range(12), 16, 18, 28)] + [(seed, 22, 4) for seed in range(4)],
+)
+def test_every_state_is_reachable_from_ini(seed, n, size):
+    """``ini`` makes the start summary's moves, so the start is a state only
+    when a step re-enters it; every state is reachable."""
+    machine = generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0)
+    sst = two_way_to_sst(machine)
+    reached = {sst.initial}
+    frontier = [sst.initial]
+    while frontier:
+        state = frontier.pop()
+        for a in sst.input_alphabet:
+            tr = sst.transitions.get((state, a))
+            if tr is not None and tr.target not in reached:
+                reached.add(tr.target)
+                frontier.append(tr.target)
+    assert reached == set(sst.states)
+    start = State(f"s0_{machine.initial.name}", True)
+    assert (start in reached) == (n == 7 and seed in START_REENTERED)
+
+
 @pytest.mark.parametrize("seed,n", [(13, 4), (3, 5), (8, 5), (36, 5), (53, 5)])
 def test_rich_merging_forests(seed, n, lassos_ab):
     """Seeds whose reachable forests genuinely merge runs (two leaves under
@@ -377,20 +405,20 @@ def test_no_acceptance_condition_drops_leaf_tuples():
 # for generate_two_way(seed, n, 1, 2, alphabet_size, density=1.0).  A change
 # to how the construction runs must keep these bytes.
 PINNED_CONVERSIONS = [
-    (0, 7, 3, "1265792c4978e7aa59336991c7ff8ab8f9621870476495e0978927bc9ec25773", 4, 4, 2),
-    (1, 7, 3, "757d91f88799739335f1f1e400508e1ebb62939455a775a99882adc2d75eeed3", 25, 4, 2),
-    (2, 7, 3, "5221ae40ce89ed79794686037189b2d02eabaa0b8b925f3562d84f7a6c5ab1c6", 9, 7, 5),
-    (3, 7, 3, "d093dd582052690cdd24d47db5fc1896c991451e33e2ecaec2e392e063d13a65", 6, 5, 3),
+    (0, 7, 3, "b4dbc4a036fabcbeabfd0a9eaceaf735a8d8ce270d902a5180c8d152d1510f0f", 4, 4, 2),
+    (1, 7, 3, "4d03a94778ecf3ba060191a05ffbad5d55304a6085be3311963edd752acfd998", 25, 4, 2),
+    (2, 7, 3, "4ffabd302ad10b51988c5e53d8fbf167fd8cb6c94f04d825e638774c5703260f", 9, 7, 5),
+    (3, 7, 3, "fe8338a8238bf1c05f3b4c20705e1a30fbaff683ea4c7027e974c3f64f73f1fe", 6, 5, 3),
     (4, 7, 3, "5beb73c05be333f5312657f9926d74d46f8baef614074fd9f91cb81e929583cf", 7, 0, 0),
     (5, 7, 3, "bb8a780cd557aff658518652283a92dd97bbc5afa714801f1f9dd2563c80a1db", 1, 0, 0),
-    (6, 7, 3, "dd050411a2aa3bafcc9aff90bb26f10916dd9e02aaa13db0a533a6325f5db0e8", 15, 6, 4),
-    (7, 7, 3, "8cb613157966505087e02e07f55b91cc09abda71987dc300d76d36180ac071d7", 6, 4, 2),
-    (8, 7, 3, "4d8de4d39880b868e72a0bf43d17cf95ce255588d16437ac716f1a73beefbc6a", 10, 4, 2),
-    (9, 7, 3, "6a2a29ea8984692566ba55dcbce725659a2977133c8a6b1ffed8cf0ad2483eff", 9, 4, 2),
-    (0, 22, 4, "2975ccb9a08c73d7b0cca5d3eeb79c0941be6d04b7d005fbe406b31fad65cbe9", 38, 19, 14),
-    (1, 22, 4, "b23ca6e6ba31b726e1bedb680d999b3687b55d453538f2f3a3add5c7ebc42eda", 104, 18, 13),
-    (2, 22, 4, "12a8a983de4165921c42720d9ecc99f34d1a4711031ff9a18ccf1837ab0e0389", 85, 21, 15),
-    (3, 22, 4, "9be33ba47aaaee658d641aec8e0f277532fea3a2eab60c1a89b9626b1ac36f72", 128, 22, 17),
+    (6, 7, 3, "25b1af738e00968951364627f9491d63e37889657f30ef56da365f355b594468", 15, 6, 4),
+    (7, 7, 3, "c0b3cc97939b0392f0cddda7c2889d185c804f05eb44338e75b426b6c56fd1e7", 6, 4, 2),
+    (8, 7, 3, "315e5fcad219bc4d294e30a02188c046df4e9d5cb3b5573a5085ea9308e311f3", 10, 4, 2),
+    (9, 7, 3, "b93bf3f7fc0ff86485e2da5869788bbfb8c32d99bf5e0aa3ce8e402824bc4992", 9, 4, 2),
+    (0, 22, 4, "6fa73db8df3dfb5e44fd9d7d2753e2da4b54dd419accd11a60f697d1ada4571f", 38, 19, 14),
+    (1, 22, 4, "1db3f3d03a81fd32334410beecbd9989d8ec773c95805c8cb829acf8e2821c0f", 104, 18, 13),
+    (2, 22, 4, "51f930230872aebd572bc8aa7771c337778948a3a4ad6fef7438344685aa58bb", 85, 21, 15),
+    (3, 22, 4, "374f941fe12898d3d0280897cf40e5c3206e14f5016025eeae43965c52decb86", 128, 22, 17),
 ]
 
 
@@ -407,7 +435,7 @@ def test_conversion_output_is_pinned():
 # One SHA-256 over the whole 2w2sst benchmark corpus: for each seed in turn,
 # dumps_machine(two_way_to_sst(m)) and then repr((summary count, forest node
 # maximum, forest edge maximum)).
-PINNED_2W2SST_CORPUS = "e85d07a7cf252082c447822f7108fba8bcabb16c8109cb256a6e9e6c8b342672"
+PINNED_2W2SST_CORPUS = "d867acfb3f3cf959976c38ac985f17729a8469a3c92139f9d8fd9678c64610b5"
 
 
 def test_2w2sst_corpus_output_is_pinned():

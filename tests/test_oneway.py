@@ -21,7 +21,6 @@ from omegatrans.machines import (
 )
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, sst_to_substitution_stream
-from builtin import identity_transducer
 from support import abv, asked_moves, drop_untakeable, simulate_two_way
 
 
@@ -153,11 +152,11 @@ def one_way_corpus():
 @pytest.fixture(scope="module")
 def trim_corpus():
     """Two-way machines that lose moves when walked: the det2rev outputs of
-    seeds 0, 2 and 3, which are compositions and so reversible, then two
+    seeds 0, 3 and 17, which are compositions and so reversible, then two
     generated two-way machines, which are not."""
     outputs = [
         dbt_to_rbt(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
-        for seed in (0, 2, 3)
+        for seed in (0, 3, 17)
     ]
     sources = [
         generate_two_way(3, 7, 1, 2, alphabet_size=3, density=1.0),

@@ -27,6 +27,22 @@ def test_script_runs(script):
     _run_script(script, "--seeds", "4")
 
 
+def test_stage_times_on_the_det2rev_corpus():
+    report = json.loads(_run_script("stage_times.py", "--seeds", "3"))
+    assert report["corpus"] == (
+        "generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0), seeds 0-2"
+    )
+    (column,) = report["columns"].values()
+    counts = column["counts"]
+    assert set(counts) == {
+        "output_states", "output_transitions", "register_states", "distinct_transitions"
+    }
+    # No step re-enters the start summary of seeds 0-2, so ``ini`` stands in
+    # for it and each register machine has one state per summary: 4 + 25 + 9.
+    assert counts["register_states"] == 38
+    assert counts["output_states"] == 36 + 6244 + 50
+
+
 def test_stage_times_on_the_2w2sst_corpus():
     report = json.loads(
         _run_script("stage_times.py", "--corpus", "2w2sst", "--seeds", "3", "--repeats", "2")
@@ -58,8 +74,9 @@ def test_stage_times_on_the_equiv_corpus():
         "oracle vs reversible output",
         "total",
     }
-    assert set(column["counts"]) == {"output_states", "output_transitions"}
+    assert set(column["counts"]) == {"output_states", "output_transitions", "register_states"}
     assert column["counts"]["output_states"] > 3
+    assert column["counts"]["register_states"] > 3
 
 
 def test_stage_times_on_the_compose_corpus():
@@ -72,6 +89,6 @@ def test_stage_times_on_the_compose_corpus():
     (column,) = report["columns"].values()
     assert set(column["seconds"]) == {"compose_reachable", "total"}
     counts = column["counts"]
-    assert counts["product_bound"] == 2 * (60 * 75 + 60 * 119 + 75 * 119)
+    assert counts["product_bound"] == 2 * (36 * 50 + 36 * 119 + 50 * 119)
     assert 0 < counts["reached_pairs"] <= counts["product_bound"]
     assert 0 < counts["distinct_transitions"] <= counts["output_transitions"]

@@ -32,7 +32,6 @@ from omegatrans.sst2rev import (
     sst_to_substitution_stream,
     substitution_alphabet,
 )
-from builtin import map_copy_reverse_rbt, map_copy_reverse_sst
 from support import full_product, load_machine, prune_unreachable
 
 
