@@ -38,7 +38,11 @@ memory (``ru_maxrss``, in MB, corpus generation included) as median and
 quartiles over the repeats, next to the counts, which must repeat
 exactly: output states and transitions, (det2rev and equiv) the states of
 ``two_way_to_sst``'s register machine, and (det2rev) distinct transition
-objects of the built output.
+objects of the built output.  For the det2rev, 2w2sst and equiv corpora,
+``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
+checked lasso, next to ``oracle_step_bound``, the sum of the run bound
+|Q|·(|u| + |Q|·|v| + 2) over the same runs; both are counted outside the
+timed stages.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
@@ -97,7 +101,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
     """Seconds per stage and counts of one pass over the corpus."""
     from omegatrans.buchi import dbt_to_rbt
     from omegatrans.compose import compose_reachable
-    from omegatrans.evaluate import EvalBudget, equiv_on_lassos
+    from omegatrans.evaluate import EvalBudget, equiv_on_lassos, eval_machine
     from omegatrans.forests import two_way_to_sst
     from omegatrans.generate import generate_two_way
     from omegatrans.io import dumps_machine, loads_machine
@@ -116,12 +120,23 @@ def one_pass(corpus: str, seeds: int) -> dict:
     counts = {"output_states": 0, "output_transitions": 0}
     if corpus in ("det2rev", "equiv"):
         counts["register_states"] = 0
+    if corpus != "compose":
+        counts["oracle_steps"] = counts["oracle_step_bound"] = 0
 
     def timed(stage, build, *args):
         start = time.perf_counter()
         result = build(*args)
         seconds[stage] += time.perf_counter() - start
         return result
+
+    def count_oracle(*machines):
+        """Steps of the oracle's runs on ``machines`` and their bound,
+        outside the timed stages."""
+        for machine in machines:
+            width = len(machine.states)
+            for w in lassos:
+                counts["oracle_steps"] += eval_machine(machine, w, EvalBudget()).steps
+                counts["oracle_step_bound"] += width * (len(w.prefix) + width * len(w.period) + 2)
 
     if corpus == "compose":
         outputs = [dbt_to_rbt(source) for source in sources]
@@ -147,6 +162,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             report = timed("oracle", equiv_on_lassos, source, sst, lassos, EvalBudget())
             if report.disagreements or report.inconclusive:
                 raise SystemExit(f"seed {seed}: the 2w2sst output failed a check")
+            count_oracle(source, sst)
             counts["output_states"] += len(sst.states)
             counts["output_transitions"] += len(sst.transitions)
         return {"seconds": seconds, "counts": counts}
@@ -162,6 +178,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             ]
             if not reversible or any(r.disagreements or r.inconclusive for r in reports):
                 raise SystemExit(f"seed {seed}: the equiv outputs failed a check")
+            count_oracle(source, sst, source, built)
             counts["register_states"] += len(sst.states)
             counts["output_states"] += len(built.states)
             counts["output_transitions"] += len(built.transitions)
@@ -179,6 +196,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
         report = timed("oracle", equiv_on_lassos, source, built, lassos, EvalBudget())
         if not (reversible and same and not report.disagreements and not report.inconclusive):
             raise SystemExit(f"seed {seed}: the det2rev output failed a check")
+        count_oracle(source, built)
         counts["register_states"] += len(sst.states)
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)

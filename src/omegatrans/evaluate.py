@@ -11,18 +11,18 @@ that segment are exactly those taken infinitely often, which decides parity
 acceptance.  One function, ``_evaluate``, turns every run into its verdict;
 only the output of an accepting shift loop depends on the kind: a
 transducer's segment yields an exact output lasso, and a register machine's
-output is decided from the segment's composed update.
+output is decided from the contents of the registers feeding ``out``
+across iterations of the segment's update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .lasso import LassoWord, lasso_canonicalize
+from .lasso import LassoWord, canonical, lasso_canonicalize
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -53,6 +53,9 @@ class EvalBudget:
     def __post_init__(self):
         if self.max_steps <= 0 or self.max_output <= 0:
             raise ValueError("budgets must be positive")
+
+
+DEFAULT_BUDGET = EvalBudget()
 
 
 class RunOutcome(NamedTuple):
@@ -93,7 +96,8 @@ class _RunTable:
     """A machine's states numbered by declaration order; ``rows[i][letter]``
     is the compiled move (target index, head offset, emitted, colors) of
     state ``i``.  A transition is unpacked by position, so ``emitted`` is a
-    transducer's output word or a register machine's update.
+    transducer's output word or a register machine's update, stored as its
+    image map (a register left out has the empty image).
 
     A move is compiled the first time a run takes it: the oracle runs short
     runs on large machines, so compiling every transition up front costs
@@ -116,6 +120,8 @@ class _RunTable:
         if step is None:
             return None
         (target, emitted, colors), offset = step
+        if isinstance(emitted, Substitution):
+            emitted = dict(emitted.images)
         move = self.rows[i][letter] = (self.index[target], offset, emitted, colors)
         return move
 
@@ -220,7 +226,8 @@ def _outputs(moves: list) -> tuple[str, ...]:
 
 
 def _evaluate(machine, w: LassoWord, budget: Optional[EvalBudget], lasso_output) -> RunOutcome:
-    """Classify the run of any machine kind on ``w`` exactly.
+    """Classify the run of any machine kind on the canonical lasso ``w``
+    exactly.
 
     A shift loop that passes the parity check gets its output from
     ``lasso_output(machine, head, loop, max_output)``, where the moves
@@ -229,8 +236,8 @@ def _evaluate(machine, w: LassoWord, budget: Optional[EvalBudget], lasso_output)
     ``block`` is empty, and None means it is not certified within
     ``max_output``.
     """
-    budget = budget or EvalBudget()
-    kind, _, moves, loop_start, loop_end = _run(machine, lasso_canonicalize(w), budget.max_steps)
+    budget = budget or DEFAULT_BUDGET
+    kind, _, moves, loop_start, loop_end = _run(machine, w, budget.max_steps)
     steps = len(moves)
     if kind != SHIFT_LOOP:
         return RunOutcome(kind, steps=steps)
@@ -244,7 +251,7 @@ def _evaluate(machine, w: LassoWord, budget: Optional[EvalBudget], lasso_output)
     prefix, block = lasso
     if not block:
         return RunOutcome(ACCEPTED_FINITE, output_prefix=prefix, min_colors=mins, steps=steps)
-    output = lasso_canonicalize(LassoWord(prefix, block))
+    output = LassoWord(*canonical(prefix, block))
     return RunOutcome(ACCEPTED, output=output, min_colors=mins, steps=steps)
 
 
@@ -258,41 +265,62 @@ def eval_two_way(
     machine: TwoWayParityTransducer, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
     """Classify the run of a two-way (or one-way) transducer on ``w`` exactly."""
-    return _evaluate(machine, w, budget, _transducer_output)
+    return _evaluate(machine, lasso_canonicalize(w), budget, _transducer_output)
 
 
 # ---------------------------------------------------------------------------
 # Register machines
 
 
+def _expand(maps: list, word) -> list:
+    """The word ``word`` over letters and registers, read after the updates
+    ``maps`` (image maps, earliest first), as a word over letters and the
+    registers before the first update: each register is replaced, backward
+    through ``maps``, by its image.  A register an update leaves out has
+    the empty image."""
+    for images in reversed(maps):
+        expanded = []
+        for token in word:
+            if token[0] == "reg":
+                expanded += images.get(token[1], ())
+            else:
+                expanded.append(token)
+        word = expanded
+    return word
+
+
 def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output: int):
     """A register machine's output, from the first literal repeat of the
     registers feeding ``out`` across loop iterations; None when their
-    contents outgrow ``max_output`` letters first."""
-    valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
-    for move in head:
-        valuation = move[2].apply(valuation)
-    loop_update = reduce(Substitution.then, map(itemgetter(2), loop))
-    images = dict(loop_update.images)
-    out_tail = images.get(sst.out, ())[1:]  # image is out · tail
+    contents outgrow ``max_output`` letters first.
 
-    # Registers feeding out, closed under the loop update's own flow; their
+    Only ``out`` and the registers feeding it are expanded through the
+    loop, and only their contents after the head are computed: the other
+    registers never reach the output.  Contents are words of letter tokens,
+    so one loop iteration is ``_expand`` over the current contents.
+    """
+    out = sst.out
+    loop_maps = [move[2] for move in loop]
+    images = {out: _expand(loop_maps, [("reg", out)])}  # image is out · tail
+
+    # Registers feeding out, closed under the loop's own flow; their
     # contents evolve autonomously, so a literal repeat proves the appended
     # blocks periodic forever.
-    feeding = {value for kind, value in out_tail if kind == "reg"}
-    while True:
-        grown = set(feeding)
-        for r in feeding:
-            grown.update(v for kind, v in images.get(r, ()) if kind == "reg")
-        if grown == feeding:
-            break
-        feeding = grown
-    others = tuple(r for r in sst.registers if r in feeding and r != sst.out)
+    feeding: set[str] = set()
+    pending = [value for kind, value in images[out][1:] if kind == "reg"]
+    while pending:
+        r = pending.pop()
+        if r not in feeding:
+            feeding.add(r)
+            if r not in images:
+                images[r] = _expand(loop_maps, [("reg", r)])
+            pending += (value for kind, value in images[r] if kind == "reg")
+    others = tuple(r for r in sst.registers if r in feeding and r != out)
     # Only out and its feeding registers are updated and charged against the
-    # budget: the other registers never reach the output.
-    kept = (sst.out, *others)
-    loop_update = Substitution.from_dict({r: images.get(r, ()) for r in kept})
-    valuation = {r: valuation[r] for r in kept}
+    # budget.  Every register starts empty: the empty map before the head.
+    kept = (out, *others)
+    start = [{}, *(move[2] for move in head)]
+    valuation = {r: tuple(_expand(start, [("reg", r)])) for r in kept}
 
     # The loop update is copyless and out is read only by itself, so each
     # feeding register is read by exactly one register: the feeding
@@ -302,14 +330,15 @@ def _register_output(sst: CopylessParitySST, head: list, loop: list, max_output:
     # by iteration len(others) + 1.  A machine that is not copyless may
     # miss this bound; it then gets BUDGET_EXCEEDED, never a pass.
     seen_contents: dict[tuple, int] = {tuple(valuation[r] for r in others): 0}
-    boundary_outputs = [valuation[sst.out]]
+    boundary_outputs = [valuation[out]]
     for it in range(1, len(others) + 2):
-        valuation = loop_update.apply(valuation)
-        boundary_outputs.append(valuation[sst.out])
+        valuation = {r: tuple(_expand([valuation], images[r])) for r in kept}
+        boundary_outputs.append(valuation[out])
         key = tuple(valuation[r] for r in others)
         if key in seen_contents:
             prefix = boundary_outputs[seen_contents[key]]
-            return prefix, boundary_outputs[it][len(prefix):]
+            block = boundary_outputs[it][len(prefix):]
+            return tuple(map(itemgetter(1), prefix)), tuple(map(itemgetter(1), block))
         seen_contents[key] = it
         if sum(map(len, valuation.values())) > max_output:
             break
@@ -320,7 +349,7 @@ def eval_sst(
     sst: CopylessParitySST, w: LassoWord, budget: Optional[EvalBudget] = None
 ) -> RunOutcome:
     """Classify a register machine's run on ``w`` exactly."""
-    return _evaluate(sst, w, budget, _register_output)
+    return _evaluate(sst, lasso_canonicalize(w), budget, _register_output)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +401,16 @@ def equiv_on_lassos(
     pass.  Every other outcome is exact and every output lasso canonical,
     so outputs in the domain are equal exactly when their lassos are.
     """
-    budget = budget or EvalBudget()
+    rule1, rule2 = (
+        _register_output if isinstance(m, CopylessParitySST) else _transducer_output
+        for m in (m1, m2)
+    )
     report = EquivReport()
     for w in lassos:
         report.checked += 1
-        o1 = eval_machine(m1, w, budget)
-        o2 = eval_machine(m2, w, budget)
+        canonical_w = lasso_canonicalize(w)
+        o1 = _evaluate(m1, canonical_w, budget, rule1)
+        o2 = _evaluate(m2, canonical_w, budget, rule2)
         c1, c2 = o1.domain_class(), o2.domain_class()
         if "inconclusive" in (c1, c2):
             report.inconclusive.append((w, "budget exceeded"))

@@ -54,19 +54,27 @@ def _primitive_root(word: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return word
 
 
-def lasso_canonicalize(w: LassoWord) -> LassoWord:
-    """Unique minimal representation of the same infinite word.
+def canonical(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:
+    """The unique minimal (prefix, period) of the word prefix · period^ω,
+    whose period must be nonempty.
 
     The period is reduced to its primitive root, then prefix letters equal
-    to the aligned period letter are absorbed by rotating the period.
-    Idempotent and denotation-preserving; a canonical ``w`` is returned
-    as is.
+    to the aligned period letter are absorbed by rotating the period.  A
+    canonical pair comes back as the same two tuples.
     """
-    period = _primitive_root(w.period)
-    prefix = w.prefix
+    period = _primitive_root(period)
     while prefix and prefix[-1] == period[-1]:
         prefix = prefix[:-1]
         period = period[-1:] + period[:-1]
+    return prefix, period
+
+
+def lasso_canonicalize(w: LassoWord) -> LassoWord:
+    """Unique minimal representation of the same infinite word (see
+    ``canonical``).  Idempotent and denotation-preserving; a canonical
+    ``w`` is returned as is.
+    """
+    prefix, period = canonical(w.prefix, w.period)
     if prefix is w.prefix and period is w.period:
         return w
     return LassoWord(prefix, period)

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 from omegatrans.compose import run_on_finite
@@ -11,6 +12,7 @@ from omegatrans.lasso import LassoWord, lasso_canonicalize
 from omegatrans.machines import (
     LEFT_END,
     State,
+    Substitution,
     Transition,
     TwoWayParityTransducer,
     advance,
@@ -85,6 +87,52 @@ def simulate_two_way(
     return TwoWayRun(
         kind, configs, [m[2] for m in moves], [m[3] for m in moves], loop_start, loop_end
     )
+
+
+# --- register-machine outputs over every register, a reference for the oracle --
+
+
+def full_register_output(sst, head: list, loop: list, max_output: int):
+    """The output rule of ``evaluate._register_output``, computed over every
+    register: the head's updates applied to all registers and the loop's
+    updates composed in full before the registers feeding ``out`` are
+    picked.  The oracle expands only those registers, on demand.  A
+    register an update leaves out reads as empty, as in
+    ``Substitution.apply``."""
+    updates = [Substitution.from_dict(move[2]) for move in (*head, *loop)]
+    valuation: dict[str, tuple[str, ...]] = {r: () for r in sst.registers}
+    for update in updates[: len(head)]:
+        valuation = update.apply(valuation)
+    loop_update = reduce(Substitution.then, updates[len(head):])
+    images = dict(loop_update.images)
+    out_tail = images.get(sst.out, ())[1:]  # image is out · tail
+
+    feeding = {value for kind, value in out_tail if kind == "reg"}
+    while True:
+        grown = set(feeding)
+        for r in feeding:
+            grown.update(v for kind, v in images.get(r, ()) if kind == "reg")
+        if grown == feeding:
+            break
+        feeding = grown
+    others = tuple(r for r in sst.registers if r in feeding and r != sst.out)
+    kept = (sst.out, *others)
+    loop_update = Substitution.from_dict({r: images.get(r, ()) for r in kept})
+    valuation = {r: valuation.get(r, ()) for r in kept}
+
+    seen_contents: dict[tuple, int] = {tuple(valuation[r] for r in others): 0}
+    boundary_outputs = [valuation[sst.out]]
+    for it in range(1, len(others) + 2):
+        valuation = loop_update.apply(valuation)
+        boundary_outputs.append(valuation[sst.out])
+        key = tuple(valuation[r] for r in others)
+        if key in seen_contents:
+            prefix = boundary_outputs[seen_contents[key]]
+            return prefix, boundary_outputs[it][len(prefix):]
+        seen_contents[key] = it
+        if sum(map(len, valuation.values())) > max_output:
+            break
+    return None
 
 
 # --- reversibility on raw (source, letter, target) triples ---------------------

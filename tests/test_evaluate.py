@@ -1,6 +1,7 @@
 import hashlib
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 from itertools import chain
 
@@ -16,6 +17,7 @@ from omegatrans.evaluate import (
     REJECTED_PARITY,
     REJECTED_STUCK,
     EvalBudget,
+    _evaluate,
     _run,
     eval_machine,
     eval_sst,
@@ -36,8 +38,9 @@ from omegatrans.machines import (
 )
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.forests import two_way_to_sst
+from omegatrans.sst2rev import sst_to_reversible
 from omegatrans.generate import generate_machine, generate_sst, generate_two_way
-from support import Configuration, simulate_two_way, step_two_way
+from support import Configuration, full_register_output, simulate_two_way, step_two_way
 
 
 def lw(prefix, period):
@@ -320,17 +323,18 @@ def test_sst_budget_charges_only_registers_feeding_out():
 PINNED_SST_OUTCOMES = (29_330, "0ee7a5b95276d1e1a49ee95a88a91e69b55ce21a257d5f6c7326942c16ddc1e6")
 
 
-def test_sst_outcomes_are_pinned():
-    generated = (
-        generate_sst(
+def _generated_ssts():
+    for s in range(100):
+        yield generate_sst(
             s, n=2 + s % 4, k=1 + s % 2, ell=2 + s % 3, alphabet_size=2 + s % 2,
             n_registers=2 + s % 5, density=0.9,
         )
-        for s in range(100)
-    )
+
+
+def test_sst_outcomes_are_pinned():
     runs = chain(
         ((sst, enumerate_lassos(sst.input_alphabet, 3, 5)) for sst in _equiv_corpus_ssts()),
-        ((sst, enumerate_lassos(sst.input_alphabet, 2, 3)) for sst in generated),
+        ((sst, enumerate_lassos(sst.input_alphabet, 2, 3)) for sst in _generated_ssts()),
     )
     digest = hashlib.sha256()
     count = 0
@@ -340,6 +344,43 @@ def test_sst_outcomes_are_pinned():
             digest.update(repr((o.verdict, o.output, o.output_prefix, o.min_colors, o.steps)).encode())
             count += 1
     assert (count, digest.hexdigest()) == PINNED_SST_OUTCOMES
+
+
+def _assert_matches_full_register_output(runs, budget):
+    for sst, lassos in runs:
+        for w in lassos:
+            expected = _evaluate(sst, lasso_canonicalize(w), budget, full_register_output)
+            assert eval_sst(sst, w, budget) == expected, f"on {w}"
+
+
+def test_sst_outcomes_match_the_full_register_reference_on_the_equiv_corpus():
+    """Expanding only out and the registers feeding it gives the outcome of
+    updating every register, field by field."""
+    runs = ((sst, enumerate_lassos(sst.input_alphabet, 3, 5)) for sst in _equiv_corpus_ssts())
+    _assert_matches_full_register_output(runs, None)
+
+
+@pytest.mark.parametrize("max_output", [4, 20, None])
+def test_sst_outcomes_match_the_full_register_reference_on_generated_machines(max_output):
+    budget = max_output and EvalBudget(max_output=max_output)
+    runs = ((sst, enumerate_lassos(sst.input_alphabet, 2, 3)) for sst in _generated_ssts())
+    _assert_matches_full_register_output(runs, budget)
+
+
+def test_a_register_left_out_of_an_update_reads_as_empty(mcr_sst):
+    """Dropping X from the a-update resets X on every a; the output follows."""
+    a_update = Substitution.from_dict({"out": (reg("out"), sym("a"))})
+    (q,) = mcr_sst.states
+    transitions = dict(mcr_sst.transitions)
+    transitions[(q, "a")] = transitions[(q, "a")]._replace(update=a_update)
+    sst = replace(mcr_sst, transitions=transitions)
+    out = eval_sst(sst, lw("a", "b#"))
+    assert (out.verdict, str(out.output)) == (ACCEPTED, "a(b#)")
+    assert str(eval_sst(sst, lw("", "ab#")).output) == "(ab#b#)"
+    lassos = enumerate_lassos(sst.input_alphabet, 3, 4)
+    _assert_matches_full_register_output([(sst, lassos)], None)
+    report = equiv_on_lassos(sst, sst_to_reversible(sst), lassos)
+    assert (report.checked, report.passed) == (2835, 2835)
 
 
 def _spellings(w):
@@ -408,6 +449,30 @@ def test_equiv_detects_flipped_output(mcr_rbt):
     report = equiv_on_lassos(mcr_rbt, other, [lw("", "a#")])
     assert not report.ok
     assert report.disagreements[0][1].startswith("outputs differ")
+
+
+def test_equiv_reports_non_canonical_spellings_as_given(mcr_rbt, mcr_sst, lassos_ab_hash):
+    """Each lasso is canonicalized once for both machines; the counts match
+    those on the canonical lassos, and every report names the spelling the
+    caller gave."""
+    (copy, *_) = mcr_rbt.states
+    flipped = replace(
+        mcr_rbt,
+        transitions={**mcr_rbt.transitions, (copy, "a"): Transition(copy, ("b",), (0,))},
+    )
+    budget = EvalBudget(max_steps=12)
+    base = equiv_on_lassos(flipped, mcr_sst, lassos_ab_hash, budget)
+    assert base.passed and base.disagreements and base.inconclusive
+    for pick in (1, 2):
+        spelled = {w: _spellings(w)[pick] for w in lassos_ab_hash}
+        assert all(spelled[w] != w for w in lassos_ab_hash)
+        report = equiv_on_lassos(flipped, mcr_sst, spelled.values(), budget)
+        assert (report.checked, report.passed) == (base.checked, base.passed)
+        for listed, expected in (
+            (report.disagreements, base.disagreements),
+            (report.inconclusive, base.inconclusive),
+        ):
+            assert listed == [(spelled[w], why) for w, why in expected]
 
 
 def test_equiv_budget_marks_inconclusive(mcr_rbt):

@@ -711,6 +711,25 @@ def test_cli_equiv_detects_difference(tmp_path, mcr_path, capsys):
     assert main(["equiv", mcr_path, str(ident), "--exhaustive", "1", "2"]) == 1
 
 
+def test_cli_runs_a_register_machine_whose_update_leaves_out_a_register(tmp_path, capsys):
+    """A register left out of the a-update has the empty image: eval and
+    equiv run such a document instead of failing with a traceback."""
+    doc = json.loads((MACHINES / "mcr_sst.json").read_text())
+    (a_move,) = (t for t in doc["transitions"] if t["letter"] == "a")
+    del a_move["update"]["X"]
+    path, rev = tmp_path / "no_x.json", tmp_path / "no_x_rev.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path), "a(b#)"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Accepted output=a(b#)"
+    assert main(["equiv", str(path), str(MACHINES / "mcr_sst.json"), "--exhaustive", "1", "2"]) == 1
+    assert "disagreements=9 " in capsys.readouterr().out
+    assert main(["sst2rev", str(path), str(rev)]) == 0
+    assert main(["equiv", str(path), str(rev), "--exhaustive", "3", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: checked=2835 passed=2835 disagreements=0 inconclusive=0"
+    )
+
+
 @pytest.mark.parametrize(
     "batch",
     [["--exhaustive", "0", "0"], ["--exhaustive", "-2", "-1"], ["--random", "0", "1"],

@@ -35,12 +35,14 @@ def test_stage_times_on_the_det2rev_corpus():
     (column,) = report["columns"].values()
     counts = column["counts"]
     assert set(counts) == {
-        "output_states", "output_transitions", "register_states", "distinct_transitions"
+        "output_states", "output_transitions", "register_states", "distinct_transitions",
+        "oracle_steps", "oracle_step_bound",
     }
     # No step re-enters the start summary of seeds 0-2, so ``ini`` stands in
     # for it and each register machine has one state per summary: 4 + 25 + 9.
     assert counts["register_states"] == 38
     assert counts["output_states"] == 36 + 6244 + 50
+    assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 
 def test_stage_times_on_the_2w2sst_corpus():
@@ -55,8 +57,12 @@ def test_stage_times_on_the_2w2sst_corpus():
     assert set(column["seconds"]) == {"two_way_to_sst", "oracle", "total"}
     peak = column["peak_rss_mb"]
     assert 0 < peak["q1"] <= peak["median"] <= peak["q3"] < 4096
-    assert set(column["counts"]) == {"output_states", "output_transitions"}
-    assert column["counts"]["output_states"] > 3
+    counts = column["counts"]
+    assert set(counts) == {
+        "output_states", "output_transitions", "oracle_steps", "oracle_step_bound"
+    }
+    assert counts["output_states"] > 3
+    assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 
 def test_stage_times_on_the_equiv_corpus():
@@ -74,9 +80,14 @@ def test_stage_times_on_the_equiv_corpus():
         "oracle vs reversible output",
         "total",
     }
-    assert set(column["counts"]) == {"output_states", "output_transitions", "register_states"}
-    assert column["counts"]["output_states"] > 3
-    assert column["counts"]["register_states"] > 3
+    counts = column["counts"]
+    assert set(counts) == {
+        "output_states", "output_transitions", "register_states", "oracle_steps",
+        "oracle_step_bound",
+    }
+    assert counts["output_states"] > 3
+    assert counts["register_states"] > 3
+    assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 
 def test_stage_times_on_the_compose_corpus():
