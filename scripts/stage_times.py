@@ -42,12 +42,18 @@ objects of the built output.  For the det2rev, 2w2sst and equiv corpora,
 ``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
 checked lasso, next to ``oracle_step_bound``, the sum of the run bound
 |Q|·(|u| + |Q|·|v| + 2) over the same runs; both are counted outside the
-timed stages.
+timed stages.  For the same corpora, ``summaries`` sums the summary count
+of every ``two_way_to_sst`` run, and ``max_forest_edges`` is the largest
+forest any of them kept, next to its bound ``max_forest_edges_bound``,
+2n−2 (every forest edge owns one of the 2n−2 registers besides ``out``);
+both come from an untimed ``two_way_to_sst(source, details=...)`` call.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
     python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_forests.json
+    python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_step.json
     python scripts/stage_times.py --corpus equiv --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_oracle.json
     python scripts/stage_times.py --corpus compose --repeats 7 \\
@@ -122,6 +128,8 @@ def one_pass(corpus: str, seeds: int) -> dict:
         counts["register_states"] = 0
     if corpus != "compose":
         counts["oracle_steps"] = counts["oracle_step_bound"] = 0
+        counts["summaries"] = counts["max_forest_edges"] = 0
+        counts["max_forest_edges_bound"] = 2 * n - 2
 
     def timed(stage, build, *args):
         start = time.perf_counter()
@@ -137,6 +145,14 @@ def one_pass(corpus: str, seeds: int) -> dict:
             for w in lassos:
                 counts["oracle_steps"] += eval_machine(machine, w, EvalBudget()).steps
                 counts["oracle_step_bound"] += width * (len(w.prefix) + width * len(w.period) + 2)
+
+    def count_forests(source):
+        """Summaries and forest edges of the register machine built from
+        ``source``, outside the timed stages."""
+        details: dict = {}
+        two_way_to_sst(source, details=details)
+        counts["summaries"] += details["summary_count"]
+        counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
 
     if corpus == "compose":
         outputs = [dbt_to_rbt(source) for source in sources]
@@ -163,6 +179,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             if report.disagreements or report.inconclusive:
                 raise SystemExit(f"seed {seed}: the 2w2sst output failed a check")
             count_oracle(source, sst)
+            count_forests(source)
             counts["output_states"] += len(sst.states)
             counts["output_transitions"] += len(sst.transitions)
         return {"seconds": seconds, "counts": counts}
@@ -179,6 +196,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             if not reversible or any(r.disagreements or r.inconclusive for r in reports):
                 raise SystemExit(f"seed {seed}: the equiv outputs failed a check")
             count_oracle(source, sst, source, built)
+            count_forests(source)
             counts["register_states"] += len(sst.states)
             counts["output_states"] += len(built.states)
             counts["output_transitions"] += len(built.transitions)
@@ -197,6 +215,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
         if not (reversible and same and not report.disagreements and not report.inconclusive):
             raise SystemExit(f"seed {seed}: the det2rev output failed a check")
         count_oracle(source, built)
+        count_forests(source)
         counts["register_states"] += len(sst.states)
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)

@@ -38,47 +38,46 @@ class StateExplosion(RuntimeError):
 # Merging forests
 #
 # A forest is kept as its preorder: a flat tuple with one (label, colors,
-# child count) triple per node.  Leaves carry a backward-state label and a
-# per-coloring tuple of the minimum colors along the summarized run; roots
-# carry a forward-state label; internal merge nodes are unlabeled and have
-# at least two children.  Equal forests have equal preorders, so the tuple
-# is the summary's hash key.  A root or leaf is named by its label, a merge
-# node by its position in the preorder, and the edges of a forest own the
-# pool's registers in preorder (traversal order meets pool order).
+# child count) triple per node.  States are numbered in declaration order.
+# Leaves carry a backward state's number and a per-coloring tuple of the
+# minimum colors along the summarized run; roots carry a forward state's
+# number; internal merge nodes are unlabeled and have at least two children.
+# Equal forests have equal preorders, so the tuple is the summary's hash
+# key.  A step names every node by an int: a root or leaf is its state's
+# number s, the boundary node of state s is n + s, and a merge node is 2n
+# plus its offset in the preorder.  The edges of a forest own the pool's
+# registers in preorder (traversal order meets pool order).
 
 
 class _Flat(NamedTuple):
     """A summary's forest, shared by all letters read from it."""
 
     edges: dict  # child -> (parent, register label), in pool order
-    climb: dict  # leaf -> (its root, label)
+    climb: list  # state -> (the root above it, label) if it is a leaf, else None
 
 
-def _flatten(preorder: tuple, reg_labels: tuple) -> _Flat:
+def _flatten(preorder: tuple, reg_labels: tuple, n: int) -> _Flat:
     """The climb from a leaf to its root reads the registers on the way up,
     and its label carries the leaf's colors."""
     edges: dict = {}
-    climb: dict = {}
-    up: dict = {}  # node -> (its root, register tokens up to the root)
-    open_nodes: list[list] = []  # [node, children still to come]
+    climb: list = [None] * n
+    open_nodes: list[list] = []  # [node, children still to come, its root, tokens up to it]
     for position in range(0, len(preorder), 3):
         label, colors, count = preorder[position : position + 3]
-        node = position if label is None else label
+        node = 2 * n + position if label is None else label
         if open_nodes:
             parent = open_nodes[-1]
             reg_label = reg_labels[len(edges)]
             edges[node] = (parent[0], reg_label)
-            root, tokens = up[parent[0]]
-            up[node] = (root, reg_label[0] + tokens)
+            root, tokens = parent[2], reg_label[0] + parent[3]
             parent[1] -= 1
             if not parent[1]:
                 open_nodes.pop()
         else:
-            up[node] = (node, ())
+            root, tokens = node, ()
         if count:
-            open_nodes.append([node, count])
+            open_nodes.append([node, count, root, tokens])
         else:
-            root, tokens = up[node]
             climb[node] = (root, (tokens, colors))
     return _Flat(edges, climb)
 
@@ -89,47 +88,54 @@ def _flatten(preorder: tuple, reg_labels: tuple) -> _Flat:
 
 class _Tables(NamedTuple):
     """What a step reads of the machine and the register pool, built once
-    per conversion.  Edge labels are (tokens, colors): a forest edge's
-    tokens are its register, with colors None; a splice edge's tokens are
-    the output letters, with the transition's colors.  Splice edges lead
-    from a root or an entry to a leaf or an exit; a forest lacking the root
-    or the leaf just leaves its splice edges unused."""
+    per conversion, over state numbers.  Edge labels are (tokens, colors): a
+    forest edge's tokens are its register, with colors None; a splice
+    edge's tokens are the output letters, with the transition's colors.
+    Splice edges lead from a root or an entry to a leaf or an exit; a
+    forest lacking the root or the leaf just leaves its splice edges
+    unused.  Updates share the pairs of ``empty``: a step replaces only the
+    images it writes."""
 
-    moves: dict  # (state name, letter) -> (target name, target forward, out image, colors)
-    splices: dict  # letter -> {root name or entry: (leaf name or exit, label)}
+    n: int
+    moves: dict  # letter -> [state -> (target, target forward, out image, colors) or None]
+    splices: dict  # letter -> [root or entry -> (leaf or exit, label) or None]
     entries: tuple  # boundary nodes of the backward states, in state order
     exits: tuple  # boundary nodes of the forward states, in state order
     reg_labels: tuple  # edge index -> label of the forest edge owning pool[index]
-    registers: tuple  # ("out",) + pool, sorted as Substitution stores them
-    out_slot: int
-    pool_slots: tuple  # position of pool[i] in ``registers``
+    empty: tuple  # (register, ()) for ("out",) + pool, sorted as Substitution stores them
+    out_slot: tuple  # (position of out in ``empty``, out)
+    pool_slots: tuple  # (position of pool[i] in ``empty``, pool[i])
 
 
 def _tables(machine: TwoWayParityTransducer, pool: tuple[str, ...], out: str) -> _Tables:
-    boundary = {s.name: ("c", s.name) for s in machine.states}
-    moves: dict = {}
-    splices: dict = {}
+    n = len(machine.states)
+    number = {s: i for i, s in enumerate(machine.states)}
+    letters = (*machine.input_alphabet, LEFT_END)
+    moves = {a: [None] * n for a in letters}
+    splices = {a: [None] * (2 * n) for a in letters}
     for (src, a), tr in machine.transitions.items():
-        target = tr.target
+        s, t = number[src], number[tr.target]
         word = tuple(sym(b) for b in tr.output)
-        moves[src.name, a] = (target.name, target.forward, (reg(out),) + word, tr.colors)
-        origin = src.name if src.forward else boundary[src.name]
-        dest = boundary[target.name] if target.forward else target.name
-        splices.setdefault(a, {})[origin] = (dest, (word, tr.colors))
+        moves[a][s] = (t, tr.target.forward, (reg(out),) + word, tr.colors)
+        origin = s if src.forward else n + s
+        dest = n + t if tr.target.forward else t
+        splices[a][origin] = (dest, (word, tr.colors))
     # Reading the left endmarker, the main run stays where it starts: the
-    # key is free, as the initial state is forward and endmarker moves have
+    # slot is free, as the initial state is forward and endmarker moves have
     # a backward source.
-    moves[machine.initial.name, LEFT_END] = (machine.initial.name, True, (reg(out),), None)
-    registers = tuple(sorted((out,) + pool))
+    initial = number[machine.initial]
+    moves[LEFT_END][initial] = (initial, True, (reg(out),), None)
+    registers = sorted((out,) + pool)
     return _Tables(
+        n,
         moves,
         splices,
-        tuple(boundary[s.name] for s in machine.states if not s.forward),
-        tuple(boundary[s.name] for s in machine.states if s.forward),
+        tuple(n + i for i, s in enumerate(machine.states) if not s.forward),
+        tuple(n + i for i, s in enumerate(machine.states) if s.forward),
         tuple(((reg(r),), None) for r in pool),
-        registers,
-        registers.index(out),
-        tuple(registers.index(r) for r in pool),
+        tuple((r, ()) for r in registers),
+        (registers.index(out), out),
+        tuple((registers.index(r), r) for r in pool),
     )
 
 
@@ -140,26 +146,27 @@ def _min_colors(colors, more):
     return more if colors is None else tuple(map(min, colors, more))
 
 
-def _resolve(jump: dict, climb: dict, leaf, memo: dict):
+def _resolve(jump: list, climb: list, leaf: int, memo: dict):
     """(exit, colors) of the walk that enters ``leaf``, or None when it dies:
     a leaf the forest lacks, a root with no splice edge, or a cycle.  Each
     leaf climbs to its root, and a splice edge leads from the root to a
-    leaf or an exit.  ``memo`` keeps every leaf's result, so each is
-    resolved once; a leaf still being resolved maps to None, so a walk back
-    into it dies."""
+    leaf or an exit (a node from n up).  ``memo`` keeps every leaf's result,
+    so each is resolved once; a leaf still being resolved maps to None, so
+    a walk back into it dies."""
+    n = len(climb)
     steps = []  # (leaf, colors from it up to the next leaf)
     while leaf not in memo:
         memo[leaf] = None
-        up = climb.get(leaf)
+        up = climb[leaf]
         if up is None:
             return None
         root, (_, colors) = up
-        edge = jump.get(root)
+        edge = jump[root]
         if edge is None:
             return None
         dest, (_, more) = edge
         colors = _min_colors(colors, more)
-        if type(dest) is tuple:
+        if dest >= n:
             memo[leaf] = (dest, colors)
             break
         steps.append((leaf, colors))
@@ -173,19 +180,20 @@ def _resolve(jump: dict, climb: dict, leaf, memo: dict):
     return found
 
 
-def _walk(jump: dict, climb: dict, leaf, tokens: list) -> None:
+def _walk(jump: list, climb: list, leaf: int, tokens: list) -> None:
     """Append the tokens of the walk that enters ``leaf``, which reaches an
     exit."""
+    n = len(climb)
     while True:
         root, (more, _) = climb[leaf]
         tokens.extend(more)
         leaf, (more, _) = jump[root]
         tokens.extend(more)
-        if type(leaf) is tuple:
+        if leaf >= n:
             return
 
 
-def _step(q_name: str, flat: _Flat, a, tables: _Tables):
+def _step(q: int, flat: _Flat, a, tables: _Tables):
     """Extend the summarized prefix by one letter, or the empty prefix by
     the left endmarker.
 
@@ -193,21 +201,22 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
     extended left-to-right run dies: it loops, falls off a dead branch, or
     turns back into a run the forest no longer tracks.
     """
-    move = tables.moves.get((q_name, a))
+    move = tables.moves[a][q]
     if move is None:
         return None
     target, target_forward, head, colors = move
-    jump = tables.splices.get(a, {})
+    n = tables.n
+    jump = tables.splices[a]
     climb = flat.climb
     memo: dict = {}
     out_image = list(head)
     if target_forward:
-        p_name = target
+        p = target
     else:
         found = _resolve(jump, climb, target, memo)
         if found is None:
             return None
-        p_name = found[0][1]
+        p = found[0] - n
         colors = _min_colors(colors, found[1])
         _walk(jump, climb, target, out_image)
 
@@ -219,31 +228,37 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
     children: dict = {}  # kept node -> [(child, tokens of the edge up to it)]
     leaf_colors: dict = {}  # entry -> minimum colors over its whole run
     edges = flat.edges
+    endpoint = n + p
+    two_n = 2 * n
     for entry in tables.entries:
-        edge = jump.get(entry)
+        edge = jump[entry]
         if edge is None:
             continue
         end, (_, run_colors) = edge
-        if type(end) is not tuple:
+        if end < n:
             found = _resolve(jump, climb, end, memo)
             if found is None:
                 continue
             end, more = found
             run_colors = _min_colors(run_colors, more)
-        if end[1] == p_name:
+        if end == endpoint:
             continue
         leaf_colors[entry] = run_colors
         node = entry
         while True:
             parent, (tokens, _) = edges.get(node) or jump[node]
-            kids = children.setdefault(parent, [])
-            kids.append((node, tokens))
-            if len(kids) > 1 or type(parent) is tuple:
+            kids = children.get(parent)
+            if kids is not None:
+                kids.append((node, tokens))
+                break
+            children[parent] = [(node, tokens)]
+            if n <= parent < two_n:
                 break
             node = parent
 
     # One depth-first pass over the kept nodes, contracting unary chains:
-    # edges take registers in preorder.
+    # edges take registers in preorder.  Only the roots, the exits, are
+    # stacked without an image.
     preorder: list = []
     images: list = []
     stack = [(root, None) for root in reversed(tables.exits) if root in children]
@@ -253,20 +268,20 @@ def _step(q_name: str, flat: _Flat, a, tables: _Tables):
             images.append(image)
         kids = children.get(node)
         if kids is None:
-            preorder += (node[1], leaf_colors[node], 0)
+            preorder += (node - n, leaf_colors[node], 0)
             continue
-        preorder += (node[1] if type(node) is tuple else None, None, len(kids))
+        preorder += (node - n if image is None else None, None, len(kids))
         for child, image in reversed(kids):
             while len(children.get(child, ())) == 1:
                 (child, tokens), = children[child]
                 image = tokens + image
             stack.append((child, image))
-    slots: list = [()] * len(tables.registers)
-    slots[tables.out_slot] = tuple(out_image)
-    for slot, image in zip(tables.pool_slots, images):
-        slots[slot] = image
-    update = Substitution(tuple(zip(tables.registers, slots)))
-    return p_name, tuple(preorder), update, colors
+    pairs = list(tables.empty)
+    slot, register = tables.out_slot
+    pairs[slot] = (register, tuple(out_image))
+    for (slot, register), image in zip(tables.pool_slots, images):
+        pairs[slot] = (register, image)
+    return p, tuple(preorder), Substitution(tuple(pairs)), colors
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +308,7 @@ def two_way_to_sst(
 
     ``details``, when given, is filled with ``state_map`` (each emitted
     state's name, ``ini`` aside, to its (endpoint, forest preorder)
-    summary), ``start`` and
+    summary, with the endpoint and the labels as state names), ``start`` and
     ``init_contents`` (the summary and register contents before the first
     letter), ``summary_count`` and the observed forest maxima
     ``max_forest_nodes`` and ``max_forest_edges``.
@@ -306,27 +321,28 @@ def two_way_to_sst(
     out = "out"
     tables = _tables(machine, pool, out)
 
-    initial = machine.initial.name
-    _, preorder, end_update, _ = _step(initial, _flatten((), ()), LEFT_END, tables)
+    initial = machine.states.index(machine.initial)
+    _, preorder, end_update, _ = _step(initial, _flatten((), (), n), LEFT_END, tables)
     # Summaries are numbered in the order they are reached, and keyed by
-    # (endpoint, forest preorder); ``moves[i]`` lists the steps of summary i.
+    # (endpoint, forest preorder) over state numbers; ``moves[i]`` lists the
+    # steps of summary i.
     summaries = [(initial, preorder)]
     index_of = {summaries[0]: 0}
     moves: list[list] = []
     max_nodes = 0
     max_edges = 0
     while len(moves) < len(summaries):
-        q_name, preorder = summaries[len(moves)]
-        flat = _flatten(preorder, tables.reg_labels)
+        q, preorder = summaries[len(moves)]
+        flat = _flatten(preorder, tables.reg_labels, n)
         max_nodes = max(max_nodes, len(preorder) // 3)
         max_edges = max(max_edges, len(flat.edges))
         steps = []
         for a in machine.input_alphabet:
-            result = _step(q_name, flat, a, tables)
+            result = _step(q, flat, a, tables)
             if result is None:
                 continue
-            p_name, target_preorder, update, colors = result
-            target = (p_name, target_preorder)
+            p, target_preorder, update, colors = result
+            target = (p, target_preorder)
             j = index_of.get(target)
             if j is None:
                 if len(summaries) >= state_cap:
@@ -337,7 +353,8 @@ def two_way_to_sst(
         moves.append(steps)
 
     ini = State("ini", True)
-    states = [State(f"s{i}_{q_name}", True) for i, (q_name, _) in enumerate(summaries)]
+    names = [s.name for s in machine.states]
+    states = [State(f"s{i}_{names[q]}", True) for i, (q, _) in enumerate(summaries)]
     # Every summary but the start is reached from ``ini``; the start itself
     # is emitted only when some step re-enters it.
     first = 0 if any(j == 0 for steps in moves for _, j, _, _ in steps) else 1
@@ -362,10 +379,17 @@ def two_way_to_sst(
         ell=machine.ell,
     )
     if details is not None:
+
+        def named(summary):
+            q, preorder = summary
+            decoded = list(preorder)
+            decoded[::3] = [None if s is None else names[s] for s in preorder[::3]]
+            return names[q], tuple(decoded)
+
         details["state_map"] = {
-            state.name: key for state, key in zip(states[first:], summaries[first:])
+            state.name: named(key) for state, key in zip(states[first:], summaries[first:])
         }
-        details["start"] = summaries[0]
+        details["start"] = named(summaries[0])
         details["init_contents"] = {
             r: tuple(letter for _, letter in image)
             for r, image in end_update.images

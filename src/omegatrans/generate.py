@@ -137,17 +137,21 @@ def _update(rng: Random, registers: tuple[str, ...], alphabet: tuple[str, ...]) 
 
 
 def generate_machine(
-    kind: str, seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2, **kw
+    kind: str, seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2,
+    density: float = 0.9, **kw,
 ):
-    if not (n >= 1 and k >= 0 and ell >= 1 and 1 <= alphabet_size <= len(LETTERS)):
+    # A nan density fails the check too.
+    sizes_ok = n >= 1 and k >= 0 and ell >= 1 and 1 <= alphabet_size <= len(LETTERS)
+    if not (sizes_ok and 0 <= density <= 1):
         raise ValueError(
-            f"need n >= 1, k >= 0, ell >= 1 and 1 <= alphabet_size <= {len(LETTERS)}, "
-            f"got n={n}, k={k}, ell={ell}, alphabet_size={alphabet_size}"
+            f"need n >= 1, k >= 0, ell >= 1, 1 <= alphabet_size <= {len(LETTERS)} and "
+            f"0 <= density <= 1, got n={n}, k={k}, ell={ell}, alphabet_size={alphabet_size}, "
+            f"density={density}"
         )
     if kind == "1dpt":
-        return generate_one_way(seed, n, k, ell, alphabet_size, **kw)
+        return generate_one_way(seed, n, k, ell, alphabet_size, density, **kw)
     if kind == "2dpt":
-        return generate_two_way(seed, n, k, ell, alphabet_size, **kw)
+        return generate_two_way(seed, n, k, ell, alphabet_size, density, **kw)
     if kind == "cpsst":
-        return generate_sst(seed, n, k, ell, alphabet_size, **kw)
+        return generate_sst(seed, n, k, ell, alphabet_size, density=density, **kw)
     raise ValueError(f"unknown machine kind {kind!r}")

@@ -35,23 +35,39 @@ def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
     live at the target.  Each update then maps the registers dead at its
     target to the empty word.  Updates stay copyless and keep the out
     discipline, and the function is unchanged.
+
+    Liveness spreads backward from ``out`` in one worklist pass: each
+    (state, register) pair found live is popped once, and reads the
+    registers that the images of that register, on the transitions into
+    the state, consume.  An update with no non-empty dead image is kept.
     """
     require(sst, CopylessParitySST, "drop_dead_registers")
+    # Each move's non-empty images, as the registers each of them reads.
+    reads = {
+        key: {r: [v for kind, v in img if kind == "reg"] for r, img in tr.update.images if img}
+        for key, tr in sst.transitions.items()
+    }
+    into: dict = {s: [] for s in sst.states}  # target -> [(source, reads of the move)]
+    for key, tr in sst.transitions.items():
+        into[tr.target].append((key[0], reads[key]))
     live = {s: {sst.out} for s in sst.states}
-    changed = True
-    while changed:
-        changed = False
-        for (src, _), tr in sst.transitions.items():
-            before = len(live[src])
-            for r, img in tr.update.images:
-                if r in live[tr.target]:
-                    live[src].update(value for kind, value in img if kind == "reg")
-            changed |= len(live[src]) != before
+    work = [(s, sst.out) for s in sst.states]
+    while work:
+        target, r = work.pop()
+        for src, read in into[target]:
+            for x in read.get(r, ()):
+                if x not in live[src]:
+                    live[src].add(x)
+                    work.append((src, x))
     transitions = {}
     for key, tr in sst.transitions.items():
         keep = live[tr.target]
-        images = tuple((r, img if r in keep else ()) for r, img in tr.update.images)
-        transitions[key] = tr._replace(update=Substitution(images))
+        dead = [r for r in reads[key] if r not in keep]
+        if dead:
+            images = dict(tr.update.images)
+            images.update((r, ()) for r in dead)
+            tr = tr._replace(update=Substitution(tuple(images.items())))
+        transitions[key] = tr
     return replace(sst, transitions=transitions)
 
 

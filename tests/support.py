@@ -257,6 +257,29 @@ def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer
     return replace(machine, states=tuple(states), transitions=transitions)
 
 
+def drop_dead_registers_fixpoint(sst):
+    """Reference for ``sst2rev.drop_dead_registers``: grow each state's live
+    registers by re-scanning every image of every transition until no live
+    set grows, then empty the images of the registers dead at each
+    transition's target."""
+    live = {s: {sst.out} for s in sst.states}
+    changed = True
+    while changed:
+        changed = False
+        for (src, _), tr in sst.transitions.items():
+            before = len(live[src])
+            for r, img in tr.update.images:
+                if r in live[tr.target]:
+                    live[src].update(value for kind, value in img if kind == "reg")
+            changed |= len(live[src]) != before
+    transitions = {}
+    for key, tr in sst.transitions.items():
+        keep = live[tr.target]
+        images = tuple((r, img if r in keep else ()) for r, img in tr.update.images)
+        transitions[key] = tr._replace(update=Substitution(images))
+    return replace(sst, transitions=transitions)
+
+
 def asked_moves(machine: TwoWayParityTransducer) -> list[tuple]:
     """The (state, letter) keys ``walk_takeable`` asks ``machine`` for, one
     per call to ``move``, in the order asked; undefined moves included."""

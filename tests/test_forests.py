@@ -119,16 +119,31 @@ def test_initial_merged_bounces_share_a_root():
 
 def letter_graph(forest, a, machine, pool):
     """The forest's edges plus the splice edges of letter ``a`` that its runs
-    can take: each node to (next node, edge label).  Roots and leaves are
-    named by their labels."""
+    can take: each node to (next node, edge label).  ``forest`` is labeled
+    by state names, as ``details`` gives it.  Roots and leaves are named by
+    their labels, the boundary node of a state by ("c", name), and a merge
+    node by its offset in the preorder."""
+    names = [s.name for s in machine.states]
+    n = len(names)
+    numbered = list(forest)
+    numbered[::3] = [None if label is None else names.index(label) for label in forest[::3]]
     tables = _tables(machine, pool, "out")
-    flat = _flatten(forest, tables.reg_labels)
-    roots = {root for root, _ in flat.climb.values()}
-    out_edge = dict(flat.edges)
-    for origin, (dest, label) in tables.splices.get(a, {}).items():
-        from_node = type(origin) is tuple or origin in roots
-        if from_node and (type(dest) is tuple or dest in flat.climb):
-            out_edge[origin] = (dest, label)
+    flat = _flatten(tuple(numbered), tables.reg_labels, n)
+
+    def name(node):
+        if node < n:
+            return names[node]
+        return ("c", names[node - n]) if node < 2 * n else node - 2 * n
+
+    roots = {root for root, _ in filter(None, flat.climb)}
+    out_edge = {name(child): (name(parent), label) for child, (parent, label) in flat.edges.items()}
+    for origin, edge in enumerate(tables.splices[a]):
+        if edge is None:
+            continue
+        dest, label = edge
+        from_node = origin >= n or origin in roots
+        if from_node and (dest >= n or flat.climb[dest] is not None):
+            out_edge[name(origin)] = (name(dest), label)
     return out_edge
 
 
@@ -447,3 +462,25 @@ def test_2w2sst_corpus_output_is_pinned():
         found = (details["summary_count"], details["max_forest_nodes"], details["max_forest_edges"])
         digest.update(repr(found).encode())
     assert digest.hexdigest() == PINNED_2W2SST_CORPUS
+
+
+# One SHA-256 over 288 small machines that the corpus pins miss: letters
+# with no move, k=0 colors, one-state machines and a one-letter alphabet.
+# For each generate_two_way(seed, n, k, 3, alphabet_size, density) in turn,
+# dumps_machine(two_way_to_sst(m)) and then repr of these details' values.
+PINNED_VARIED_CONVERSIONS = "5f5d5a78f63292847d51bd2d8e17ca335f1d40a5fd879a42e6e5b9d6b8994293"
+VARIED_DETAILS = (
+    "summary_count", "max_forest_nodes", "max_forest_edges", "state_map", "start", "init_contents"
+)
+
+
+def test_varied_conversions_are_pinned():
+    digest = hashlib.sha256()
+    for k, density, size, n, seed in itertools.product(
+        (0, 2), (0.6, 0.8), (1, 2, 3), range(1, 9), range(3)
+    ):
+        machine = generate_two_way(seed, n, k, 3, size, density)
+        details = {}
+        digest.update(dumps_machine(two_way_to_sst(machine, details=details)).encode())
+        digest.update(repr(tuple(details[key] for key in VARIED_DETAILS)).encode())
+    assert digest.hexdigest() == PINNED_VARIED_CONVERSIONS

@@ -926,21 +926,33 @@ def test_cli_subcommand_help(cmd, capsys):
         ["--n", "2", "--alphabet-size", "0"],
         ["--n", "2", "--k", "-1"],
         ["--n", "2", "--k", "0", "--ell", "0"],
+        ["--kind", "1dpt", "--n", "3", "--density", "nan"],
+        ["--kind", "cpsst", "--n", "3", "--density", "-1"],
+        ["--kind", "2dpt", "--n", "3", "--density", "2"],
     ],
 )
 def test_cli_gen_rejects_out_of_range_parameters(tmp_path, capsys, params):
     out_path = tmp_path / "m.json"
     assert main(["gen", "--seed", "1", *params, str(out_path)]) == 3
-    assert capsys.readouterr().err.startswith("error: need n >= 1, k >= 0, ell >= 1")
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: need n >= 1, k >= 0, ell >= 1")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
+def test_generate_machine_rejects_a_density_outside_0_to_1(kind):
+    for density in (float("nan"), -1.0, 2.0):
+        with pytest.raises(ValueError, match="0 <= density <= 1"):
+            generate_machine(kind, 1, 3, density=density)
 
 
 @pytest.mark.parametrize("kind", ["2dpt", "1dpt", "cpsst"])
 def test_cli_gen_accepts_the_parameter_bounds(tmp_path, capsys, kind):
     out_path = tmp_path / "m.json"
     params = ["--n", "1", "--alphabet-size", "8", "--k", "0", "--ell", "1", "--kind", kind]
-    assert main(["gen", "--seed", "1", *params, str(out_path)]) == 0
-    assert main(["validate", str(out_path)]) == 0
+    for density in ("0", "1"):
+        assert main(["gen", "--seed", "1", *params, "--density", density, str(out_path)]) == 0
+        assert main(["validate", str(out_path)]) == 0
 
 
 def test_cli_parse_error(tmp_path, capsys):

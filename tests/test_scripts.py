@@ -36,11 +36,13 @@ def test_stage_times_on_the_det2rev_corpus():
     counts = column["counts"]
     assert set(counts) == {
         "output_states", "output_transitions", "register_states", "distinct_transitions",
-        "oracle_steps", "oracle_step_bound",
+        "oracle_steps", "oracle_step_bound", "summaries", "max_forest_edges",
+        "max_forest_edges_bound",
     }
     # No step re-enters the start summary of seeds 0-2, so ``ini`` stands in
     # for it and each register machine has one state per summary: 4 + 25 + 9.
-    assert counts["register_states"] == 38
+    assert counts["register_states"] == counts["summaries"] == 38
+    assert (counts["max_forest_edges"], counts["max_forest_edges_bound"]) == (5, 12)
     assert counts["output_states"] == 36 + 6244 + 50
     assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
@@ -59,9 +61,13 @@ def test_stage_times_on_the_2w2sst_corpus():
     assert 0 < peak["q1"] <= peak["median"] <= peak["q3"] < 4096
     counts = column["counts"]
     assert set(counts) == {
-        "output_states", "output_transitions", "oracle_steps", "oracle_step_bound"
+        "output_states", "output_transitions", "oracle_steps", "oracle_step_bound",
+        "summaries", "max_forest_edges", "max_forest_edges_bound",
     }
     assert counts["output_states"] > 3
+    # The summary counts and forest maxima of seeds 0-2 in PINNED_CONVERSIONS.
+    assert counts["summaries"] == 38 + 104 + 85
+    assert (counts["max_forest_edges"], counts["max_forest_edges_bound"]) == (15, 42)
     assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 
@@ -83,10 +89,12 @@ def test_stage_times_on_the_equiv_corpus():
     counts = column["counts"]
     assert set(counts) == {
         "output_states", "output_transitions", "register_states", "oracle_steps",
-        "oracle_step_bound",
+        "oracle_step_bound", "summaries", "max_forest_edges", "max_forest_edges_bound",
     }
     assert counts["output_states"] > 3
     assert counts["register_states"] > 3
+    assert 0 < counts["summaries"]
+    assert 0 <= counts["max_forest_edges"] <= counts["max_forest_edges_bound"] == 6
     assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 

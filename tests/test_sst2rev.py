@@ -32,7 +32,7 @@ from omegatrans.sst2rev import (
     sst_to_substitution_stream,
     substitution_alphabet,
 )
-from support import full_product, load_machine, prune_unreachable
+from support import drop_dead_registers_fixpoint, full_product, load_machine, prune_unreachable
 
 
 def lw(prefix, period):
@@ -414,6 +414,18 @@ def test_dead_register_elimination_only_empties_images(corpus_ssts):
             assert (new.target, new.colors) == (tr.target, tr.colors), (seed, key)
             for (r, img), (r2, img2) in zip(tr.update.images, new.update.images, strict=True):
                 assert r == r2 and img2 in (img, ()), (seed, key, r)
+
+
+def test_dead_registers_match_the_fixpoint_reference():
+    """The worklist pass empties the same images as re-scanning every
+    transition until no live set grows: on the det2rev corpus (n=7) and on
+    four register machines of the 2w2sst corpus (n=22)."""
+    sources = [
+        generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(30)
+    ] + [generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0) for seed in range(4)]
+    for i, source in enumerate(sources):
+        sst = two_way_to_sst(source)
+        assert drop_dead_registers(sst) == drop_dead_registers_fixpoint(sst), i
 
 
 def test_reducing_twice_equals_reducing_once(corpus_ssts):
