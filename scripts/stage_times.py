@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Seconds per stage of the det2rev, 2w2sst or equiv pipeline over a seeded
-corpus.
+"""Seconds per stage of the det2rev, 2w2sst, equiv or compose pipeline over
+a seeded corpus.
 
 With ``--corpus det2rev`` (the default), a job is what ``omegatrans
 det2rev`` does plus the checks the benchmark's det2rev workload makes:
@@ -30,6 +30,12 @@ outputs are built before timing starts.  The counts are the reached pairs
 next to their |Q|·|P| bound, the output transitions, and the distinct
 transition objects.
 
+``CORPORA`` holds one row per corpus: the generator's n and alphabet size,
+the default seed count, the lasso bounds and the stage names in report
+order.  The det2rev, 2w2sst and equiv corpora share one loop over their
+sources; each adds only its timed stages, and the loop makes the same
+checks and counts for all three.
+
 Each column is a library source directory, ``--src NAME=DIR`` (default:
 this checkout's ``src``).  A repeat runs one fresh process per column, in
 alternating order, all with the same PYTHONHASHSEED.  The report gives
@@ -41,12 +47,14 @@ exactly: output states and transitions, (det2rev and equiv) the states of
 objects of the built output.  For the det2rev, 2w2sst and equiv corpora,
 ``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
 checked lasso, next to ``oracle_step_bound``, the sum of the run bound
-|Q|·(|u| + |Q|·|v| + 2) over the same runs; both are counted outside the
-timed stages.  For the same corpora, ``summaries`` sums the summary count
-of every ``two_way_to_sst`` run, and ``max_forest_edges`` is the largest
-forest any of them kept, next to its bound ``max_forest_edges_bound``,
-2n−2 (every forest edge owns one of the 2n−2 registers besides ``out``);
-both come from an untimed ``two_way_to_sst(source, details=...)`` call.
+|Q|·(|u| + |Q|·|v| + 2) over the same runs; the helper that times an
+oracle stage counts its runs, outside the timed stage, so the counted runs
+are the checked ones.  For the same corpora, ``summaries`` sums the
+summary count of every ``two_way_to_sst`` run, and ``max_forest_edges`` is
+the largest forest any of them kept, next to its bound
+``max_forest_edges_bound``, 2n−2 (every forest edge owns one of the 2n−2
+registers besides ``out``); both come from an untimed
+``two_way_to_sst(source, details=...)`` call.
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
@@ -71,33 +79,20 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = {
-    "det2rev": (
-        "load source",
-        "two_way_to_sst",
-        "sst_to_reversible",
-        "validate_reversible",
-        "dumps_machine",
-        "load output",
-        "==",
-        "oracle",
-    ),
-    "2w2sst": ("two_way_to_sst", "oracle"),
-    "equiv": (
-        "two_way_to_sst",
-        "dbt_to_rbt",
-        "validate_reversible",
-        "oracle vs register machine",
-        "oracle vs reversible output",
-    ),
-    "compose": ("compose_reachable",),
-}
-# n, alphabet size, seeds, lassos (max prefix, max period) or None
+# Per corpus: n and alphabet size of generate_two_way, the default seed
+# count, the lassos (max prefix, max period) or None, and the timed stages in
+# report order.
 CORPORA = {
-    "det2rev": (7, 3, 30, (1, 2)),
-    "2w2sst": (22, 4, 40, (1, 2)),
-    "equiv": (4, 2, 30, (3, 5)),
-    "compose": (7, 3, 6, None),
+    "det2rev": (7, 3, 30, (1, 2), (
+        "load source", "two_way_to_sst", "sst_to_reversible", "validate_reversible",
+        "dumps_machine", "load output", "==", "oracle",
+    )),
+    "2w2sst": (22, 4, 40, (1, 2), ("two_way_to_sst", "oracle")),
+    "equiv": (4, 2, 30, (3, 5), (
+        "two_way_to_sst", "dbt_to_rbt", "validate_reversible",
+        "oracle vs register machine", "oracle vs reversible output",
+    )),
+    "compose": (7, 3, 6, None, ("compose_reachable",)),
 }
 # det2rev seeds whose outputs the compose corpus pairs: 5 to 182 states.
 COMPOSE_SEEDS = (0, 2, 3, 4, 7, 11)
@@ -115,44 +110,18 @@ def one_pass(corpus: str, seeds: int) -> dict:
     from omegatrans.machines import validate_reversible
     from omegatrans.sst2rev import sst_to_reversible
 
-    n, size, _, bounds = CORPORA[corpus]
+    n, size, _, bounds, stages = CORPORA[corpus]
     picked = COMPOSE_SEEDS[:seeds] if corpus == "compose" else range(seeds)
     sources = [
         generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in picked
     ]
-    docs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else []
-    lassos = bounds and enumerate_lassos(sources[0].input_alphabet, *bounds)
-    seconds = dict.fromkeys(STAGES[corpus], 0.0)
-    counts = {"output_states": 0, "output_transitions": 0}
-    if corpus in ("det2rev", "equiv"):
-        counts["register_states"] = 0
-    if corpus != "compose":
-        counts["oracle_steps"] = counts["oracle_step_bound"] = 0
-        counts["summaries"] = counts["max_forest_edges"] = 0
-        counts["max_forest_edges_bound"] = 2 * n - 2
+    seconds = dict.fromkeys(stages, 0.0)
 
     def timed(stage, build, *args):
         start = time.perf_counter()
         result = build(*args)
         seconds[stage] += time.perf_counter() - start
         return result
-
-    def count_oracle(*machines):
-        """Steps of the oracle's runs on ``machines`` and their bound,
-        outside the timed stages."""
-        for machine in machines:
-            width = len(machine.states)
-            for w in lassos:
-                counts["oracle_steps"] += eval_machine(machine, w, EvalBudget()).steps
-                counts["oracle_step_bound"] += width * (len(w.prefix) + width * len(w.period) + 2)
-
-    def count_forests(source):
-        """Summaries and forest edges of the register machine built from
-        ``source``, outside the timed stages."""
-        details: dict = {}
-        two_way_to_sst(source, details=details)
-        counts["summaries"] += details["summary_count"]
-        counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
 
     if corpus == "compose":
         outputs = [dbt_to_rbt(source) for source in sources]
@@ -172,54 +141,67 @@ def one_pass(corpus: str, seeds: int) -> dict:
                 )
         return {"seconds": seconds, "counts": counts}
 
-    if corpus == "2w2sst":
-        for seed, source in enumerate(sources):
-            sst = timed("two_way_to_sst", two_way_to_sst, source)
-            report = timed("oracle", equiv_on_lassos, source, sst, lassos, EvalBudget())
-            if report.disagreements or report.inconclusive:
-                raise SystemExit(f"seed {seed}: the 2w2sst output failed a check")
-            count_oracle(source, sst)
-            count_forests(source)
-            counts["output_states"] += len(sst.states)
-            counts["output_transitions"] += len(sst.transitions)
-        return {"seconds": seconds, "counts": counts}
+    # det2rev jobs load their sources, so the documents are written before
+    # the pass.
+    jobs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else sources
+    lassos = enumerate_lassos(sources[0].input_alphabet, *bounds)
+    counts = dict.fromkeys(("output_states", "output_transitions"), 0)
+    if corpus != "2w2sst":
+        counts["register_states"] = 0
+    counts.update(
+        dict.fromkeys(("oracle_steps", "oracle_step_bound", "summaries", "max_forest_edges"), 0),
+        max_forest_edges_bound=2 * n - 2,
+    )
+    if corpus == "det2rev":
+        counts["distinct_transitions"] = 0
 
-    if corpus == "equiv":
-        for seed, source in enumerate(sources):
+    def check(stage, source, machine) -> bool:
+        """Time the oracle on ``source`` against ``machine``, then count the
+        steps of both machines' runs and their bound |Q|·(|u| + |Q|·|v| + 2)
+        outside the timed stage."""
+        report = timed(stage, equiv_on_lassos, source, machine, lassos, EvalBudget())
+        for run in (source, machine):
+            width = len(run.states)
+            for w in lassos:
+                counts["oracle_steps"] += eval_machine(run, w, EvalBudget()).steps
+                counts["oracle_step_bound"] += width * (len(w.prefix) + width * len(w.period) + 2)
+        return not (report.disagreements or report.inconclusive)
+
+    for seed, job in enumerate(jobs):
+        if corpus == "det2rev":
+            source = timed("load source", loads_machine, job)
+            sst = timed("two_way_to_sst", two_way_to_sst, source)
+            built = timed("sst_to_reversible", sst_to_reversible, sst)
+            reversible = timed("validate_reversible", validate_reversible, built)
+            text = timed("dumps_machine", dumps_machine, built)
+            loaded = timed("load output", loads_machine, text)
+            passed = [reversible, timed("==", loaded.__eq__, built), check("oracle", source, built)]
+        elif corpus == "2w2sst":
+            source = job
+            sst = built = timed("two_way_to_sst", two_way_to_sst, source)
+            passed = [check("oracle", source, sst)]
+        else:
+            source = job
             sst = timed("two_way_to_sst", two_way_to_sst, source)
             built = timed("dbt_to_rbt", dbt_to_rbt, source)
-            reversible = timed("validate_reversible", validate_reversible, built)
-            reports = [
-                timed(f"oracle vs {name}", equiv_on_lassos, source, machine, lassos, EvalBudget())
-                for name, machine in (("register machine", sst), ("reversible output", built))
+            passed = [
+                timed("validate_reversible", validate_reversible, built),
+                check("oracle vs register machine", source, sst),
+                check("oracle vs reversible output", source, built),
             ]
-            if not reversible or any(r.disagreements or r.inconclusive for r in reports):
-                raise SystemExit(f"seed {seed}: the equiv outputs failed a check")
-            count_oracle(source, sst, source, built)
-            count_forests(source)
+        if not all(passed):
+            raise SystemExit(f"seed {seed}: the {corpus} output failed a check")
+        # Summaries and forest edges come from an untimed conversion.
+        details: dict = {}
+        two_way_to_sst(source, details=details)
+        counts["summaries"] += details["summary_count"]
+        counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
+        if "register_states" in counts:
             counts["register_states"] += len(sst.states)
-            counts["output_states"] += len(built.states)
-            counts["output_transitions"] += len(built.transitions)
-        return {"seconds": seconds, "counts": counts}
-
-    counts["distinct_transitions"] = 0
-    for seed, doc in enumerate(docs):
-        source = timed("load source", loads_machine, doc)
-        sst = timed("two_way_to_sst", two_way_to_sst, source)
-        built = timed("sst_to_reversible", sst_to_reversible, sst)
-        reversible = timed("validate_reversible", validate_reversible, built)
-        text = timed("dumps_machine", dumps_machine, built)
-        loaded = timed("load output", loads_machine, text)
-        same = timed("==", loaded.__eq__, built)
-        report = timed("oracle", equiv_on_lassos, source, built, lassos, EvalBudget())
-        if not (reversible and same and not report.disagreements and not report.inconclusive):
-            raise SystemExit(f"seed {seed}: the det2rev output failed a check")
-        count_oracle(source, built)
-        count_forests(source)
-        counts["register_states"] += len(sst.states)
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)
-        counts["distinct_transitions"] += len({id(tr) for tr in built.transitions.values()})
+        if "distinct_transitions" in counts:
+            counts["distinct_transitions"] += len({id(tr) for tr in built.transitions.values()})
     return {"seconds": seconds, "counts": counts}
 
 
@@ -256,7 +238,7 @@ def main() -> None:
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    n, size, default_seeds, bounds = CORPORA[args.corpus]
+    n, size, default_seeds, bounds, stages = CORPORA[args.corpus]
     seeds = default_seeds if args.seeds is None else args.seeds
     if args.corpus == "compose" and seeds > len(COMPOSE_SEEDS):
         parser.error(f"the compose corpus has {len(COMPOSE_SEEDS)} seeds")
@@ -298,9 +280,7 @@ def main() -> None:
         counts = runs[0]["counts"]
         if any(run["counts"] != counts for run in runs):
             raise SystemExit(f"{name}: counts differ between repeats")
-        seconds = {
-            stage: spread([run["seconds"][stage] for run in runs]) for stage in STAGES[args.corpus]
-        }
+        seconds = {stage: spread([run["seconds"][stage] for run in runs]) for stage in stages}
         seconds["total"] = spread([sum(run["seconds"].values()) for run in runs])
         report["columns"][name] = {
             "seconds": seconds,

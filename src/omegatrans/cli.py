@@ -23,7 +23,7 @@ from .evaluate import (
     equiv_on_lassos,
     eval_machine,
 )
-from .forests import StateExplosion, two_way_to_sst
+from .forests import STATE_CAP, StateExplosion, two_way_to_sst
 from .generate import generate_machine
 from .io import (
     DocumentError,
@@ -110,7 +110,7 @@ _MARKINGS = {
     "all": lambda machine: frozenset(machine.transitions),
     "none": lambda machine: frozenset(),
 }
-_CAP = ("--cap", dict(type=int, default=10**6, help="explored state cap, at least 1"))
+_CAP = ("--cap", dict(type=int, default=STATE_CAP, help="explored state cap, at least 1"))
 _MARKING = ("--marking", dict(
     choices=list(_MARKINGS), default="color0",
     help="marked transitions: those of color 0, all, or none",

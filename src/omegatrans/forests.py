@@ -34,6 +34,9 @@ class StateExplosion(RuntimeError):
     pass
 
 
+STATE_CAP = 10**6  # the default state_cap of two_way_to_sst, dbt_to_rbt and the CLI
+
+
 # ---------------------------------------------------------------------------
 # Merging forests
 #
@@ -291,7 +294,7 @@ def _step(q: int, flat: _Flat, a, tables: _Tables):
 @collector_paused
 def two_way_to_sst(
     machine: TwoWayParityTransducer,
-    state_cap: int = 10**6,
+    state_cap: int = STATE_CAP,
     details: Optional[dict] = None,
 ) -> CopylessParitySST:
     """Equivalent copyless register machine over 2n-1 registers.

@@ -138,7 +138,7 @@ def _update(rng: Random, registers: tuple[str, ...], alphabet: tuple[str, ...]) 
 
 def generate_machine(
     kind: str, seed: int, n: int, k: int = 1, ell: int = 2, alphabet_size: int = 2,
-    density: float = 0.9, **kw,
+    density: float = 0.9,
 ):
     # A nan density fails the check too.
     sizes_ok = n >= 1 and k >= 0 and ell >= 1 and 1 <= alphabet_size <= len(LETTERS)
@@ -149,9 +149,9 @@ def generate_machine(
             f"density={density}"
         )
     if kind == "1dpt":
-        return generate_one_way(seed, n, k, ell, alphabet_size, density, **kw)
+        return generate_one_way(seed, n, k, ell, alphabet_size, density)
     if kind == "2dpt":
-        return generate_two_way(seed, n, k, ell, alphabet_size, density, **kw)
+        return generate_two_way(seed, n, k, ell, alphabet_size, density)
     if kind == "cpsst":
-        return generate_sst(seed, n, k, ell, alphabet_size, density=density, **kw)
+        return generate_sst(seed, n, k, ell, alphabet_size, density=density)
     raise ValueError(f"unknown machine kind {kind!r}")

@@ -319,6 +319,8 @@ def loads_machine(text: str) -> Machine:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply to parse") from exc
     if isinstance(doc, dict):
         # The parse is this function's own, so its record lists are handed
         # over as generators that drop each record once it is read: a built

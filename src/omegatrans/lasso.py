@@ -80,10 +80,15 @@ def lasso_canonicalize(w: LassoWord) -> LassoWord:
     return LassoWord(prefix, period)
 
 
+# A lasso's period is nonempty, so an empty alphabet has no lassos.
+_NO_LETTERS = "need a nonempty alphabet: every lasso repeats a letter"
+
+
 def enumerate_lassos(
     alphabet: Sequence[Letter], max_prefix: int, max_period: int
 ) -> list[LassoWord]:
-    """All canonical lassos with bounded prefix and period lengths.
+    """All canonical lassos with bounded prefix and period lengths; raise
+    ValueError when there are none.
 
     Only canonical representations are produced (primitive period, minimal
     prefix), so each ultimately periodic word appears exactly once.
@@ -93,6 +98,8 @@ def enumerate_lassos(
             f"need max_prefix >= 0 and max_period >= 1, got {max_prefix} and {max_period}"
         )
     letters = list(alphabet)
+    if not letters:
+        raise ValueError(_NO_LETTERS)
     result = []
     for plen in range(1, max_period + 1):
         for period in itertools.product(letters, repeat=plen):
@@ -113,10 +120,13 @@ def random_lassos(
     max_prefix: int = 4,
     max_period: int = 5,
 ) -> list[LassoWord]:
-    """Sample ``count`` distinct canonical lassos; raise ValueError, naming
-    how many it found, when 50·count + 100 draws find fewer."""
+    """Sample ``count`` distinct canonical lassos; raise ValueError on an
+    empty alphabet or, naming how many it found, when 50·count + 100 draws
+    find fewer."""
     if count < 1:
         raise ValueError(f"need a positive lasso count, got {count}")
+    if not alphabet:
+        raise ValueError(_NO_LETTERS)
     found: dict[LassoWord, None] = {}  # an insertion-ordered set
     attempts = 0
     while len(found) < count and attempts < 50 * count + 100:

@@ -37,22 +37,17 @@ def _outline_step(src: tuple, row) -> Optional[tuple]:
     letter table of ``one_way_to_reversible``."""
     t1, p, t2, q = src
     _, _, succ, above, below, least, greatest = row
-    if t1 == UNDER and t2 == OVER:
-        if above[p] >= 0:
-            return (OVER, above[p], OVER, q)
-        if below[q] >= 0:
-            return (UNDER, p, UNDER, below[q])
+    if t1 != t2:
+        # Mixed tags: (OVER, UNDER) mirrors (UNDER, OVER) with above and
+        # below swapped.
+        near, far = (above, below) if t1 == UNDER else (below, above)
+        if near[p] >= 0:
+            return (t2, near[p], t2, q)
+        if far[q] >= 0:
+            return (t1, p, t1, far[q])
         if succ[p] < 0 or succ[q] < 0:
             return None
-        return (UNDER, succ[p], OVER, succ[q])
-    if t1 == OVER and t2 == UNDER:
-        if below[p] >= 0:
-            return (UNDER, below[p], UNDER, q)
-        if above[q] >= 0:
-            return (OVER, p, OVER, above[q])
-        if succ[p] < 0 or succ[q] < 0:
-            return None
-        return (OVER, succ[p], UNDER, succ[q])
+        return (t1, succ[p], t2, succ[q])
     # Equal tags rewind both heads, to the least preimage under OVER tags
     # and to the greatest under UNDER tags, unless a head's branch starts
     # here.

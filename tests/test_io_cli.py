@@ -743,6 +743,24 @@ def test_cli_equiv_rejects_an_empty_lasso_batch(mcr_path, mcr_sst_path, batch, c
     assert captured.err.startswith("error: need ")
 
 
+@pytest.mark.parametrize("batch", [["--exhaustive", "2", "3"], ["--random", "5", "1"]])
+def test_cli_equiv_rejects_an_empty_alphabet(tmp_path, batch, capsys):
+    """No lasso exists over an empty alphabet, so the batch is empty."""
+    doc = {
+        "kind": "cpsst", "input_alphabet": [], "output_alphabet": [], "registers": ["out"],
+        "out": "out", "states": [{"name": "q", "polarity": "+"}], "initial": "q",
+        "transitions": [], "k": 1, "ell": 1,
+    }
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(doc))
+    assert main(["validate", str(empty)]) == 0
+    capsys.readouterr()
+    assert main(["equiv", str(empty), str(empty), *batch]) == 3
+    captured = capsys.readouterr()
+    assert "summary:" not in captured.out
+    assert captured.err == "error: need a nonempty alphabet: every lasso repeats a letter\n"
+
+
 def test_cli_equiv_rejects_a_random_batch_it_cannot_fill(tmp_path, capsys):
     """Fewer distinct lassos than asked is a usage error, not a smaller check."""
     from builtin import identity_transducer
@@ -957,8 +975,12 @@ def test_cli_gen_accepts_the_parameter_bounds(tmp_path, capsys, kind):
 
 def test_cli_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["validate", str(bad)]) == 3
+    # A document nested past the parser's recursion limit is no JSON either.
+    for text in ("{not json", "[" * 100_000):
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid JSON") and err.count("error:") == 1
 
 
 def test_cli_usage_error():

@@ -130,22 +130,28 @@ def test_letter_rejects_negative_positions(position):
         lw("ab", "c").letter(position)
 
 
-@pytest.mark.parametrize("max_prefix, max_period", [(0, 0), (-2, -1), (-1, 2), (3, 0)])
-def test_enumerate_lassos_rejects_an_empty_batch(max_prefix, max_period):
+@pytest.mark.parametrize(
+    "alphabet, max_prefix, max_period",
+    [(("a", "b"), 0, 0), (("a", "b"), -2, -1), (("a", "b"), -1, 2), (("a", "b"), 3, 0), ((), 2, 3)],
+    ids=["0-0", "-2--1", "-1-2", "3-0", "no letters"],
+)
+def test_enumerate_lassos_rejects_an_empty_batch(alphabet, max_prefix, max_period):
     with pytest.raises(ValueError):
-        enumerate_lassos(("a", "b"), max_prefix, max_period)
+        enumerate_lassos(alphabet, max_prefix, max_period)
 
 
 def test_enumerate_lassos_smallest_batch():
     assert enumerate_lassos(("a", "b"), 0, 1) == [lw("", "a"), lw("", "b")]
 
 
-@pytest.mark.parametrize("count", [0, -5])
-def test_random_lassos_rejects_an_empty_batch(count):
+@pytest.mark.parametrize(
+    "alphabet, count", [(("a", "b"), 0), (("a", "b"), -5), ((), 5)], ids=["0", "-5", "no letters"]
+)
+def test_random_lassos_rejects_an_empty_batch(alphabet, count):
     from random import Random
 
     with pytest.raises(ValueError):
-        random_lassos(("a", "b"), count, Random(1))
+        random_lassos(alphabet, count, Random(1))
 
 
 @pytest.mark.parametrize("alphabet, count, found", [(("a", "b"), 1000, 827), (("a",), 5, 1)])
