@@ -54,7 +54,9 @@ summary count of every ``two_way_to_sst`` run, and ``max_forest_edges`` is
 the largest forest any of them kept, next to its bound
 ``max_forest_edges_bound``, 2n−2 (every forest edge owns one of the 2n−2
 registers besides ``out``); both come from an untimed
-``two_way_to_sst(source, details=...)`` call.
+``two_way_to_sst(source, details=...)`` call.  A ``--seeds`` or
+``--repeats`` below 1, or a ``--src`` that is not NAME=DIR, is a usage
+error (exit 2).
 
     python scripts/stage_times.py --seeds 30 --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_records.json
@@ -66,6 +68,10 @@ registers besides ``out``); both come from an untimed
         --src parent=../parent/src --src change=src --out BENCH_oracle.json
     python scripts/stage_times.py --corpus compose --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_compose.json
+    python scripts/stage_times.py --corpus det2rev --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_walk.json
+    python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_walk_2w2sst.json
 """
 
 import argparse
@@ -224,17 +230,33 @@ def spread(values: list) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def column(spec: str) -> tuple[str, str]:
+    name, _, src = spec.partition("=")
+    if not (name and src):
+        raise argparse.ArgumentTypeError(f"expected NAME=DIR, got {spec!r}")
+    return name, src
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--corpus", choices=sorted(CORPORA), default="det2rev")
     parser.add_argument(
-        "--seeds", type=int,
+        "--seeds", type=count,
         help="corpus size (default: 30 det2rev, 40 2w2sst, 30 equiv, 6 compose)",
     )
-    parser.add_argument("--repeats", type=int, default=1, help="fresh processes per column")
-    parser.add_argument("--src", action="append", metavar="NAME=DIR", help="a column to measure")
+    parser.add_argument("--repeats", type=count, default=1, help="fresh processes per column")
+    parser.add_argument(
+        "--src", type=column, action="append", metavar="NAME=DIR", help="a column to measure"
+    )
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -257,7 +279,7 @@ def main() -> None:
         print(json.dumps(measured))
         return
 
-    columns = dict(spec.split("=", 1) for spec in args.src or [f"change={ROOT / 'src'}"])
+    columns = dict(args.src or [("change", str(ROOT / "src"))])
     passes: dict = {name: [] for name in columns}
     for repeat in range(args.repeats):
         names = list(columns) if repeat % 2 == 0 else list(reversed(columns))

@@ -27,6 +27,7 @@ from .machines import (
     reg,
     require,
     sym,
+    takeable,
 )
 
 
@@ -299,6 +300,7 @@ def two_way_to_sst(
 ) -> CopylessParitySST:
     """Equivalent copyless register machine over 2n-1 registers.
 
+    Only the moves ``takeable`` keeps are summarized: no run takes another.
     The starting summary is the step on the left endmarker, where the main
     run stands still and the backward runs bounce into forward states.  A
     synthetic initial state performs that step followed by the first
@@ -317,6 +319,7 @@ def two_way_to_sst(
     ``max_forest_nodes`` and ``max_forest_edges``.
     """
     require(machine, TwoWayParityTransducer, "two_way_to_sst")
+    machine = takeable(machine)
     n = len(machine.states)
     if state_cap < 1:
         raise ValueError(f"state_cap must be positive, got {state_cap}")

@@ -21,11 +21,13 @@ from .machines import (
     Substitution,
     Transition,
     TwoWayParityTransducer,
+    collector_paused,
     require,
 )
 from .oneway import one_way_to_reversible
 
 
+@collector_paused
 def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
     """Empty the image of every register whose contents never reach out.
 
@@ -79,31 +81,37 @@ def merge_equal_states(sst: CopylessParitySST) -> CopylessParitySST:
     declaration order.
     """
     require(sst, CopylessParitySST, "merge_equal_states")
-    block = dict.fromkeys(sst.states, 0)
-    count = 1
-    while True:
-        signatures: dict = {}
-        refined = {}
-        for s in sst.states:
-            moves = (sst.transitions.get((s, a)) for a in sst.input_alphabet)
-            signature = tuple(tr and (tr.update, tr.colors, block[tr.target]) for tr in moves)
-            refined[s] = signatures.setdefault((block[s], signature), len(signatures))
-        block = refined
-        if len(signatures) == count:
-            break
-        count = len(signatures)
-    first = {}
+    number = {s: i for i, s in enumerate(sst.states)}
+    # The first blocks number each state's (update, colors) per letter, so
+    # each update is hashed once and refinement compares ints.  A missing
+    # move targets the last slot of ``block``, which stays -1.
+    labels: dict = {}
+    block, targets = [], []
     for s in sst.states:
-        first.setdefault(block[s], s)
+        moves = [sst.transitions.get((s, a)) for a in sst.input_alphabet]
+        label = tuple(tr and (tr.update, tr.colors) for tr in moves)
+        block.append(labels.setdefault(label, len(labels)))
+        targets.append([-1 if tr is None else number[tr.target] for tr in moves])
+    block.append(-1)
+    count, signatures = -1, labels
+    while len(signatures) != count:
+        count, signatures = len(signatures), {}
+        block = [
+            signatures.setdefault((b, *[block[t] for t in row]), len(signatures))
+            for b, row in zip(block, targets)
+        ] + [-1]
+    first = {}
+    for s, b in zip(sst.states, block):
+        first.setdefault(b, s)
     transitions = {
-        (src, a): tr._replace(target=first[block[tr.target]])
+        (src, a): tr._replace(target=first[block[number[tr.target]]])
         for (src, a), tr in sst.transitions.items()
-        if first[block[src]] == src
+        if first[block[number[src]]] == src
     }
     return replace(
         sst,
         states=tuple(first.values()),
-        initial=first[block[sst.initial]],
+        initial=first[block[number[sst.initial]]],
         transitions=transitions,
     )
 

@@ -18,8 +18,8 @@ from omegatrans.machines import (
     advance,
     drop_left_end_into_initial,
     odd_sentinels,
+    takeable,
     unique_names,
-    walk_takeable,
 )
 
 
@@ -257,6 +257,39 @@ def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer
     return replace(machine, states=tuple(states), transitions=transitions)
 
 
+def merge_equal_states_on_updates(sst):
+    """Reference for ``sst2rev.merge_equal_states``: Moore partition
+    refinement whose signatures hold each move's update and colors
+    themselves, so every round hashes every update again."""
+    block = dict.fromkeys(sst.states, 0)
+    count = 1
+    while True:
+        signatures: dict = {}
+        refined = {}
+        for s in sst.states:
+            moves = (sst.transitions.get((s, a)) for a in sst.input_alphabet)
+            signature = tuple(tr and (tr.update, tr.colors, block[tr.target]) for tr in moves)
+            refined[s] = signatures.setdefault((block[s], signature), len(signatures))
+        block = refined
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    first = {}
+    for s in sst.states:
+        first.setdefault(block[s], s)
+    transitions = {
+        (src, a): tr._replace(target=first[block[tr.target]])
+        for (src, a), tr in sst.transitions.items()
+        if first[block[src]] == src
+    }
+    return replace(
+        sst,
+        states=tuple(first.values()),
+        initial=first[block[sst.initial]],
+        transitions=transitions,
+    )
+
+
 def drop_dead_registers_fixpoint(sst):
     """Reference for ``sst2rev.drop_dead_registers``: grow each state's live
     registers by re-scanning every image of every transition until no live
@@ -280,38 +313,34 @@ def drop_dead_registers_fixpoint(sst):
     return replace(sst, transitions=transitions)
 
 
+class _Asked(dict):
+    """A transition map that records each key ``get`` is called with."""
+
+    def __init__(self, transitions):
+        super().__init__(transitions)
+        self.keys_asked = []
+
+    def get(self, key, default=None):
+        self.keys_asked.append(key)
+        return super().get(key, default)
+
+
 def asked_moves(machine: TwoWayParityTransducer) -> list[tuple]:
-    """The (state, letter) keys ``walk_takeable`` asks ``machine`` for, one
-    per call to ``move``, in the order asked; undefined moves included."""
-    code = (*machine.input_alphabet, LEFT_END)
-    number = {machine.initial: 0}
-    found = [machine.initial]
-    asked = []
-
-    def move(i, c):
-        asked.append((found[i], code[c]))
-        tr = machine.transitions.get(asked[-1])
-        if tr is None:
-            return None
-        j = number.setdefault(tr.target, len(found))
-        if j == len(found):
-            found.append(tr.target)
-        return j, tr.target.forward
-
-    walk_takeable(len(machine.input_alphabet), move)
-    return asked
+    """The (state, letter) keys ``takeable`` asks ``machine`` for, one per
+    call to ``walk_takeable``'s ``move``, in the order asked; undefined
+    moves included."""
+    transitions = _Asked(machine.transitions)
+    takeable(replace(machine, transitions=transitions))
+    return transitions.keys_asked
 
 
 def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
-    """The machine restricted to the transitions ``walk_takeable`` asks for,
-    and the states they leave or enter, in declaration order; names,
-    records, ``k`` and ``ell`` stay as they are."""
-    asked = set(asked_moves(machine))
-    transitions = {key: tr for key, tr in machine.transitions.items() if key in asked}
-    alive = {machine.initial, *(tr.target for tr in transitions.values())}
-    return replace(
-        machine, states=tuple(s for s in machine.states if s in alive), transitions=transitions
-    )
+    """``takeable(machine)`` without the states its moves neither leave nor
+    enter, the initial state aside; names, records, ``k`` and ``ell`` stay
+    as they are."""
+    walked = takeable(machine)
+    alive = {machine.initial, *(tr.target for tr in walked.transitions.values())}
+    return replace(walked, states=tuple(s for s in machine.states if s in alive))
 
 
 def content_digest(machine: TwoWayParityTransducer) -> str:
@@ -430,7 +459,10 @@ def sst_summary_after(sst, details, word):
 def check_forest_against_runs(machine, sst, details, word):
     """Forest content must equal the completed right-right runs that do not
     merge into the main run (those exit at its endpoint), production and
-    minimum colors included.  Returns a list of complaints."""
+    minimum colors included.  The forests summarize only the moves some run
+    can take, so the runs are those of ``takeable(machine)``.  Returns a
+    list of complaints."""
+    machine = takeable(machine)
     complaints = []
     key, val = sst_summary_after(sst, details, word)
     endpoint = left_right_endpoint(machine, word)

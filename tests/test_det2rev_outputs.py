@@ -54,7 +54,7 @@ PINNED_DET2REV = [
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
     (6, 5690, "4e112df9183605b6aaf522c6acb932761666d336a85e3e1363877dce47c0f109"),
     (7, 33, "0b14a18355efa52685f02cb80e3b215d453ffaa106aa6b827fccc6a5c83b60a1"),
-    (8, 1171, "59deb6bc192ab1469cbc8aae4226e6b95c49e0bd0a3fb7c28d259c4691e34b15"),
+    (8, 1151, "a75ba32c4efccf929dcba6286aa7a1d120c702222141a9418fec259a7829a04e"),
     (9, 431, "6c184d7420e359a9703f288ae1b6de8999b6b30fa97398675fd0df2ede0253fb"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
@@ -123,8 +123,8 @@ PINNED_CONTENT = [
          "d35b655fcb3b362f80192e669963f089969a3f86b11d13f811b29e9ac894d94b"),
     (7, "d8714e0d6d8edf2142298f281b45d4c64efb47f5e902d730d960f4eb3d11ead9",
          "663950afac3969d45c000f01c5ad79394e8c7dff62b7b8977c8b363bdef04162"),
-    (8, "212309becd89c0b31bd0c81cef2f16b06f334733a68f7c21b205f5b111e44152",
-         "a666bc2b71afd9bc73db4985df5aa3f13368e134e744b34bee5ca0bf315f9ebb"),
+    (8, "c5ba5855d844ea1200c9f672f04db998487e317544a8eafe4f4e29a447b06ff4",
+         "d7c7d1a7f31d9a770b7ac0425228248321ff8a402ed7b95845c7f7b25da724cd"),
     (9, "8695b2c265284c485dad8004a0d579b17f3820f52d46fbeafe9ed3a66c39e92b",
          "428be2a699b70f487f5b45342cdf9747ed8d10f558217fa2a0839ef24d8ccd9f"),
     (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",

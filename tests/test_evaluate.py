@@ -320,7 +320,7 @@ def test_sst_budget_charges_only_registers_feeding_out():
 # SHA-256 over the outcomes of ``eval_sst`` on two corpora at the default
 # budget; any change to a verdict, output, finite output, colour or step
 # count shows here.
-PINNED_SST_OUTCOMES = (29_330, "0ee7a5b95276d1e1a49ee95a88a91e69b55ce21a257d5f6c7326942c16ddc1e6")
+PINNED_SST_OUTCOMES = (29_330, "47fdfc744a23994889dbb95da616d65c130ccbd5a63d81a8ae6c4a9e5ffe4d7d")
 
 
 def _generated_ssts():
@@ -395,7 +395,7 @@ def _spellings(w):
 # at the default budget and at one small enough to run out; then one full
 # ``simulate_two_way`` record.  Any change to a verdict, output, finite
 # output, colour, step count or simulated run shows here.
-PINNED_ORACLE_OUTCOMES = (15_012, "35351dd7eaa4a8a6d0269902408324a5c2de5ed8b7a8dc05716b3d4493965466")
+PINNED_ORACLE_OUTCOMES = (15_012, "3223bff7bc1d627abe92adad3985f3b052f489ed004492df74620ea6ad653187")
 
 
 def test_oracle_outcomes_are_pinned():

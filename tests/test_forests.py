@@ -14,6 +14,7 @@ from omegatrans.forests import (
 )
 from omegatrans.generate import generate_two_way
 from omegatrans.io import dumps_machine
+from omegatrans.lasso import enumerate_lassos
 from omegatrans.machines import (
     LEFT_END,
     InvalidMachine,
@@ -21,6 +22,7 @@ from omegatrans.machines import (
     Transition,
     TwoWayParityTransducer,
     WrongMachineKind,
+    takeable,
     validate_sst_machine,
 )
 from omegatrans.oneway import one_way_to_reversible
@@ -72,9 +74,10 @@ def test_initial_single_bounce():
     (q, forest), contents = initial_summary(machine)
     assert q == "q" and forest == ()
 
+    # q turns back on a, so p reads the endmarker
     machine = two_way(
         [("q", True), ("r", True), ("p", False)],
-        [("p", LEFT_END, "r", "x", (1,))],
+        [("q", "a", "p", "", (0,)), ("p", LEFT_END, "r", "x", (1,))],
         alphabet=("a", "b", "x"),
     )
     (q, forest), contents = initial_summary(machine)
@@ -91,6 +94,8 @@ def test_initial_two_bounces_to_distinct_targets():
     machine = two_way(
         [("q", True), ("r1", True), ("r2", True), ("p1", False), ("p2", False)],
         [
+            ("q", "a", "p1", "", (0,)),
+            ("q", "b", "p2", "", (0,)),
             ("p1", LEFT_END, "r1", "a", (0,)),
             ("p2", LEFT_END, "r2", "b", (1,)),
         ],
@@ -105,6 +110,8 @@ def test_initial_merged_bounces_share_a_root():
     machine = two_way(
         [("q", True), ("r", True), ("p1", False), ("p2", False)],
         [
+            ("q", "a", "p1", "", (0,)),
+            ("q", "b", "p2", "", (0,)),
             ("p1", LEFT_END, "r", "a", (0,)),
             ("p2", LEFT_END, "r", "b", (0,)),
         ],
@@ -159,10 +166,13 @@ CYCLE_MOVES = [
     ("b", "a", "f", "", (0,)),
     ("b", LEFT_END, "f", "", (0,)),
 ]
+# The main run reaches the cycle: on b it turns into b, which bounces off
+# the endmarker into f; on a it steps into f, which turns back into b on a.
+CYCLE_REACHED_MOVES = CYCLE_MOVES + [("q", "a", "f", "", (0,)), ("q", "b", "b", "", (0,))]
 
 
 def test_graph_acquires_cycle():
-    machine = two_way(CYCLE_STATES, CYCLE_MOVES)
+    machine = two_way(CYCLE_STATES, CYCLE_REACHED_MOVES)
     (_, forest), _ = initial_summary(machine)
     out_edge = letter_graph(forest, "a", machine, ("r1", "r2", "r3", "r4"))
     # from the old leaf: up to its root f, back into the leaf via f's a-move
@@ -178,10 +188,12 @@ def test_graph_acquires_cycle():
     assert cyclic
 
 
-# The main run stays alive on both letters and turns back into the old leaf
+# The main run stays alive on every letter and turns back into the old leaf
 # b on "b".  On "a" the entries c and then d walk into leaf b, up to its
 # root f, and round the cycle f -> b -> f: c finds the cycle, d merges into
-# the walk c has already resolved.  Both walks must die.
+# the walk c has already resolved.  Both walks must die.  Runs reach c and
+# d over x: the main run steps over it, b steps left over it into c, and c
+# into d.
 CYCLE_MERGE_STATES = CYCLE_STATES + [("c", False), ("d", False)]
 CYCLE_MERGE_MOVES = CYCLE_MOVES + [
     ("d", "a", "b", "b", (1,)),
@@ -194,6 +206,9 @@ CYCLE_MERGE_MOVES = CYCLE_MOVES + [
     ("c", "a", "b", "a", (0,)),
     ("c", "b", "f", "b", (1,)),
     ("c", LEFT_END, "q", "a", (0,)),
+    ("q", "x", "q", "", (0,)),
+    ("b", "x", "c", "", (0,)),
+    ("c", "x", "d", "", (0,)),
 ]
 
 
@@ -208,16 +223,16 @@ CYCLE_MAIN_MOVES = CYCLE_MOVES + [
 
 
 @pytest.mark.parametrize(
-    "states,moves",
+    "states,moves,alphabet",
     [
-        (CYCLE_STATES, CYCLE_MOVES),
-        (CYCLE_MERGE_STATES, CYCLE_MERGE_MOVES),
-        (CYCLE_STATES, CYCLE_MAIN_MOVES),
+        (CYCLE_STATES, CYCLE_REACHED_MOVES, "ab"),
+        (CYCLE_MERGE_STATES, CYCLE_MERGE_MOVES, "abx"),
+        (CYCLE_STATES, CYCLE_MAIN_MOVES, "ab"),
     ],
     ids=["cycle", "entry-merges-into-cycle", "main-run-enters-cycle"],
 )
-def test_conversion_with_a_cyclic_letter_graph(states, moves):
-    machine = two_way(states, moves)
+def test_conversion_with_a_cyclic_letter_graph(states, moves, alphabet):
+    machine = two_way(states, moves, alphabet=tuple(alphabet))
     details = {}
     sst = two_way_to_sst(machine, details=details)
     assert validate_sst_machine(sst) == []
@@ -359,12 +374,13 @@ def test_reachable_summary_bound():
 
 
 # det2rev corpus seeds (n=7) where some step re-enters the start summary.
-START_REENTERED = (4, 5, 16, 18, 28)
+START_REENTERED = (4, 5, 16, 18, 22, 25)
 
 
 @pytest.mark.parametrize(
     "seed,n,size",
-    [(seed, 7, 3) for seed in (*range(12), 16, 18, 28)] + [(seed, 22, 4) for seed in range(4)],
+    [(seed, 7, 3) for seed in (*range(12), 16, 18, 22, 25, 28)]
+    + [(seed, 22, 4) for seed in range(4)],
 )
 def test_every_state_is_reachable_from_ini(seed, n, size):
     """``ini`` makes the start summary's moves, so the start is a state only
@@ -385,7 +401,7 @@ def test_every_state_is_reachable_from_ini(seed, n, size):
     assert (start in reached) == (n == 7 and seed in START_REENTERED)
 
 
-@pytest.mark.parametrize("seed,n", [(13, 4), (3, 5), (8, 5), (36, 5), (53, 5)])
+@pytest.mark.parametrize("seed,n", [(3, 5), (275, 5), (276, 5), (13, 6), (53, 6)])
 def test_rich_merging_forests(seed, n, lassos_ab):
     """Seeds whose reachable forests genuinely merge runs (two leaves under
     one root), exercising trimming and unary-chain contraction."""
@@ -414,6 +430,64 @@ def test_no_acceptance_condition_drops_leaf_tuples():
                 assert colors == ()
 
 
+# --- the walk before the forests ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def det2rev_sources():
+    return [generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(30)]
+
+
+def test_takeable_keeps_every_state_and_is_idempotent(det2rev_sources):
+    """Each source keeps its states, their order, its initial state, k and
+    ell; 18 of the 30 lose moves, and the other 12 come back as the same
+    instance, as does every walked machine."""
+    dropped = 0
+    for seed, source in enumerate(det2rev_sources):
+        walked = takeable(source)
+        assert (walked.states, walked.initial, walked.k, walked.ell) == (
+            source.states, source.initial, source.k, source.ell
+        ), seed
+        assert set(walked.transitions.items()) <= set(source.transitions.items()), seed
+        assert takeable(walked) is walked, seed
+        dropped += walked is not source
+    assert dropped == 18
+
+
+def test_two_way_to_sst_walks_its_source(det2rev_sources):
+    for seed, source in enumerate(det2rev_sources):
+        walked = dumps_machine(two_way_to_sst(takeable(source)))
+        assert dumps_machine(two_way_to_sst(source)) == walked, seed
+
+
+def test_walked_source_agrees_with_its_source(det2rev_sources):
+    lassos = enumerate_lassos(det2rev_sources[0].input_alphabet, 2, 3)
+    for seed, source in enumerate(det2rev_sources):
+        report = equiv_on_lassos(source, takeable(source), lassos, require_class=True)
+        assert report.checked == len(lassos) == 297, seed
+        assert report.disagreements == [] and report.inconclusive == [], seed
+
+
+def test_an_unreachable_backward_state_keeps_its_registers():
+    """No move enters p, so the walk drops p's moves but keeps p: the pool
+    still has 2n-2 registers besides out, the paper's 2n-1 in all."""
+    machine = two_way(
+        [("q", True), ("r", True), ("p", False)],
+        [
+            ("q", "a", "r", "a", (0,)),
+            ("r", "b", "q", "b", (0,)),
+            ("p", "a", "r", "", (1,)),
+            ("p", LEFT_END, "q", "", (1,)),
+        ],
+    )
+    walked = takeable(machine)
+    assert walked.states == machine.states
+    assert set(walked.transitions) == {(State("q", True), "a"), (State("r", True), "b")}
+    sst = two_way_to_sst(machine)
+    assert len(sst.registers) == 2 * 3 - 1
+    assert validate_sst_machine(sst) == []
+
+
 # --- pinned output ------------------------------------------------------------
 
 # SHA-256 of dumps_machine(two_way_to_sst(m)), summary count and forest maxima
@@ -421,19 +495,19 @@ def test_no_acceptance_condition_drops_leaf_tuples():
 # to how the construction runs must keep these bytes.
 PINNED_CONVERSIONS = [
     (0, 7, 3, "b4dbc4a036fabcbeabfd0a9eaceaf735a8d8ce270d902a5180c8d152d1510f0f", 4, 4, 2),
-    (1, 7, 3, "4d03a94778ecf3ba060191a05ffbad5d55304a6085be3311963edd752acfd998", 25, 4, 2),
+    (1, 7, 3, "1836c8160435ecf4241082601872db7fa2cb52977afbc5b3e8ae1bf0ac81ee93", 25, 4, 2),
     (2, 7, 3, "4ffabd302ad10b51988c5e53d8fbf167fd8cb6c94f04d825e638774c5703260f", 9, 7, 5),
     (3, 7, 3, "fe8338a8238bf1c05f3b4c20705e1a30fbaff683ea4c7027e974c3f64f73f1fe", 6, 5, 3),
     (4, 7, 3, "5beb73c05be333f5312657f9926d74d46f8baef614074fd9f91cb81e929583cf", 7, 0, 0),
     (5, 7, 3, "bb8a780cd557aff658518652283a92dd97bbc5afa714801f1f9dd2563c80a1db", 1, 0, 0),
     (6, 7, 3, "25b1af738e00968951364627f9491d63e37889657f30ef56da365f355b594468", 15, 6, 4),
     (7, 7, 3, "c0b3cc97939b0392f0cddda7c2889d185c804f05eb44338e75b426b6c56fd1e7", 6, 4, 2),
-    (8, 7, 3, "315e5fcad219bc4d294e30a02188c046df4e9d5cb3b5573a5085ea9308e311f3", 10, 4, 2),
+    (8, 7, 3, "083ba326c371a11ec63c4404d19ade48b89c5075a0e1503d849c33c33f44cd46", 8, 4, 2),
     (9, 7, 3, "b93bf3f7fc0ff86485e2da5869788bbfb8c32d99bf5e0aa3ce8e402824bc4992", 9, 4, 2),
     (0, 22, 4, "6fa73db8df3dfb5e44fd9d7d2753e2da4b54dd419accd11a60f697d1ada4571f", 38, 19, 14),
     (1, 22, 4, "1db3f3d03a81fd32334410beecbd9989d8ec773c95805c8cb829acf8e2821c0f", 104, 18, 13),
     (2, 22, 4, "51f930230872aebd572bc8aa7771c337778948a3a4ad6fef7438344685aa58bb", 85, 21, 15),
-    (3, 22, 4, "374f941fe12898d3d0280897cf40e5c3206e14f5016025eeae43965c52decb86", 128, 22, 17),
+    (3, 22, 4, "9588593ac591ad8232a31b51bec3d330dd76f5439632cebba581e6c1374f62c6", 124, 21, 17),
 ]
 
 
@@ -450,7 +524,7 @@ def test_conversion_output_is_pinned():
 # One SHA-256 over the whole 2w2sst benchmark corpus: for each seed in turn,
 # dumps_machine(two_way_to_sst(m)) and then repr((summary count, forest node
 # maximum, forest edge maximum)).
-PINNED_2W2SST_CORPUS = "d867acfb3f3cf959976c38ac985f17729a8469a3c92139f9d8fd9678c64610b5"
+PINNED_2W2SST_CORPUS = "51f482cf0c3a672473a6080f56c16ae34556fb12b1ad098b27ed51dbab0fd40e"
 
 
 def test_2w2sst_corpus_output_is_pinned():
@@ -468,7 +542,7 @@ def test_2w2sst_corpus_output_is_pinned():
 # with no move, k=0 colors, one-state machines and a one-letter alphabet.
 # For each generate_two_way(seed, n, k, 3, alphabet_size, density) in turn,
 # dumps_machine(two_way_to_sst(m)) and then repr of these details' values.
-PINNED_VARIED_CONVERSIONS = "5f5d5a78f63292847d51bd2d8e17ca335f1d40a5fd879a42e6e5b9d6b8994293"
+PINNED_VARIED_CONVERSIONS = "4f53fa37b3784e7656956b5dfa5a4092376f787cf27097675cdae0cd8b8d1ccc"
 VARIED_DETAILS = (
     "summary_count", "max_forest_nodes", "max_forest_edges", "state_map", "start", "init_contents"
 )

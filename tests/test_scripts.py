@@ -118,3 +118,27 @@ def test_stage_times_on_the_compose_corpus():
     assert counts["product_bound"] == 2 * (36 * 50 + 36 * 119 + 50 * 119)
     assert 0 < counts["reached_pairs"] <= counts["product_bound"]
     assert 0 < counts["distinct_transitions"] <= counts["output_transitions"]
+
+
+@pytest.mark.parametrize(
+    "args,complaint",
+    [
+        (["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+        (["--corpus", "compose", "--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+        (["--repeats", "0"], "argument --repeats: must be at least 1, got 0"),
+        (["--seeds", "x"], "argument --seeds: invalid count value: 'x'"),
+        (["--src", "nodir"], "argument --src: expected NAME=DIR, got 'nodir'"),
+        (["--src", "=src"], "argument --src: expected NAME=DIR, got '=src'"),
+    ],
+)
+def test_stage_times_rejects_bad_arguments(args, complaint):
+    """A usage error, before any worker starts: exit 2 and one error line
+    after the usage, never a traceback or an empty report."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: stage_times.py")
+    assert done.stderr.splitlines()[-1] == f"stage_times.py: error: {complaint}"
+    assert "Traceback" not in done.stderr

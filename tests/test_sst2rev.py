@@ -32,7 +32,13 @@ from omegatrans.sst2rev import (
     sst_to_substitution_stream,
     substitution_alphabet,
 )
-from support import drop_dead_registers_fixpoint, full_product, load_machine, prune_unreachable
+from support import (
+    drop_dead_registers_fixpoint,
+    full_product,
+    load_machine,
+    merge_equal_states_on_updates,
+    prune_unreachable,
+)
 
 
 def lw(prefix, period):
@@ -416,16 +422,30 @@ def test_dead_register_elimination_only_empties_images(corpus_ssts):
                 assert r == r2 and img2 in (img, ()), (seed, key, r)
 
 
-def test_dead_registers_match_the_fixpoint_reference():
-    """The worklist pass empties the same images as re-scanning every
-    transition until no live set grows: on the det2rev corpus (n=7) and on
-    four register machines of the 2w2sst corpus (n=22)."""
+@pytest.fixture(scope="module")
+def reference_ssts():
+    """The register machines of the det2rev corpus (n=7) and of four
+    sources of the 2w2sst corpus (n=22)."""
     sources = [
         generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(30)
     ] + [generate_two_way(seed, 22, 1, 2, alphabet_size=4, density=1.0) for seed in range(4)]
-    for i, source in enumerate(sources):
-        sst = two_way_to_sst(source)
+    return [two_way_to_sst(source) for source in sources]
+
+
+def test_dead_registers_match_the_fixpoint_reference(reference_ssts):
+    """The worklist pass empties the same images as re-scanning every
+    transition until no live set grows."""
+    for i, sst in enumerate(reference_ssts):
         assert drop_dead_registers(sst) == drop_dead_registers_fixpoint(sst), i
+
+
+def test_merged_states_match_the_reference_on_updates(reference_ssts):
+    """Refining over numbered (update, colors) labels merges the same states
+    as comparing the updates themselves, before and after dropping dead
+    registers."""
+    for i, sst in enumerate(reference_ssts):
+        for machine in (sst, drop_dead_registers(sst)):
+            assert merge_equal_states(machine) == merge_equal_states_on_updates(machine), i
 
 
 def test_reducing_twice_equals_reducing_once(corpus_ssts):
