@@ -44,7 +44,12 @@ memory (``ru_maxrss``, in MB, corpus generation included) as median and
 quartiles over the repeats, next to the counts, which must repeat
 exactly: output states and transitions, (det2rev and equiv) the states of
 ``two_way_to_sst``'s register machine, and (det2rev) distinct transition
-objects of the built output.  For the det2rev, 2w2sst and equiv corpora,
+objects of the built output.  For the det2rev and equiv corpora,
+``outline_states`` sums the states of ``one_way_to_reversible`` of the
+substitution stream that ``sst_to_reversible`` makes reversible, next to
+``outline_state_bound``, the sum of 4m² over those streams of m states;
+both come from an untimed rebuild of the stream.  For the det2rev, 2w2sst
+and equiv corpora,
 ``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
 checked lasso, next to ``oracle_step_bound``, the sum of the run bound
 |Q|·(|u| + |Q|·|v| + 2) over the same runs; the helper that times an
@@ -72,6 +77,8 @@ error (exit 2).
         --src parent=../parent/src --src change=src --out BENCH_walk.json
     python scripts/stage_times.py --corpus 2w2sst --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_walk_2w2sst.json
+    python scripts/stage_times.py --corpus det2rev --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_order.json
 """
 
 import argparse
@@ -114,7 +121,13 @@ def one_pass(corpus: str, seeds: int) -> dict:
     from omegatrans.io import dumps_machine, loads_machine
     from omegatrans.lasso import enumerate_lassos
     from omegatrans.machines import validate_reversible
-    from omegatrans.sst2rev import sst_to_reversible
+    from omegatrans.oneway import one_way_to_reversible
+    from omegatrans.sst2rev import (
+        drop_dead_registers,
+        merge_equal_states,
+        sst_to_reversible,
+        sst_to_substitution_stream,
+    )
 
     n, size, _, bounds, stages = CORPORA[corpus]
     picked = COMPOSE_SEEDS[:seeds] if corpus == "compose" else range(seeds)
@@ -153,7 +166,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
     lassos = enumerate_lassos(sources[0].input_alphabet, *bounds)
     counts = dict.fromkeys(("output_states", "output_transitions"), 0)
     if corpus != "2w2sst":
-        counts["register_states"] = 0
+        counts.update(register_states=0, outline_states=0, outline_state_bound=0)
     counts.update(
         dict.fromkeys(("oracle_steps", "oracle_step_bound", "summaries", "max_forest_edges"), 0),
         max_forest_edges_bound=2 * n - 2,
@@ -204,6 +217,10 @@ def one_pass(corpus: str, seeds: int) -> dict:
         counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
         if "register_states" in counts:
             counts["register_states"] += len(sst.states)
+            # The outline sst_to_reversible builds, from an untimed rebuild.
+            stream = sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst)))
+            counts["outline_states"] += len(one_way_to_reversible(stream).states)
+            counts["outline_state_bound"] += 4 * len(stream.states) ** 2
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)
         if "distinct_transitions" in counts:

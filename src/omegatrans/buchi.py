@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .compose import NotReversible
-from .forests import STATE_CAP, two_way_to_sst
+from .forests import STATE_CAP, _two_way_to_sst
 from .machines import (
     LEFT_END,
     State,
@@ -25,7 +25,7 @@ from .machines import (
     require,
     validate_reversible,
 )
-from .sst2rev import sst_to_reversible
+from .sst2rev import _sst_to_reversible
 
 BuchiMarking = frozenset  # of (State, letter) transition keys
 
@@ -33,7 +33,8 @@ BuchiMarking = frozenset  # of (State, letter) transition keys
 def dbt_to_rbt(machine: TwoWayParityTransducer, state_cap: int = STATE_CAP) -> TwoWayParityTransducer:
     """Reversible two-way transducer computing the same function, with the
     same number of colorings."""
-    return sst_to_reversible(two_way_to_sst(machine, state_cap=state_cap))
+    require(machine, TwoWayParityTransducer, "dbt_to_rbt")
+    return _sst_to_reversible(_two_way_to_sst(machine, state_cap))
 
 
 def drop_acceptance(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:

@@ -98,7 +98,6 @@ def run_on_finite(
         state = tr.target
 
 
-@collector_paused
 def compose_reachable(
     first: TwoWayParityTransducer, second: TwoWayParityTransducer
 ) -> TwoWayParityTransducer:
@@ -127,6 +126,14 @@ def compose_reachable(
         raise NotReversible("first machine is not reversible")
     if not validate_reversible(second):
         raise NotReversible("second machine is not reversible")
+    return _compose_reachable(first, second)
+
+
+@collector_paused
+def _compose_reachable(
+    first: TwoWayParityTransducer, second: TwoWayParityTransducer
+) -> TwoWayParityTransducer:
+    """``compose_reachable`` without its input checks."""
     first = drop_left_end_into_initial(first)
     second = drop_left_end_into_initial(second)
 

@@ -292,7 +292,6 @@ def _step(q: int, flat: _Flat, a, tables: _Tables):
 # Whole-machine conversion
 
 
-@collector_paused
 def two_way_to_sst(
     machine: TwoWayParityTransducer,
     state_cap: int = STATE_CAP,
@@ -319,6 +318,14 @@ def two_way_to_sst(
     ``max_forest_nodes`` and ``max_forest_edges``.
     """
     require(machine, TwoWayParityTransducer, "two_way_to_sst")
+    return _two_way_to_sst(machine, state_cap, details)
+
+
+@collector_paused
+def _two_way_to_sst(
+    machine: TwoWayParityTransducer, state_cap: int, details: Optional[dict] = None
+) -> CopylessParitySST:
+    """``two_way_to_sst`` without its input check."""
     machine = takeable(machine)
     n = len(machine.states)
     if state_cap < 1:

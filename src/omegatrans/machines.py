@@ -410,8 +410,9 @@ def drop_left_end_into_initial(machine: TwoWayParityTransducer) -> TwoWayParityT
 
 
 # Letters ``walk_takeable`` remembers on each side of the head.  On the
-# det2rev corpus (generate_two_way seeds 0-29, n=7, |Σ|=3) W=2 keeps 89,726
-# of the outputs' 116,608 transitions; W=3 keeps 87,176 at twice the cost.
+# det2rev corpus (generate_two_way seeds 0-29, n=7, |Σ|=3) W=2 keeps 87,982
+# of the 111,604 output transitions the whole outline gives; W=3 keeps
+# 86,981 at twice the cost.
 WINDOW = 2
 
 

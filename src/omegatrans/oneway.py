@@ -60,7 +60,6 @@ def _outline_step(src: tuple, row) -> Optional[tuple]:
     return (t1, ends[p], t1, ends[q])
 
 
-@collector_paused
 def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Reversible two-way machine computing the same function.
 
@@ -72,7 +71,12 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
     require(machine, TwoWayParityTransducer, "one_way_to_reversible")
     if not validate_one_way(machine):
         raise WrongMachineKind("input must be a one-way machine")
+    return _one_way_to_reversible(machine)
 
+
+@collector_paused
+def _one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
+    """``one_way_to_reversible`` without its input checks."""
     # Base states are numbered by declaration order; -1 stands for none.
     states = machine.states
     n = len(states)

@@ -6,14 +6,20 @@ over that substitution stream which reconstructs the out register's content
 by following where register contents flow.  Making the first machine
 reversible and composing yields the result.  Both machines are built from
 the register machine shrunk first: register updates whose contents never
-reach ``out`` are dropped, then equal states are merged.
+reach ``out`` are dropped, then equal states are merged.  The stream
+declares its states in median order (see ``sst_to_substitution_stream``),
+which sizes the outline ``one_way_to_reversible`` follows.
+
+Each public construction checks its input with ``require`` and calls its
+unchecked body ``_name``; ``sst_to_reversible`` checks its register machine
+once and chains the bodies, since every stage builds a valid machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .compose import compose_reachable
+from .compose import _compose_reachable
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -24,10 +30,9 @@ from .machines import (
     collector_paused,
     require,
 )
-from .oneway import one_way_to_reversible
+from .oneway import _one_way_to_reversible
 
 
-@collector_paused
 def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
     """Empty the image of every register whose contents never reach out.
 
@@ -44,6 +49,12 @@ def drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
     the state, consume.  An update with no non-empty dead image is kept.
     """
     require(sst, CopylessParitySST, "drop_dead_registers")
+    return _drop_dead_registers(sst)
+
+
+@collector_paused
+def _drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
+    """``drop_dead_registers`` without its input check."""
     # Each move's non-empty images, as the registers each of them reads.
     reads = {
         key: {r: [v for kind, v in img if kind == "reg"] for r, img in tr.update.images if img}
@@ -81,6 +92,11 @@ def merge_equal_states(sst: CopylessParitySST) -> CopylessParitySST:
     declaration order.
     """
     require(sst, CopylessParitySST, "merge_equal_states")
+    return _merge_equal_states(sst)
+
+
+def _merge_equal_states(sst: CopylessParitySST) -> CopylessParitySST:
+    """``merge_equal_states`` without its input check."""
     number = {s: i for i, s in enumerate(sst.states)}
     # The first blocks number each state's (update, colors) per letter, so
     # each update is hashed once and refinement compares ints.  A missing
@@ -125,10 +141,36 @@ def substitution_alphabet(sst: CopylessParitySST) -> tuple[Substitution, ...]:
     return tuple(seen)
 
 
+def _median_order(sst: CopylessParitySST) -> tuple[State, ...]:
+    """The states stably sorted by the upper median of their successors'
+    declaration positions over the input letters: one pass of the median
+    heuristic of layered graph drawing.  A state with no move keeps its own
+    position as its key."""
+    position = {s: i for i, s in enumerate(sst.states)}
+
+    def median(s: State) -> int:
+        moves = (sst.transitions.get((s, a)) for a in sst.input_alphabet)
+        ts = sorted(position[tr.target] for tr in moves if tr is not None)
+        return ts[len(ts) // 2] if ts else position[s]
+
+    return tuple(sorted(sst.states, key=median))
+
+
 def sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Same automaton as the register machine, each transition emitting its
-    own update as a single letter of the substitution alphabet."""
+    own update as a single letter of the substitution alphabet.
+
+    The states are declared in median order (``_median_order``), so that a
+    state sits near the states it leads to.  ``one_way_to_reversible``
+    pairs each state with its neighbours in declaration order among the
+    states sharing a successor, so this order sizes the outline, and the
+    composition after it."""
     require(sst, CopylessParitySST, "sst_to_substitution_stream")
+    return _sst_to_substitution_stream(sst)
+
+
+def _sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer:
+    """``sst_to_substitution_stream`` without its input check."""
     transitions = {
         key: Transition(tr.target, (tr.update,), tr.colors)
         for key, tr in sst.transitions.items()
@@ -136,7 +178,7 @@ def sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransducer
     return TwoWayParityTransducer(
         input_alphabet=sst.input_alphabet,
         output_alphabet=substitution_alphabet(sst),
-        states=sst.states,
+        states=_median_order(sst),
         initial=sst.initial,
         transitions=transitions,
         k=sst.k,
@@ -175,6 +217,11 @@ def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     condition of its own.
     """
     require(sst, CopylessParitySST, "build_register_walker")
+    return _build_register_walker(sst)
+
+
+def _build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
+    """``build_register_walker`` without its input check."""
     alphabet = substitution_alphabet(sst)
     fetch = {r: State(f"{r}.fetch", False) for r in sst.registers}
     done = {r: State(f"{r}.done", True) for r in sst.registers}
@@ -213,7 +260,14 @@ def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     one above the largest color the kept transitions use, which can be
     below the full product's bound.
     """
-    sst = merge_equal_states(drop_dead_registers(sst))
-    stream = one_way_to_reversible(sst_to_substitution_stream(sst))
-    walker = build_register_walker(sst)
-    return compose_reachable(stream, walker)
+    require(sst, CopylessParitySST, "sst_to_reversible")
+    return _sst_to_reversible(sst)
+
+
+def _sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
+    """``sst_to_reversible`` without its input check: the stages build only
+    valid machines, so none of them is checked again."""
+    sst = _merge_equal_states(_drop_dead_registers(sst))
+    stream = _one_way_to_reversible(_sst_to_substitution_stream(sst))
+    walker = _build_register_walker(sst)
+    return _compose_reachable(stream, walker)

@@ -47,15 +47,15 @@ def outputs():
 # machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
     (0, 36, "a9c874739da4effc92349a0ab1bff2d40615efa662f52247591750f20c9c647f"),
-    (1, 6244, "68b07051a7151e899b56d3fe840fd5524d625b27d1b3bdccc3f7bf25b5057f22"),
-    (2, 50, "4ac67bfcb1bab8b1652ebc0bb511979002a4cca052fcc563ca1d7a27547443dc"),
-    (3, 119, "a8499bb151de9943c94132a39b4e98506aadd0600d9f58ffd978ebb30863f16e"),
-    (4, 182, "d87005ad2824d6ee8d792dff56f722838a27901894af1ba109b6728f781a0ff8"),
+    (1, 6244, "68e5a77148b11af406735ee7b586967080b8b07242c31cd97806c6ee3fa88383"),
+    (2, 44, "f4bfdc16a258758e485438f37007f5861203282925171cd851db8653529bedae"),
+    (3, 109, "72598c183c964988e181dbf7f170c313bdd2a55a5a8f79717938647c35fa353e"),
+    (4, 182, "96d5b17e230dbe2d08dd125613b192666b6993030ad8eaef3ba1b865448e9884"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 5690, "4e112df9183605b6aaf522c6acb932761666d336a85e3e1363877dce47c0f109"),
-    (7, 33, "0b14a18355efa52685f02cb80e3b215d453ffaa106aa6b827fccc6a5c83b60a1"),
-    (8, 1151, "a75ba32c4efccf929dcba6286aa7a1d120c702222141a9418fec259a7829a04e"),
-    (9, 431, "6c184d7420e359a9703f288ae1b6de8999b6b30fa97398675fd0df2ede0253fb"),
+    (6, 5674, "dc585adf73483451ab4e892daeb425b3d8a10e5a0ab4618d703b6b55d26e7180"),
+    (7, 33, "115d2785d1677336cb4140de1ae4e0eb029666718ec9effe204dff9f0f44c79d"),
+    (8, 1152, "7d31c2cd01a88a007a2c49e25a224fd578d7bf6a176f0be21298ecbef4e41e3b"),
+    (9, 436, "ba8b060145d6edec521db57ae6ce73a710663fedf0e37b401f050986ba1c810b"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
 ]
@@ -69,14 +69,14 @@ def test_det2rev_outputs_are_pinned(outputs):
 
 def test_reachable_composition_of_outputs_is_pinned(outputs):
     composed = compose_reachable(outputs[7], outputs[4])
-    assert (len(composed.states), len(composed.transitions)) == (5973, 9614)
-    assert digest(composed) == "abc690810b8b2bad23f78bacd9d82d1f798b78e8afa684389ad37498510b2e3b"
+    assert (len(composed.states), len(composed.transitions)) == (5912, 8957)
+    assert digest(composed) == "4c117f99bf79a1758aebcdaf73a63ab14f06efdcd4df15b31d6a898118cddec4"
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
     composed = full_product(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
-    assert digest(composed) == "1ec9505aeec434d0d6326f48412021ae22357deebd99b6e938753134d347fe9a"
+    assert digest(composed) == "090b1045f74f8de6085ab63e3997589d4f691d23706678f2f69335a9bf6bfb80"
 
 
 @pytest.fixture(scope="module")
@@ -109,28 +109,28 @@ def test_equal_transitions_are_one_object(outputs, one_way_outputs):
 PINNED_CONTENT = [
     (0, "357f4ec5d82c73e593e3f35902d85de17533225ba6a04a7a7782d50a2401460c",
          "78fdbef14861b582c7c27bfec76bd385d65a6234e5727289a1f9c5b53b341bc8"),
-    (1, "db5d6fe452e87ccea1351871875be5172dc219c818260f11095de129c6070d85",
-         "c36b7bf995d33d3d46407a0c07801276dad3f809054c96cac715729d8dbd8a97"),
-    (2, "bbb388a1eda1179fc9602bbb0d37e9fd6387e1cd55fe7abaca984008fd2247e7",
-         "db2f4b774d8b21e8fd8ee58a6b16736084e275b61ad385d5f262050ab1cf26de"),
-    (3, "87979bfb0a99688f89ee9e6352e576b5ef5df7aeb3b4962665e30c590a9be59a",
-         "508a64e8051de096e5d780220da96a14f68fb2e17aa980ec26aef0dfbdb37e19"),
-    (4, "55c46da7b55746a63ef2ddedf0c3554bf1ec127a2258f5cbd1a03adcd743abd3",
-         "aa6365e6414cf85e7694221ee5009d40ed25aa6da6bb28c83fef64278b9ed5bf"),
+    (1, "d364ed1fe17f7f9c07459c948b673103855321e829ba30016e0702d3122c355c",
+         "aafc8b6ec263614928dafe0277b9cd6f1a71e05b6ca39c04be79e66847723573"),
+    (2, "0aad5327e63cd3c281237b223b7bde33bbb66c2b7275c24b2ca473733207b33c",
+         "f3b9f74adac0a69284544ac758cefa05375bd6034b43b71d2471c95fee250847"),
+    (3, "15bb2f8b96b123ea3b5131092957073a76567f5a2f01350ac73aea3e567e14f3",
+         "a376b3ec2873338fc1dac781e899c419c2c2015da1bbbbf82c00a597a4c4f8f0"),
+    (4, "016fffef151c1ad71cbd14a10eebee8ef409044469c4e64747f2c5c6a7d26677",
+         "017e4829a2f823e4b5a6dcdd40caffb9827c092eeac1b0f357da0d13bb71fa32"),
     (5, "b3e12c032597073b82541a827f105c3801839a62d727d7fd58b8d50f43c59761",
          "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
-    (6, "b931c31d598624df6bfc70434598ae722c3798475cf0530b85acc904c4880fe6",
-         "d35b655fcb3b362f80192e669963f089969a3f86b11d13f811b29e9ac894d94b"),
-    (7, "d8714e0d6d8edf2142298f281b45d4c64efb47f5e902d730d960f4eb3d11ead9",
-         "663950afac3969d45c000f01c5ad79394e8c7dff62b7b8977c8b363bdef04162"),
-    (8, "c5ba5855d844ea1200c9f672f04db998487e317544a8eafe4f4e29a447b06ff4",
-         "d7c7d1a7f31d9a770b7ac0425228248321ff8a402ed7b95845c7f7b25da724cd"),
-    (9, "8695b2c265284c485dad8004a0d579b17f3820f52d46fbeafe9ed3a66c39e92b",
-         "428be2a699b70f487f5b45342cdf9747ed8d10f558217fa2a0839ef24d8ccd9f"),
+    (6, "38eb4c2788e6b6678432c4ea6dfc4d3732b50377c28c8c5905997c246fdc905c",
+         "0c8305c8657d6b59ba7f5d087b47b638f5ee8923eccc6eb6364243a0344d4b92"),
+    (7, "80dc40989fd8f09c810c1f51014ba7938ffd3b50f2389bb34b568445e95740a5",
+         "cf9233263180f494170cc2596eea5921496e8d5ed62bb38a74f875063b88e7d5"),
+    (8, "66a40e5ac4b83fcd3c14e48f2d3078fd36fe2484c012da726e231ddafe3d9279",
+         "64e2cf31bd4c2eaf6e60dce307b39837c8f5cfd9334ff609034a3ce33493f913"),
+    (9, "b38eba46cd9303b40989609d4dbbc398b487340b8bfa485c6842524658b2a124",
+         "47188ee790f1232d9ece086f204a96d4533bc3608bce8d96bcc556d119c8a52b"),
     (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",
-        "abf1ca8f0fd43487bf644ba0bb761c1c35759edf2e658f68f855ecbfb480d079"),
+         "abf1ca8f0fd43487bf644ba0bb761c1c35759edf2e658f68f855ecbfb480d079"),
     (11, "79671bd0a421ba1345b3e6bbf5fc281c3b68e1665115f7fb746cf56b91865fb8",
-        "1a8a3bd7449921b7bda593580dfe3df444d89879c360f12e2aa892923c17e946"),
+         "1a8a3bd7449921b7bda593580dfe3df444d89879c360f12e2aa892923c17e946"),
 ]
 
 
@@ -255,7 +255,7 @@ def _extra_memory(call, arg):
 def large_output():
     """The det2rev output of seed 18 and its text (2.4 MB)."""
     machine = dbt_to_rbt(source(18))
-    assert (len(machine.states), len(machine.transitions)) == (3767, 12869)
+    assert (len(machine.states), len(machine.transitions)) == (3767, 12827)
     return machine, dumps_machine(machine)
 
 

@@ -395,7 +395,7 @@ def _spellings(w):
 # at the default budget and at one small enough to run out; then one full
 # ``simulate_two_way`` record.  Any change to a verdict, output, finite
 # output, colour, step count or simulated run shows here.
-PINNED_ORACLE_OUTCOMES = (15_012, "3223bff7bc1d627abe92adad3985f3b052f489ed004492df74620ea6ad653187")
+PINNED_ORACLE_OUTCOMES = (15_012, "4f53aecf3a4813e8eb49d6e488aff17d6d0a5cd226ec5f03ad30d73adceecf20")
 
 
 def test_oracle_outcomes_are_pinned():

@@ -1,8 +1,13 @@
+import collections
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from omegatrans import machines
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_sst, equiv_on_lassos
@@ -471,3 +476,148 @@ def test_sst_to_reversible_agrees_with_the_unreduced_construction(corpus_ssts):
         assert len(out.states) <= len(unreduced.states), seed
         report = equiv_on_lassos(out, unreduced, lassos, require_class=True)
         assert report.disagreements == [] and report.inconclusive == [], seed
+
+
+# --- the stream's state order ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def det2rev_sources():
+    return [generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0) for seed in range(30)]
+
+
+def test_stream_states_are_a_permutation_of_the_register_machine_states(det2rev_sources):
+    for seed, source in enumerate(det2rev_sources):
+        sst = reduce(two_way_to_sst(source))
+        stream = sst_to_substitution_stream(sst)
+        assert sorted(stream.states) == sorted(sst.states), seed
+        assert stream.initial == sst.initial, seed
+        assert stream.transitions.keys() == sst.transitions.keys(), seed
+
+
+def test_stream_order_and_det2rev_bytes_repeat_across_hash_seeds():
+    script = (
+        "import hashlib\n"
+        "from omegatrans.buchi import dbt_to_rbt\n"
+        "from omegatrans.forests import two_way_to_sst\n"
+        "from omegatrans.generate import generate_two_way\n"
+        "from omegatrans.io import dumps_machine\n"
+        "from omegatrans.sst2rev import sst_to_substitution_stream\n"
+        "digest = hashlib.sha256()\n"
+        "for seed in range(30):\n"
+        "    source = generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0)\n"
+        "    stream = sst_to_substitution_stream(two_way_to_sst(source))\n"
+        "    digest.update(repr([s.name for s in stream.states]).encode())\n"
+        "    digest.update(dumps_machine(dbt_to_rbt(source)).encode())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
+
+
+def test_median_order_shrinks_the_outline():
+    """q0 reads a into q1 and b into q2, q1 loops on a, and q2 reads a back
+    into q0 and loops on b.  The upper medians of the successors' positions
+    are 2, 1 and 2, so the stream declares q1, q0, q2.  In declaration order
+    the outline has 16 states, in this order 12, and so has the output."""
+    q0, q1, q2 = (State(f"q{i}", True) for i in range(3))
+    grow = Substitution.from_dict({"out": (reg("out"), sym("a"))})
+    moves = {(q0, "a"): q1, (q0, "b"): q2, (q1, "a"): q1, (q2, "a"): q0, (q2, "b"): q2}
+    sst = CopylessParitySST(
+        ("a", "b"), ("a",), (q0, q1, q2), q0,
+        {key: SstTransition(target, grow, (0,)) for key, target in moves.items()},
+        ("out",), "out", 1, 1,
+    )
+    assert reduce(sst) == sst
+    stream = sst_to_substitution_stream(sst)
+    assert stream.states == (q1, q0, q2)
+    declared = dataclasses.replace(stream, states=sst.states)
+    assert len(one_way_to_reversible(declared).states) == 16
+    assert len(one_way_to_reversible(stream).states) == 12
+    out = sst_to_reversible(sst)
+    assert len(out.states) == 12
+    report = equiv_on_lassos(sst, out, enumerate_lassos(("a", "b"), 3, 4), require_class=True)
+    assert report.disagreements == [] and report.inconclusive == []
+
+
+def test_sst_to_reversible_agrees_with_the_det2rev_sources(det2rev_sources):
+    lassos = enumerate_lassos(det2rev_sources[0].input_alphabet, 2, 3)
+    for seed, source in enumerate(det2rev_sources):
+        out = sst_to_reversible(two_way_to_sst(source))
+        assert validate_reversible(out), seed
+        report = equiv_on_lassos(source, out, lassos)
+        assert report.checked == len(lassos) == 297, seed
+        assert report.disagreements == [] and report.inconclusive == [], seed
+
+
+# --- one structural validation per public call -------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Calls of each kind's structural validator, counted by kind name
+    through ``machines._KINDS``, which ``machines.require`` reads."""
+    calls = collections.Counter()
+
+    def counting(name, validate):
+        def counted(machine):
+            calls[name] += 1
+            return validate(machine)
+
+        return counted
+
+    monkeypatch.setattr(
+        machines,
+        "_KINDS",
+        {kind: (words, counting(kind.__name__, validate))
+         for kind, (words, validate) in machines._KINDS.items()},
+    )
+    return calls
+
+
+@pytest.fixture(scope="module")
+def stage_inputs():
+    """An input of each stage of det2rev seed 7, by name."""
+    source = generate_two_way(7, 7, 1, 2, alphabet_size=3, density=1.0)
+    sst = two_way_to_sst(source)
+    stream = sst_to_substitution_stream(sst)
+    return {
+        "source": source,
+        "sst": sst,
+        "stream": stream,
+        "reversible": one_way_to_reversible(stream),
+        "walker": build_register_walker(sst),
+    }
+
+
+# Each construction, the stage inputs it takes and the kind it checks.
+CHECKED = [
+    (dbt_to_rbt, ("source",), "TwoWayParityTransducer"),
+    (two_way_to_sst, ("source",), "TwoWayParityTransducer"),
+    (sst_to_reversible, ("sst",), "CopylessParitySST"),
+    (drop_dead_registers, ("sst",), "CopylessParitySST"),
+    (merge_equal_states, ("sst",), "CopylessParitySST"),
+    (sst_to_substitution_stream, ("sst",), "CopylessParitySST"),
+    (build_register_walker, ("sst",), "CopylessParitySST"),
+    (one_way_to_reversible, ("stream",), "TwoWayParityTransducer"),
+    (compose_reachable, ("reversible", "walker"), "TwoWayParityTransducer"),
+]
+
+
+@pytest.mark.parametrize(
+    "construction, inputs, kind", CHECKED, ids=[case[0].__name__ for case in CHECKED]
+)
+def test_each_public_call_validates_each_input_once(validations, stage_inputs, construction, inputs, kind):
+    """The chains (``dbt_to_rbt``, ``sst_to_reversible``) check their input
+    once and build the rest unchecked; every construction checks each
+    machine it is given, once."""
+    construction(*(stage_inputs[name] for name in inputs))
+    assert validations == {kind: len(inputs)}
