@@ -43,12 +43,16 @@ each stage's total seconds over the corpus and the process's peak resident
 memory (``ru_maxrss``, in MB, corpus generation included) as median and
 quartiles over the repeats, next to the counts, which must repeat
 exactly: output states and transitions, (det2rev and equiv) the states of
-``two_way_to_sst``'s register machine, and (det2rev) distinct transition
-objects of the built output.  For the det2rev and equiv corpora,
-``outline_states`` sums the states of ``one_way_to_reversible`` of the
-substitution stream that ``sst_to_reversible`` makes reversible, next to
-``outline_state_bound``, the sum of 4m² over those streams of m states;
-both come from an untimed rebuild of the stream.  For the det2rev, 2w2sst
+``two_way_to_sst``'s register machine and, as ``reduced_register_states``,
+of the machine ``sst_to_reversible`` builds its stages from, and (det2rev)
+distinct transition objects of the built output.  For the det2rev and
+equiv corpora, ``outline_states`` sums the states of
+``one_way_to_reversible`` of the substitution stream that
+``sst_to_reversible`` makes reversible, next to ``outline_state_bound``,
+the sum of 4m² over those streams of m states.  The reduced machine and
+the stream come from an untimed rebuild of the chain's passes; a library
+without ``name_registers_by_use`` (older columns) is rebuilt without it,
+as its ``sst_to_reversible`` runs.  For the det2rev, 2w2sst
 and equiv corpora,
 ``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
 checked lasso, next to ``oracle_step_bound``, the sum of the run bound
@@ -79,6 +83,8 @@ error (exit 2).
         --src parent=../parent/src --src change=src --out BENCH_walk_2w2sst.json
     python scripts/stage_times.py --corpus det2rev --repeats 7 \\
         --src parent=../parent/src --src change=src --out BENCH_order.json
+    python scripts/stage_times.py --corpus det2rev --repeats 7 \\
+        --src parent=../parent/src --src change=src --out BENCH_names.json
 """
 
 import argparse
@@ -113,6 +119,7 @@ COMPOSE_SEEDS = (0, 2, 3, 4, 7, 11)
 
 def one_pass(corpus: str, seeds: int) -> dict:
     """Seconds per stage and counts of one pass over the corpus."""
+    from omegatrans import sst2rev
     from omegatrans.buchi import dbt_to_rbt
     from omegatrans.compose import compose_reachable
     from omegatrans.evaluate import EvalBudget, equiv_on_lassos, eval_machine
@@ -129,6 +136,8 @@ def one_pass(corpus: str, seeds: int) -> dict:
         sst_to_substitution_stream,
     )
 
+    # A library from before the renaming pass builds its stages without it.
+    name_registers_by_use = getattr(sst2rev, "name_registers_by_use", lambda sst: sst)
     n, size, _, bounds, stages = CORPORA[corpus]
     picked = COMPOSE_SEEDS[:seeds] if corpus == "compose" else range(seeds)
     sources = [
@@ -166,7 +175,9 @@ def one_pass(corpus: str, seeds: int) -> dict:
     lassos = enumerate_lassos(sources[0].input_alphabet, *bounds)
     counts = dict.fromkeys(("output_states", "output_transitions"), 0)
     if corpus != "2w2sst":
-        counts.update(register_states=0, outline_states=0, outline_state_bound=0)
+        counts.update(
+            register_states=0, reduced_register_states=0, outline_states=0, outline_state_bound=0
+        )
     counts.update(
         dict.fromkeys(("oracle_steps", "oracle_step_bound", "summaries", "max_forest_edges"), 0),
         max_forest_edges_bound=2 * n - 2,
@@ -217,8 +228,11 @@ def one_pass(corpus: str, seeds: int) -> dict:
         counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
         if "register_states" in counts:
             counts["register_states"] += len(sst.states)
-            # The outline sst_to_reversible builds, from an untimed rebuild.
-            stream = sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst)))
+            # The reduced machine and the outline sst_to_reversible builds,
+            # from an untimed rebuild.
+            reduced = merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
+            counts["reduced_register_states"] += len(reduced.states)
+            stream = sst_to_substitution_stream(reduced)
             counts["outline_states"] += len(one_way_to_reversible(stream).states)
             counts["outline_state_bound"] += 4 * len(stream.states) ** 2
         counts["output_states"] += len(built.states)

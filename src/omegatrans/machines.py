@@ -547,7 +547,7 @@ def materialize(names: Iterable[str], forward: Iterable[bool], edges: Iterable[t
     and the i-th polarity of ``forward``.  An edge is (source, letter,
     target, output, colors), both ends by number.  Edges with equal (target,
     output, colors) share one ``Transition``: over the det2rev corpus,
-    35,570 objects serve 93,372 transitions.
+    25,679 objects serve 69,169 transitions.
     """
     states = tuple(map(State, unique_names(names), forward))
     made: dict[tuple, Transition] = {}

@@ -5,10 +5,15 @@ input letter as the whole substitution it triggers, and a reversible walker
 over that substitution stream which reconstructs the out register's content
 by following where register contents flow.  Making the first machine
 reversible and composing yields the result.  Both machines are built from
-the register machine shrunk first: register updates whose contents never
-reach ``out`` are dropped, then equal states are merged.  The stream
-declares its states in median order (see ``sst_to_substitution_stream``),
-which sizes the outline ``one_way_to_reversible`` follows.
+the register machine after three passes that keep its function: register
+updates whose contents never reach ``out`` are dropped
+(``drop_dead_registers``), each state's registers are renamed by where its
+moves put them (``name_registers_by_use``), so that states differing only
+by a register permutation take equal updates and the walker's register
+states line up across the stream, and then equal states are merged
+(``merge_equal_states``).  The stream declares its states in median order
+(see ``sst_to_substitution_stream``), which sizes the outline
+``one_way_to_reversible`` follows.
 
 Each public construction checks its input with ``require`` and calls its
 unchecked body ``_name``; ``sst_to_reversible`` checks its register machine
@@ -81,6 +86,77 @@ def _drop_dead_registers(sst: CopylessParitySST) -> CopylessParitySST:
             images.update((r, ()) for r in dead)
             tr = tr._replace(update=Substitution(tuple(images.items())))
         transitions[key] = tr
+    return replace(sst, transitions=transitions)
+
+
+def name_registers_by_use(sst: CopylessParitySST) -> CopylessParitySST:
+    """Rename each state's registers by where its moves put them, so that
+    states differing only by a register permutation take equal updates.
+
+    At each state the registers other than ``out`` are sorted by one key
+    per input letter, in alphabet order: where that letter's update puts
+    the register, as (its holder's position in ``registers``, its index in
+    the holder's image), or ``(len(registers), 0)`` when the update does
+    not read it or the state has no move on the letter.  Ties, only between
+    registers no letter reads, keep declaration order.  The i-th register
+    in this order takes the i-th name of ``registers`` without ``out``, and
+    ``out`` keeps its name.  A transition from s to t then names its
+    holders by t's renaming and the registers its images read by s's.
+
+    Any bijection per state that fixes ``out`` keeps the function: the
+    valuation at each state is the old one renamed, and updates stay
+    copyless with the out discipline.  The pass runs once; run again, it
+    may keep permuting (a loop that swaps two registers flips them each
+    time).
+    """
+    require(sst, CopylessParitySST, "name_registers_by_use")
+    return _name_registers_by_use(sst)
+
+
+@collector_paused
+def _name_registers_by_use(sst: CopylessParitySST) -> CopylessParitySST:
+    """``name_registers_by_use`` without its input check."""
+    position = {r: i for i, r in enumerate(sst.registers)}
+    pool = [r for r in sst.registers if r != sst.out]
+    unread = (len(sst.registers), 0)
+    # Per state, the new name of each register and the new token of each
+    # register token, or None where the state keeps every name.
+    names: dict = {}
+    tokens: dict = {}
+    for s in sst.states:
+        wheres = []  # per letter: register -> (holder's position, index in its image)
+        for a in sst.input_alphabet:
+            tr = sst.transitions.get((s, a))
+            where = {}
+            if tr is not None:
+                for holder, img in tr.update.images:
+                    for i, (kind, value) in enumerate(img):
+                        if kind == "reg":
+                            where[value] = (position[holder], i)
+            wheres.append(where)
+        order = sorted(pool, key=lambda r: [where.get(r, unread) for where in wheres])
+        if order == pool:
+            names[s] = tokens[s] = None
+        else:
+            names[s] = {sst.out: sst.out, **dict(zip(order, pool))}
+            tokens[s] = {("reg", r): ("reg", new) for r, new in names[s].items()}
+    transitions = {}
+    for (s, a), tr in sst.transitions.items():
+        read, hold = tokens[s], names[tr.target]
+        if read or hold:
+            # Empty images, most of them, are kept as they are; renamed
+            # holders are sorted again, as ``Substitution`` stores them.
+            images = [
+                (
+                    hold[holder] if hold else holder,
+                    tuple([read.get(t, t) for t in img]) if read and img else img,
+                )
+                for holder, img in tr.update.images
+            ]
+            if hold:
+                images.sort()
+            tr = tr._replace(update=Substitution(tuple(images)))
+        transitions[(s, a)] = tr
     return replace(sst, transitions=transitions)
 
 
@@ -253,9 +329,11 @@ def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     function; keeps the machine's colorings.
 
     The stream and the walker are built from the machine after
-    ``drop_dead_registers`` and ``merge_equal_states``: fewer distinct
-    updates and fewer states make both smaller, and the walker reaches only
-    registers that feed ``out``.  Only the composition's pairs reachable
+    ``drop_dead_registers``, ``name_registers_by_use`` and
+    ``merge_equal_states``: fewer distinct updates and fewer states make
+    both smaller, the walker reaches only registers that feed ``out``, and
+    registers named by use let one walker state serve the same role at
+    many stream states.  Only the composition's pairs reachable
     from the initial pair are built, so no prune pass follows.  ``ell`` is
     one above the largest color the kept transitions use, which can be
     below the full product's bound.
@@ -267,7 +345,7 @@ def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
 def _sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """``sst_to_reversible`` without its input check: the stages build only
     valid machines, so none of them is checked again."""
-    sst = _merge_equal_states(_drop_dead_registers(sst))
+    sst = _merge_equal_states(_name_registers_by_use(_drop_dead_registers(sst)))
     stream = _one_way_to_reversible(_sst_to_substitution_stream(sst))
     walker = _build_register_walker(sst)
     return _compose_reachable(stream, walker)

@@ -313,6 +313,45 @@ def drop_dead_registers_fixpoint(sst):
     return replace(sst, transitions=transitions)
 
 
+def register_names_by_use(sst):
+    """Reference for the renaming ``sst2rev.name_registers_by_use`` picks:
+    per state, each register's new name.  The registers besides ``out``
+    are sorted by where each letter's update puts them, (holder's position,
+    index in its image), unread ones last, then by position; the i-th takes
+    the i-th name besides ``out``."""
+    pool = [r for r in sst.registers if r != sst.out]
+    names = {}
+    for s in sst.states:
+        def key(r):
+            uses = []
+            for a in sst.input_alphabet:
+                tr = sst.transitions.get((s, a))
+                found = (len(sst.registers), 0)
+                for holder, img in tr.update.images if tr else ():
+                    if ("reg", r) in img:
+                        found = (sst.registers.index(holder), img.index(("reg", r)))
+                uses.append(found)
+            return uses, pool.index(r)
+
+        names[s] = dict(zip(sorted(pool, key=key), pool), **{sst.out: sst.out})
+    return names
+
+
+def rename_registers(sst, names):
+    """``sst`` with the registers at each state s renamed by ``names[s]``:
+    a move from s to t names its holders by t's map and the registers its
+    images read by s's."""
+    transitions = {}
+    for (src, a), tr in sst.transitions.items():
+        read, hold = names[src], names[tr.target]
+        images = {
+            hold[r]: [(kind, read[value] if kind == "reg" else value) for kind, value in img]
+            for r, img in tr.update.images
+        }
+        transitions[(src, a)] = tr._replace(update=Substitution.from_dict(images))
+    return replace(sst, transitions=transitions)
+
+
 class _Asked(dict):
     """A transition map that records each key ``get`` is called with."""
 

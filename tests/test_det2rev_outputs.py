@@ -21,6 +21,7 @@ from omegatrans.sst2rev import (
     build_register_walker,
     drop_dead_registers,
     merge_equal_states,
+    name_registers_by_use,
     sst_to_substitution_stream,
 )
 from support import check_two_stage, content_digest, full_product
@@ -46,15 +47,15 @@ def outputs():
 # fix the order of states and transitions as well as the machine; what the
 # machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
-    (0, 36, "a9c874739da4effc92349a0ab1bff2d40615efa662f52247591750f20c9c647f"),
-    (1, 6244, "68e5a77148b11af406735ee7b586967080b8b07242c31cd97806c6ee3fa88383"),
-    (2, 44, "f4bfdc16a258758e485438f37007f5861203282925171cd851db8653529bedae"),
-    (3, 109, "72598c183c964988e181dbf7f170c313bdd2a55a5a8f79717938647c35fa353e"),
+    (0, 36, "506f67c9479d0b2b74fe19d903f191e7813dfcf862c2dc526f0d3d6d8a690a78"),
+    (1, 2597, "e252a2979aa00cc0e3e2f00927e2ae1cabc51ac8cc7e2ec083c1f90f492a3645"),
+    (2, 44, "be3210cf2a21afdfd06c486e72346731cad118c96b2adfbaaee06aa4c2f565ba"),
+    (3, 35, "2959b15afcd896624d8c474a9a90b2904af19a7ba73bb5eaa14692d45766379e"),
     (4, 182, "96d5b17e230dbe2d08dd125613b192666b6993030ad8eaef3ba1b865448e9884"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 5674, "dc585adf73483451ab4e892daeb425b3d8a10e5a0ab4618d703b6b55d26e7180"),
+    (6, 4422, "f541e1e7364f5de5519b22c30a7ef4ec791a6446bbced0cf399d4f11c9760f2b"),
     (7, 33, "115d2785d1677336cb4140de1ae4e0eb029666718ec9effe204dff9f0f44c79d"),
-    (8, 1152, "7d31c2cd01a88a007a2c49e25a224fd578d7bf6a176f0be21298ecbef4e41e3b"),
+    (8, 524, "27cba440d28e1e6d7ed2f8cda4518f8d924a801ce8a04f382059fb8f688e098a"),
     (9, 436, "ba8b060145d6edec521db57ae6ce73a710663fedf0e37b401f050986ba1c810b"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
@@ -107,24 +108,24 @@ def test_equal_transitions_are_one_object(outputs, one_way_outputs):
 # dbt_to_rbt makes reversible, then of dbt_to_rbt itself, for the same
 # sources.  A change that only reorders states or transitions keeps these.
 PINNED_CONTENT = [
-    (0, "357f4ec5d82c73e593e3f35902d85de17533225ba6a04a7a7782d50a2401460c",
-         "78fdbef14861b582c7c27bfec76bd385d65a6234e5727289a1f9c5b53b341bc8"),
-    (1, "d364ed1fe17f7f9c07459c948b673103855321e829ba30016e0702d3122c355c",
-         "aafc8b6ec263614928dafe0277b9cd6f1a71e05b6ca39c04be79e66847723573"),
-    (2, "0aad5327e63cd3c281237b223b7bde33bbb66c2b7275c24b2ca473733207b33c",
-         "f3b9f74adac0a69284544ac758cefa05375bd6034b43b71d2471c95fee250847"),
-    (3, "15bb2f8b96b123ea3b5131092957073a76567f5a2f01350ac73aea3e567e14f3",
-         "a376b3ec2873338fc1dac781e899c419c2c2015da1bbbbf82c00a597a4c4f8f0"),
+    (0, "087849db9f132f8e918f8de4737aa4534f4e5f08f1d88c50f5af88a4959e53d5",
+         "1ee9c6d24fbf779c4b777f2a1ed3e3903e49c834012de3c5a905f2fd008609a3"),
+    (1, "31999a6cf72c639435824dba7277e7cb9254727a245caef9ce340ebcb8cfa844",
+         "12f7e514f9a5c2e6d5bdc7c1f6a2c44a4f007d26f7a93219b896910ae78c23e0"),
+    (2, "098146ae98d32a2bb43f0eb498b817277bd4b9b7328bc606b4d744e6ad537623",
+         "afdf592e65ca0857111049dbad6da09472500e2846909010e64744f370dde9e8"),
+    (3, "752baa6731d0eb8e96275bf039586d9d568732abd09e1e7ff1fffd8a71467521",
+         "8ce20a9c2d9b888c29c3fbc89bb1e6b198166922b5a29611d8748766fd9222c2"),
     (4, "016fffef151c1ad71cbd14a10eebee8ef409044469c4e64747f2c5c6a7d26677",
          "017e4829a2f823e4b5a6dcdd40caffb9827c092eeac1b0f357da0d13bb71fa32"),
     (5, "b3e12c032597073b82541a827f105c3801839a62d727d7fd58b8d50f43c59761",
          "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
-    (6, "38eb4c2788e6b6678432c4ea6dfc4d3732b50377c28c8c5905997c246fdc905c",
-         "0c8305c8657d6b59ba7f5d087b47b638f5ee8923eccc6eb6364243a0344d4b92"),
+    (6, "b89635dd86b229395b6213584f5d31cffc78cb3ef0a08da63016307b087de558",
+         "fa2aaf9585feb9a4f55f5946cca48f086b73516586f1eb02812e7a6ec342359f"),
     (7, "80dc40989fd8f09c810c1f51014ba7938ffd3b50f2389bb34b568445e95740a5",
          "cf9233263180f494170cc2596eea5921496e8d5ed62bb38a74f875063b88e7d5"),
-    (8, "66a40e5ac4b83fcd3c14e48f2d3078fd36fe2484c012da726e231ddafe3d9279",
-         "64e2cf31bd4c2eaf6e60dce307b39837c8f5cfd9334ff609034a3ce33493f913"),
+    (8, "7b31d6aebb7c1a20f6fee0cd4a93d8a8fb610b696210cdf538b7866c73a03b1d",
+         "76d5b477d89f24c326793d794315a284170c7d36a4eead01a5e5668072e22cb8"),
     (9, "b38eba46cd9303b40989609d4dbbc398b487340b8bfa485c6842524658b2a124",
          "47188ee790f1232d9ece086f204a96d4533bc3608bce8d96bcc556d119c8a52b"),
     (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",
@@ -136,7 +137,8 @@ PINNED_CONTENT = [
 
 def test_det2rev_content_is_pinned(outputs):
     for seed, stream_digest, output_digest in PINNED_CONTENT:
-        sst = merge_equal_states(drop_dead_registers(two_way_to_sst(source(seed))))
+        sst = two_way_to_sst(source(seed))
+        sst = merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
         stream = one_way_to_reversible(sst_to_substitution_stream(sst))
         assert content_digest(stream) == stream_digest, seed
         assert content_digest(outputs[seed]) == output_digest, seed

@@ -20,7 +20,12 @@ from omegatrans.machines import (
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
-from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, sst_to_substitution_stream
+from omegatrans.sst2rev import (
+    drop_dead_registers,
+    merge_equal_states,
+    name_registers_by_use,
+    sst_to_substitution_stream,
+)
 from support import abv, asked_moves, drop_untakeable, simulate_two_way
 
 
@@ -144,7 +149,8 @@ def one_way_corpus():
     sources = []
     for seed in range(12):
         sst = two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
-        sources.append(sst_to_substitution_stream(merge_equal_states(drop_dead_registers(sst))))
+        sst = merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
+        sources.append(sst_to_substitution_stream(sst))
     sources.append(generate_machine("1dpt", 3, 7, alphabet_size=3))
     return sources
 

@@ -39,18 +39,20 @@ def test_stage_times_on_the_det2rev_corpus():
     ]
     counts = column["counts"]
     assert list(counts) == [
-        "output_states", "output_transitions", "register_states", "outline_states",
-        "outline_state_bound", "oracle_steps", "oracle_step_bound", "summaries",
-        "max_forest_edges", "max_forest_edges_bound", "distinct_transitions",
+        "output_states", "output_transitions", "register_states", "reduced_register_states",
+        "outline_states", "outline_state_bound", "oracle_steps", "oracle_step_bound",
+        "summaries", "max_forest_edges", "max_forest_edges_bound", "distinct_transitions",
     ]
     # No step re-enters the start summary of seeds 0-2, so ``ini`` stands in
     # for it and each register machine has one state per summary: 4 + 25 + 9.
     assert counts["register_states"] == counts["summaries"] == 38
     assert (counts["max_forest_edges"], counts["max_forest_edges_bound"]) == (5, 12)
-    assert counts["output_states"] == 36 + 6244 + 44
-    # The streams of seeds 0-2 have 3, 18 and 5 states.
-    assert counts["outline_states"] == 1311
-    assert counts["outline_state_bound"] == 4 * (3**2 + 18**2 + 5**2)
+    assert counts["output_states"] == 36 + 2597 + 44
+    # The reduced machines, and so the streams, of seeds 0-2 have 3, 15 and
+    # 5 states (3, 18 and 5 without naming registers by use).
+    assert counts["reduced_register_states"] == 3 + 15 + 5
+    assert counts["outline_states"] == 922
+    assert counts["outline_state_bound"] == 4 * (3**2 + 15**2 + 5**2)
     assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
 
@@ -95,11 +97,12 @@ def test_stage_times_on_the_equiv_corpus():
     ]
     counts = column["counts"]
     assert list(counts) == [
-        "output_states", "output_transitions", "register_states", "outline_states",
-        "outline_state_bound", "oracle_steps", "oracle_step_bound", "summaries",
-        "max_forest_edges", "max_forest_edges_bound",
+        "output_states", "output_transitions", "register_states", "reduced_register_states",
+        "outline_states", "outline_state_bound", "oracle_steps", "oracle_step_bound",
+        "summaries", "max_forest_edges", "max_forest_edges_bound",
     ]
     assert counts["output_states"] > 3
+    assert 0 < counts["reduced_register_states"] <= counts["register_states"]
     assert counts["register_states"] > 3
     assert 0 < counts["outline_states"] <= counts["outline_state_bound"]
     assert 0 < counts["summaries"]
@@ -120,7 +123,7 @@ def test_stage_times_on_the_compose_corpus():
     assert list(counts) == [
         "reached_pairs", "product_bound", "output_transitions", "distinct_transitions",
     ]
-    assert counts["product_bound"] == 2 * (36 * 44 + 36 * 109 + 44 * 109)
+    assert counts["product_bound"] == 2 * (36 * 44 + 36 * 35 + 44 * 35)
     assert 0 < counts["reached_pairs"] <= counts["product_bound"]
     assert 0 < counts["distinct_transitions"] <= counts["output_transitions"]
 

@@ -33,6 +33,7 @@ from omegatrans.sst2rev import (
     build_register_walker,
     drop_dead_registers,
     merge_equal_states,
+    name_registers_by_use,
     sst_to_reversible,
     sst_to_substitution_stream,
     substitution_alphabet,
@@ -43,6 +44,8 @@ from support import (
     load_machine,
     merge_equal_states_on_updates,
     prune_unreachable,
+    register_names_by_use,
+    rename_registers,
 )
 
 
@@ -53,7 +56,9 @@ def lw(prefix, period):
 def test_stream_emits_one_substitution_per_letter(mcr_sst):
     stream = sst_to_substitution_stream(mcr_sst)
     assert len(stream.output_alphabet) == 3  # one update per input letter
-    assert stream.states == mcr_sst.states and stream.k == mcr_sst.k
+    # The stream declares the register machine's states in its own order.
+    assert len(stream.states) == len(mcr_sst.states) and set(stream.states) == set(mcr_sst.states)
+    assert stream.k == mcr_sst.k
     for (src, letter), tr in stream.transitions.items():
         assert len(tr.output) == 1
         assert tr.output[0] == mcr_sst.transitions[(src, letter)].update
@@ -279,7 +284,8 @@ def test_sst_to_reversible_rejects_an_undeclared_register():
 
 
 def reduce(sst):
-    return merge_equal_states(drop_dead_registers(sst))
+    """The register machine ``sst_to_reversible`` builds its stages from."""
+    return merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
 
 
 def test_walker_of_a_machine_without_transitions_is_valid():
@@ -454,9 +460,13 @@ def test_merged_states_match_the_reference_on_updates(reference_ssts):
 
 
 def test_reducing_twice_equals_reducing_once(corpus_ssts):
+    """Dropping and merging are idempotent.  Renaming is not (seed 6 keeps
+    permuting its registers), but a second round merges no further."""
     for seed, sst in enumerate(corpus_ssts):
-        once = reduce(sst)
-        assert reduce(once) == once, seed
+        once = merge_equal_states(drop_dead_registers(sst))
+        assert merge_equal_states(drop_dead_registers(once)) == once, seed
+        renamed = reduce(sst)
+        assert len(reduce(renamed).states) == len(renamed.states), seed
 
 
 def test_reduced_machine_has_the_same_verdicts_and_outputs(corpus_ssts):
@@ -558,6 +568,75 @@ def test_sst_to_reversible_agrees_with_the_det2rev_sources(det2rev_sources):
         assert report.disagreements == [] and report.inconclusive == [], seed
 
 
+# --- naming registers by use -------------------------------------------------------
+
+
+def test_naming_registers_by_use_merges_states_that_differ_by_a_swap():
+    """On a, p moves x into out and y into x, and q does the same with x
+    and y swapped; on b both keep every register.  Named by use, q's x and
+    y trade names, so both states take the same updates and merge."""
+    p, q = State("p", True), State("q", True)
+    at_p = Substitution.from_dict({"out": (reg("out"), reg("x")), "x": (reg("y"),), "y": (sym("a"),)})
+    at_q = Substitution.from_dict({"out": (reg("out"), reg("y")), "y": (reg("x"),), "x": (sym("a"),)})
+    keep = Substitution.from_dict({r: (reg(r),) for r in ("out", "x", "y")})
+    sst = CopylessParitySST(
+        ("a", "b"), ("a",), (p, q), p,
+        {
+            (p, "a"): SstTransition(q, at_p, (0,)),
+            (q, "a"): SstTransition(p, at_q, (0,)),
+            (p, "b"): SstTransition(p, keep, (0,)),
+            (q, "b"): SstTransition(q, keep, (0,)),
+        },
+        ("out", "x", "y"), "out", 1, 1,
+    )
+    assert len(merge_equal_states(sst).states) == 2
+    renamed = name_registers_by_use(sst)
+    assert renamed.transitions[(p, "a")].update == renamed.transitions[(q, "a")].update
+    assert len(merge_equal_states(renamed).states) == 1
+    report = equiv_on_lassos(sst, sst_to_reversible(sst), enumerate_lassos(("a", "b"), 3, 4))
+    assert report.checked == 176
+    assert report.disagreements == [] and report.inconclusive == []
+
+
+def test_named_registers_are_a_bijection_per_state(det2rev_sources):
+    """Each state's registers are renamed by a bijection that fixes out,
+    the one the reference picks, and the renamed machine is valid and
+    computes the same function."""
+    lassos = enumerate_lassos(det2rev_sources[0].input_alphabet, 2, 3)
+    for seed, source in enumerate(det2rev_sources):
+        sst = two_way_to_sst(source)
+        dropped = drop_dead_registers(sst)
+        renamed = name_registers_by_use(dropped)
+        assert validate_sst_machine(renamed) == [], seed
+        names = register_names_by_use(dropped)
+        for s, new in names.items():
+            assert sorted(new) == sorted(new.values()) == sorted(sst.registers), (seed, s)
+            assert new[sst.out] == sst.out, (seed, s)
+        assert renamed == rename_registers(dropped, names), seed
+        report = equiv_on_lassos(sst, renamed, lassos, require_class=True)
+        assert report.checked == len(lassos) == 297, seed
+        assert report.disagreements == [] and report.inconclusive == [], seed
+
+
+def test_naming_registers_grows_no_det2rev_output(det2rev_sources):
+    """Against the same chain without the renaming, no output of seeds
+    0-29 grows, and the corpus goes from 32,082 / 87,982 to 25,095 /
+    69,169 states / transitions."""
+    sizes = collections.Counter()
+    for seed, source in enumerate(det2rev_sources):
+        sst = two_way_to_sst(source)
+        out = sst_to_reversible(sst)
+        unnamed = composed_stages(merge_equal_states(drop_dead_registers(sst)))
+        assert len(out.states) <= len(unnamed.states), seed
+        assert len(out.transitions) <= len(unnamed.transitions), seed
+        sizes.update(
+            states=len(out.states), transitions=len(out.transitions),
+            unnamed_states=len(unnamed.states), unnamed_transitions=len(unnamed.transitions),
+        )
+    assert (sizes["unnamed_states"], sizes["unnamed_transitions"]) == (32082, 87982)
+    assert (sizes["states"], sizes["transitions"]) == (25095, 69169)
+
+
 # --- one structural validation per public call -------------------------------------
 
 
@@ -604,6 +683,7 @@ CHECKED = [
     (two_way_to_sst, ("source",), "TwoWayParityTransducer"),
     (sst_to_reversible, ("sst",), "CopylessParitySST"),
     (drop_dead_registers, ("sst",), "CopylessParitySST"),
+    (name_registers_by_use, ("sst",), "CopylessParitySST"),
     (merge_equal_states, ("sst",), "CopylessParitySST"),
     (sst_to_substitution_stream, ("sst",), "CopylessParitySST"),
     (build_register_walker, ("sst",), "CopylessParitySST"),
