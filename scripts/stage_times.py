@@ -27,8 +27,8 @@ With ``--corpus compose``, a job is ``compose_reachable`` over every
 ordered pair of distinct ``dbt_to_rbt`` outputs of the det2rev corpus's
 seeds 0, 2, 3, 4, 7 and 11 (the first N of them, N = 6 by default).  The
 outputs are built before timing starts.  The counts are the reached pairs
-next to their |Q|·|P| bound, the output transitions, and the distinct
-transition objects.
+next to their bound, the sum of ``bounds.composition_pairs``, the output
+transitions, and the distinct transition objects.
 
 ``CORPORA`` holds one row per corpus: the generator's n and alphabet size,
 the default seed count, the lasso bounds and the stage names in report
@@ -49,21 +49,23 @@ distinct transition objects of the built output.  For the det2rev and
 equiv corpora, ``outline_states`` sums the states of
 ``one_way_to_reversible`` of the substitution stream that
 ``sst_to_reversible`` makes reversible, next to ``outline_state_bound``,
-the sum of 4m² over those streams of m states.  The reduced machine and
-the stream come from an untimed rebuild of the chain's passes; a library
-without ``name_registers_by_use`` (older columns) is rebuilt without it,
-as its ``sst_to_reversible`` runs.  For the det2rev, 2w2sst
-and equiv corpora,
-``oracle_steps`` sums ``RunOutcome.steps`` over both machines of every
-checked lasso, next to ``oracle_step_bound``, the sum of the run bound
-|Q|·(|u| + |Q|·|v| + 2) over the same runs; the helper that times an
-oracle stage counts its runs, outside the timed stage, so the counted runs
-are the checked ones.  For the same corpora, ``summaries`` sums the
-summary count of every ``two_way_to_sst`` run, and ``max_forest_edges`` is
-the largest forest any of them kept, next to its bound
-``max_forest_edges_bound``, 2n−2 (every forest edge owns one of the 2n−2
-registers besides ``out``); both come from an untimed
-``two_way_to_sst(source, details=...)`` call.  A ``--seeds`` or
+the sum of ``bounds.outline_states`` over those streams.  The reduced
+machine and the stream come from an untimed rebuild of the chain's
+passes; a library without ``name_registers_by_use`` (older columns) is
+rebuilt without it, as its ``sst_to_reversible`` runs.  For the det2rev,
+2w2sst and equiv corpora, ``oracle_steps`` sums ``RunOutcome.steps`` over
+both machines of every checked lasso, next to ``oracle_step_bound``, the
+sum of the run bound ``bounds.oracle_steps`` over the same runs; the
+helper that times an oracle stage counts its runs, outside the timed
+stage, so the counted runs are the checked ones.  For the same corpora,
+``summaries`` sums the summary count of every ``two_way_to_sst`` run,
+next to ``summary_bound``, the sum of the paper's single-exponential
+bound ``bounds.summaries(n, k, ell)`` over the sources, and
+``max_forest_edges`` is the largest forest any of them kept, next to its
+bound ``max_forest_edges_bound``, ``bounds.forest_edges(n)``; both counts
+come from an untimed ``two_way_to_sst(source, details=...)`` call.  Every
+bound comes from this checkout's ``src/omegatrans/bounds.py``, whichever
+library a column runs.  A ``--seeds`` or
 ``--repeats`` below 1, or a ``--src`` that is not NAME=DIR, is a usage
 error (exit 2).
 
@@ -88,6 +90,7 @@ error (exit 2).
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import resource
@@ -98,6 +101,21 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bounds():
+    """This checkout's ``omegatrans.bounds``, loaded by path: a column's
+    library may predate the module."""
+    spec = importlib.util.spec_from_file_location(
+        "omegatrans_bounds", ROOT / "src" / "omegatrans" / "bounds.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bounds = _load_bounds()
+
 # Per corpus: n and alphabet size of generate_two_way, the default seed
 # count, the lassos (max prefix, max period) or None, and the timed stages in
 # report order.
@@ -138,7 +156,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
 
     # A library from before the renaming pass builds its stages without it.
     name_registers_by_use = getattr(sst2rev, "name_registers_by_use", lambda sst: sst)
-    n, size, _, bounds, stages = CORPORA[corpus]
+    n, size, _, lengths, stages = CORPORA[corpus]
     picked = COMPOSE_SEEDS[:seeds] if corpus == "compose" else range(seeds)
     sources = [
         generate_two_way(seed, n, 1, 2, alphabet_size=size, density=1.0) for seed in picked
@@ -162,7 +180,9 @@ def one_pass(corpus: str, seeds: int) -> dict:
                     continue
                 composed = timed("compose_reachable", compose_reachable, first, second)
                 counts["reached_pairs"] += len(composed.states)
-                counts["product_bound"] += len(first.states) * len(second.states)
+                counts["product_bound"] += bounds.composition_pairs(
+                    len(first.states), len(second.states)
+                )
                 counts["output_transitions"] += len(composed.transitions)
                 counts["distinct_transitions"] += len(
                     {id(tr) for tr in composed.transitions.values()}
@@ -172,29 +192,33 @@ def one_pass(corpus: str, seeds: int) -> dict:
     # det2rev jobs load their sources, so the documents are written before
     # the pass.
     jobs = [dumps_machine(source) for source in sources] if corpus == "det2rev" else sources
-    lassos = enumerate_lassos(sources[0].input_alphabet, *bounds)
+    lassos = enumerate_lassos(sources[0].input_alphabet, *lengths)
     counts = dict.fromkeys(("output_states", "output_transitions"), 0)
     if corpus != "2w2sst":
         counts.update(
             register_states=0, reduced_register_states=0, outline_states=0, outline_state_bound=0
         )
     counts.update(
-        dict.fromkeys(("oracle_steps", "oracle_step_bound", "summaries", "max_forest_edges"), 0),
-        max_forest_edges_bound=2 * n - 2,
+        dict.fromkeys(
+            ("oracle_steps", "oracle_step_bound", "summaries", "summary_bound", "max_forest_edges"),
+            0,
+        ),
+        max_forest_edges_bound=bounds.forest_edges(n),
     )
     if corpus == "det2rev":
         counts["distinct_transitions"] = 0
 
     def check(stage, source, machine) -> bool:
         """Time the oracle on ``source`` against ``machine``, then count the
-        steps of both machines' runs and their bound |Q|·(|u| + |Q|·|v| + 2)
-        outside the timed stage."""
+        steps of both machines' runs and their bound ``oracle_steps`` outside
+        the timed stage."""
         report = timed(stage, equiv_on_lassos, source, machine, lassos, EvalBudget())
         for run in (source, machine):
-            width = len(run.states)
             for w in lassos:
                 counts["oracle_steps"] += eval_machine(run, w, EvalBudget()).steps
-                counts["oracle_step_bound"] += width * (len(w.prefix) + width * len(w.period) + 2)
+                counts["oracle_step_bound"] += bounds.oracle_steps(
+                    len(run.states), len(w.prefix), len(w.period)
+                )
         return not (report.disagreements or report.inconclusive)
 
     for seed, job in enumerate(jobs):
@@ -225,6 +249,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
         details: dict = {}
         two_way_to_sst(source, details=details)
         counts["summaries"] += details["summary_count"]
+        counts["summary_bound"] += bounds.summaries(len(source.states), source.k, source.ell)
         counts["max_forest_edges"] = max(counts["max_forest_edges"], details["max_forest_edges"])
         if "register_states" in counts:
             counts["register_states"] += len(sst.states)
@@ -234,7 +259,7 @@ def one_pass(corpus: str, seeds: int) -> dict:
             counts["reduced_register_states"] += len(reduced.states)
             stream = sst_to_substitution_stream(reduced)
             counts["outline_states"] += len(one_way_to_reversible(stream).states)
-            counts["outline_state_bound"] += 4 * len(stream.states) ** 2
+            counts["outline_state_bound"] += bounds.outline_states(len(stream.states))
         counts["output_states"] += len(built.states)
         counts["output_transitions"] += len(built.transitions)
         if "distinct_transitions" in counts:
@@ -291,7 +316,7 @@ def main() -> None:
     parser.add_argument("--out", help="write the report here instead of printing it")
     parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    n, size, default_seeds, bounds, stages = CORPORA[args.corpus]
+    n, size, default_seeds, lengths, stages = CORPORA[args.corpus]
     seeds = default_seeds if args.seeds is None else args.seeds
     if args.corpus == "compose" and seeds > len(COMPOSE_SEEDS):
         parser.error(f"the compose corpus has {len(COMPOSE_SEEDS)} seeds")
@@ -321,13 +346,13 @@ def main() -> None:
         "corpus": f"ordered pairs of distinct dbt_to_rbt({machine}), seeds {COMPOSE_SEEDS[:seeds]}"
         if args.corpus == "compose"
         else f"{machine}, seeds 0-{seeds - 1}",
-        "lassos": bounds and f"enumerate_lassos(alphabet, {bounds[0]}, {bounds[1]})",
+        "lassos": lengths and f"enumerate_lassos(alphabet, {lengths[0]}, {lengths[1]})",
         "repeats": args.repeats,
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "columns": {},
     }
-    if bounds is None:
+    if lengths is None:
         del report["lassos"]
     for name, runs in passes.items():
         counts = runs[0]["counts"]

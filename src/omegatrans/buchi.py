@@ -72,9 +72,10 @@ def buchi_to_noacc(
     Three copies of each state: silent simulation until the next transition
     is marked, a backward unfolding of the (reversible) run to the previous
     marked transition or the run's start, and a producing replay that ends
-    by taking the marked transition with its output.  Exactly 3n states;
-    the output machine accepts by producing infinitely, which happens iff
-    marked transitions recur and the source's output is infinite.
+    by taking the marked transition with its output.  Exactly
+    ``bounds.folded_states(n)`` states for n source states; the output
+    machine accepts by producing infinitely, which happens iff marked
+    transitions recur and the source's output is infinite.
     """
     require(machine, TwoWayParityTransducer, "buchi_to_noacc")
     if not validate_reversible(machine):

@@ -106,11 +106,12 @@ def compose_reachable(
 
     Both machines must be reversible and second's input alphabet must match
     first's output alphabet.  The result has k1 + k2 colorings, is itself
-    reversible, and has at most |Q|·|P| states.  Its states are the pairs
-    in the order a breadth-first walk from the initial pair first reaches
-    them, letters in alphabet order and then the endmarker, named by
-    ``unique_names`` over their "q.p" names in that order; ``ell`` is one
-    above the largest color the built transitions use.
+    reversible, and has at most ``bounds.composition_pairs(|Q|, |P|)``
+    states.  Its states are the pairs in the order a breadth-first walk
+    from the initial pair first reaches them, letters in alphabet order and
+    then the endmarker, named by ``unique_names`` over their "q.p" names in
+    that order; ``ell`` is one above the largest color the built
+    transitions use.
 
     Each distinct production word of the first machine is numbered once,
     and the second machine runs across a word once per (second state,

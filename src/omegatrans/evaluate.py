@@ -150,8 +150,8 @@ def _run(machine, word: LassoWord, max_steps: int):
     and then c > c' exactly when c is further right.
 
     On a canonical lasso u·v^ω every run is classified within
-    |Q|·(|u| + |Q|·|v| + 2) steps, so a smaller ``max_steps`` is the only
-    way to get ``BUDGET_EXCEEDED``:
+    ``bounds.oracle_steps(|Q|, |u|, |v|)`` steps, so a smaller
+    ``max_steps`` is the only way to get ``BUDGET_EXCEEDED``:
 
     1. No configuration repeats, or ``REJECTED_LOOP`` fires.
     2. Between two dips of the read position into the prefix, each new
@@ -159,7 +159,7 @@ def _run(machine, word: LassoWord, max_steps: int):
     3. Two such arrivals with the same (state, position mod |v|) fire
        ``SHIFT_LOOP``.
     4. So the head never passes |u| + 1 + |Q|·|v|, which leaves
-       |Q|·(|u| + |Q|·|v| + 2) configurations to visit.
+       ``bounds.oracle_steps(|Q|, |u|, |v|)`` configurations to visit.
     """
     table = _run_table(machine)
     rows, back = table.rows, table.back

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .bounds import registers
 from .machines import (
     LEFT_END,
     CopylessParitySST,
@@ -297,7 +298,8 @@ def two_way_to_sst(
     state_cap: int = STATE_CAP,
     details: Optional[dict] = None,
 ) -> CopylessParitySST:
-    """Equivalent copyless register machine over 2n-1 registers.
+    """Equivalent copyless register machine over ``bounds.registers(n)``
+    registers for n states.
 
     Only the moves ``takeable`` keeps are summarized: no run takes another.
     The starting summary is the step on the left endmarker, where the main
@@ -307,8 +309,9 @@ def two_way_to_sst(
     starting summary is a state of the output only when some step
     re-enters it; otherwise ``ini`` stands in for it and every state is
     reachable.  Exploration is breadth-first over reachable (endpoint,
-    forest) summaries; exceeding ``state_cap`` (at least 1) raises
-    StateExplosion rather than truncating.
+    forest) summaries, at most ``bounds.summaries(n, k, ell)`` of them;
+    exceeding ``state_cap`` (at least 1) raises StateExplosion rather than
+    truncating.
 
     ``details``, when given, is filled with ``state_map`` (each emitted
     state's name, ``ini`` aside, to its (endpoint, forest preorder)
@@ -330,7 +333,7 @@ def _two_way_to_sst(
     n = len(machine.states)
     if state_cap < 1:
         raise ValueError(f"state_cap must be positive, got {state_cap}")
-    pool = tuple(f"r{i}" for i in range(1, 2 * n - 1))
+    pool = tuple(f"r{i}" for i in range(1, registers(n)))
     out = "out"
     tables = _tables(machine, pool, out)
 

@@ -65,8 +65,9 @@ def one_way_to_reversible(machine: TwoWayParityTransducer) -> TwoWayParityTransd
 
     One walk builds the result: ``walk_takeable`` asks for each (pair,
     letter) move some run can take, pairs are numbered as the walk finds
-    them, and no other move is built.  The result has at most 4·n² states
-    for n input states and keeps k and the color bound.
+    them, and no other move is built.  The result has at most
+    ``bounds.outline_states(n)`` states for n input states and keeps k and
+    the color bound.
     """
     require(machine, TwoWayParityTransducer, "one_way_to_reversible")
     if not validate_one_way(machine):

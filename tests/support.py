@@ -21,6 +21,7 @@ from omegatrans.machines import (
     takeable,
     unique_names,
 )
+from omegatrans.sst2rev import drop_dead_registers, merge_equal_states, name_registers_by_use
 
 
 def load_machine(path):
@@ -350,6 +351,11 @@ def rename_registers(sst, names):
         }
         transitions[(src, a)] = tr._replace(update=Substitution.from_dict(images))
     return replace(sst, transitions=transitions)
+
+
+def reduce_sst(sst):
+    """The register machine ``sst_to_reversible`` builds its stages from."""
+    return merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
 
 
 class _Asked(dict):

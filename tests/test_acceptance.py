@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from omegatrans.bounds import folded_states, forest_edges, outline_states
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt, marking_from_colors
 from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_machine, eval_two_way, equiv_on_lassos
@@ -131,7 +132,7 @@ def test_criterion_3_one_way_to_reversible_suite(reversible_pool, lassos_ab):
         if not validate_reversible(reversible):
             failures += 1
             continue
-        if len(reversible.states) > 4 * n * n:
+        if len(reversible.states) > outline_states(n):
             failures += 1
             continue
         report = equiv_on_lassos(machine, reversible, lassos_ab, require_class=True)
@@ -177,7 +178,7 @@ def test_criterion_5_two_way_to_sst_suite(lassos_ab):
         if validate_sst_machine(sst):
             failures += 1
             continue
-        if details["max_forest_nodes"] > 2 * n - 2 or details["max_forest_edges"] > 2 * n - 2:
+        if max(details["max_forest_nodes"], details["max_forest_edges"]) > forest_edges(n):
             failures += 1
             continue
         for length in range(0, 5):
@@ -219,7 +220,7 @@ def test_criterion_7_marked_machine_folding(pipeline_pool, lassos_ab):
     for machine, reversible in pipeline_pool[:50]:
         marking = marking_from_colors(reversible)
         folded = buchi_to_noacc(reversible, marking)
-        if len(folded.states) != 3 * len(reversible.states):
+        if len(folded.states) != folded_states(len(reversible.states)):
             failures += 1
             continue
         if not validate_reversible(folded):

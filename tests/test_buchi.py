@@ -1,5 +1,6 @@
 import pytest
 
+from omegatrans.bounds import folded_states
 from omegatrans.buchi import (
     NotReversible,
     buchi_as_parity,
@@ -174,7 +175,7 @@ def test_fold_requires_reversible(first_two_automaton):
 
 def test_fold_all_marked_reproduces_mcr(mcr_rbt, lassos_ab_hash):
     folded = buchi_to_noacc(mcr_rbt, frozenset(mcr_rbt.transitions))
-    assert len(folded.states) == 3 * len(mcr_rbt.states)
+    assert len(folded.states) == folded_states(len(mcr_rbt.states))
     assert validate_reversible(folded)
     assert folded.k == 0
     assert equiv_on_lassos(folded, mcr_rbt, lassos_ab_hash).ok
@@ -194,7 +195,7 @@ def test_fold_random_reversible_machines(lassos_ab):
         assert source.ell <= 2
         marking = marking_from_colors(source)
         folded = buchi_to_noacc(source, marking)
-        assert len(folded.states) == 3 * len(source.states), seed
+        assert len(folded.states) == folded_states(len(source.states)), seed
         assert validate_reversible(folded), seed
         # two-color acceptance: some marked transition recurs
         report = equiv_on_lassos(folded, source, lassos_ab)

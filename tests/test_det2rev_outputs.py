@@ -17,14 +17,8 @@ from omegatrans.generate import generate_one_way, generate_two_way
 from omegatrans.io import DocumentError, dumps_machine, loads_machine
 from omegatrans.lasso import enumerate_lassos
 from omegatrans.oneway import one_way_to_reversible
-from omegatrans.sst2rev import (
-    build_register_walker,
-    drop_dead_registers,
-    merge_equal_states,
-    name_registers_by_use,
-    sst_to_substitution_stream,
-)
-from support import check_two_stage, content_digest, full_product
+from omegatrans.sst2rev import build_register_walker, sst_to_substitution_stream
+from support import check_two_stage, content_digest, full_product, reduce_sst
 
 
 def source(seed):
@@ -137,8 +131,7 @@ PINNED_CONTENT = [
 
 def test_det2rev_content_is_pinned(outputs):
     for seed, stream_digest, output_digest in PINNED_CONTENT:
-        sst = two_way_to_sst(source(seed))
-        sst = merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
+        sst = reduce_sst(two_way_to_sst(source(seed)))
         stream = one_way_to_reversible(sst_to_substitution_stream(sst))
         assert content_digest(stream) == stream_digest, seed
         assert content_digest(outputs[seed]) == output_digest, seed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegatrans.bounds import oracle_steps
 from omegatrans.evaluate import (
     ACCEPTED,
     ACCEPTED_FINITE,
@@ -501,17 +502,16 @@ def test_random_machines_classify_without_budget(seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_run_is_classified_within_the_step_bound(kind, seed, n, density, prefix, period):
-    """No run on a canonical lasso u·v^ω outlasts |Q|·(|u| + |Q|·|v| + 2)
-    steps, the bound stated on ``_run``: a run is inconclusive only when its
-    budget is below the bound."""
+    """No run on a canonical lasso u·v^ω outlasts ``oracle_steps`` steps,
+    the bound stated on ``_run``: a run is inconclusive only when its budget
+    is below the bound."""
     if kind == "det2rev":
         source = generate_two_way(seed, min(n, 4), alphabet_size=3, density=density)
         machine = dbt_to_rbt(source)
     else:
         machine = generate_machine(kind, seed, n, alphabet_size=3, density=density)
     w = lasso_canonicalize(lw(prefix, period))
-    q = len(machine.states)
-    bound = q * (len(w.prefix) + q * len(w.period) + 2)
+    bound = oracle_steps(len(machine.states), len(w.prefix), len(w.period))
     assert _run(machine, w, bound)[0] != BUDGET_EXCEEDED
 
 

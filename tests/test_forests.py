@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from omegatrans.bounds import forest_edges, registers, summaries
 from omegatrans.buchi import buchi_to_noacc, dbt_to_rbt
 from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import equiv_on_lassos
@@ -355,22 +356,21 @@ def test_forest_size_bound_and_semantics(lassos_ab):
         n = len(machine.states)
         details = {}
         sst = two_way_to_sst(machine, details=details)
-        assert details["max_forest_nodes"] <= 2 * n - 2
-        assert details["max_forest_edges"] <= 2 * n - 2
-        assert len(sst.registers) == 2 * n - 1
+        assert details["max_forest_nodes"] <= forest_edges(n)
+        assert details["max_forest_edges"] <= forest_edges(n)
+        assert len(sst.registers) == registers(n)
         report = equiv_on_lassos(machine, sst, lassos_ab, require_class=True)
         assert report.ok, (seed, report.disagreements[:3])
 
 
 def test_reachable_summary_bound():
-    # reachable summaries stay within n · (ell^k)^(n-1) · (2n-1)^(2n-3)
+    # reachable summaries stay within the paper's single-exponential bound
     for seed in range(20):
         machine = generate_two_way(seed, n=3, k=1, ell=2)
         n, k, ell = len(machine.states), machine.k, machine.ell
         details = {}
         two_way_to_sst(machine, details=details)
-        bound = n * (ell**k) ** (n - 1) * (2 * n - 1) ** (2 * n - 3)
-        assert details["summary_count"] <= bound
+        assert details["summary_count"] <= summaries(n, k, ell)
 
 
 # det2rev corpus seeds (n=7) where some step re-enters the start summary.
@@ -424,7 +424,7 @@ def test_no_acceptance_condition_drops_leaf_tuples():
         details = {}
         sst = two_way_to_sst(machine, details=details)
         assert sst.k == 0
-        assert details["summary_count"] <= n * (2 * n - 1) ** (2 * n - 3)
+        assert details["summary_count"] <= summaries(n, 0, 1)
         for _, forest in details["state_map"].values():
             for _, _, _, colors in forest_runs(forest):
                 assert colors == ()
@@ -470,7 +470,7 @@ def test_walked_source_agrees_with_its_source(det2rev_sources):
 
 def test_an_unreachable_backward_state_keeps_its_registers():
     """No move enters p, so the walk drops p's moves but keeps p: the pool
-    still has 2n-2 registers besides out, the paper's 2n-1 in all."""
+    still has every register, ``registers(n)`` in all."""
     machine = two_way(
         [("q", True), ("r", True), ("p", False)],
         [
@@ -484,7 +484,7 @@ def test_an_unreachable_backward_state_keeps_its_registers():
     assert walked.states == machine.states
     assert set(walked.transitions) == {(State("q", True), "a"), (State("r", True), "b")}
     sst = two_way_to_sst(machine)
-    assert len(sst.registers) == 2 * 3 - 1
+    assert len(sst.registers) == registers(3)
     assert validate_sst_machine(sst) == []
 
 

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from omegatrans.bounds import outline_states
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.evaluate import (
     _run_table,
@@ -20,13 +21,8 @@ from omegatrans.machines import (
     validate_reversible,
 )
 from omegatrans.oneway import one_way_to_reversible
-from omegatrans.sst2rev import (
-    drop_dead_registers,
-    merge_equal_states,
-    name_registers_by_use,
-    sst_to_substitution_stream,
-)
-from support import abv, asked_moves, drop_untakeable, simulate_two_way
+from omegatrans.sst2rev import sst_to_substitution_stream
+from support import abv, asked_moves, drop_untakeable, reduce_sst, simulate_two_way
 
 
 def lw(prefix, period):
@@ -73,7 +69,7 @@ def test_identity_fixed_point(identity_ab, lassos_ab):
 
 def test_size_bound(first_two_automaton):
     rev = one_way_to_reversible(first_two_automaton)
-    assert len(rev.states) <= 4 * len(first_two_automaton.states) ** 2
+    assert len(rev.states) <= outline_states(len(first_two_automaton.states))
 
 
 def test_detour_transitions_carry_max_color(first_two_automaton):
@@ -91,7 +87,7 @@ def test_random_corpus_equivalence(lassos_ab):
         machine = generate_one_way(seed, n=3, k=1, ell=2)
         rev = one_way_to_reversible(machine)
         assert validate_reversible(rev), seed
-        assert len(rev.states) <= 4 * len(machine.states) ** 2
+        assert len(rev.states) <= outline_states(len(machine.states))
         report = equiv_on_lassos(machine, rev, lassos_ab, require_class=True)
         assert report.ok, (seed, report.disagreements[:3])
 
@@ -149,8 +145,7 @@ def one_way_corpus():
     sources = []
     for seed in range(12):
         sst = two_way_to_sst(generate_two_way(seed, 7, 1, 2, alphabet_size=3, density=1.0))
-        sst = merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
-        sources.append(sst_to_substitution_stream(sst))
+        sources.append(sst_to_substitution_stream(reduce_sst(sst)))
     sources.append(generate_machine("1dpt", 3, 7, alphabet_size=3))
     return sources
 

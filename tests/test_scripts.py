@@ -41,11 +41,14 @@ def test_stage_times_on_the_det2rev_corpus():
     assert list(counts) == [
         "output_states", "output_transitions", "register_states", "reduced_register_states",
         "outline_states", "outline_state_bound", "oracle_steps", "oracle_step_bound",
-        "summaries", "max_forest_edges", "max_forest_edges_bound", "distinct_transitions",
+        "summaries", "summary_bound", "max_forest_edges", "max_forest_edges_bound",
+        "distinct_transitions",
     ]
     # No step re-enters the start summary of seeds 0-2, so ``ini`` stands in
     # for it and each register machine has one state per summary: 4 + 25 + 9.
     assert counts["register_states"] == counts["summaries"] == 38
+    # Three n=7 sources, k=1, ell=2: 3 · 802,887,856,528,576.
+    assert counts["summary_bound"] == 2_408_663_569_585_728
     assert (counts["max_forest_edges"], counts["max_forest_edges_bound"]) == (5, 12)
     assert counts["output_states"] == 36 + 2597 + 44
     # The reduced machines, and so the streams, of seeds 0-2 have 3, 15 and
@@ -71,7 +74,7 @@ def test_stage_times_on_the_2w2sst_corpus():
     counts = column["counts"]
     assert list(counts) == [
         "output_states", "output_transitions", "oracle_steps", "oracle_step_bound",
-        "summaries", "max_forest_edges", "max_forest_edges_bound",
+        "summaries", "summary_bound", "max_forest_edges", "max_forest_edges_bound",
     ]
     assert counts["output_states"] > 3
     # The summary counts and forest maxima of seeds 0-2 in PINNED_CONVERSIONS.
@@ -99,13 +102,15 @@ def test_stage_times_on_the_equiv_corpus():
     assert list(counts) == [
         "output_states", "output_transitions", "register_states", "reduced_register_states",
         "outline_states", "outline_state_bound", "oracle_steps", "oracle_step_bound",
-        "summaries", "max_forest_edges", "max_forest_edges_bound",
+        "summaries", "summary_bound", "max_forest_edges", "max_forest_edges_bound",
     ]
     assert counts["output_states"] > 3
     assert 0 < counts["reduced_register_states"] <= counts["register_states"]
     assert counts["register_states"] > 3
     assert 0 < counts["outline_states"] <= counts["outline_state_bound"]
     assert 0 < counts["summaries"]
+    # Three n=4 sources, k=1, ell=2: 3 · 537,824.
+    assert counts["summary_bound"] == 1_613_472
     assert 0 <= counts["max_forest_edges"] <= counts["max_forest_edges_bound"] == 6
     assert 0 < counts["oracle_steps"] <= counts["oracle_step_bound"]
 
@@ -149,4 +154,51 @@ def test_stage_times_rejects_bad_arguments(args, complaint):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("usage: stage_times.py")
     assert done.stderr.splitlines()[-1] == f"stage_times.py: error: {complaint}"
+    assert "Traceback" not in done.stderr
+
+
+def test_size_report_stays_within_max_n():
+    out = _run_script("size_report.py", "--seeds", "40", "--max-n", "4")
+    rows = [line.split(":")[0].strip() for line in out.splitlines() if line.startswith("  n=")]
+    assert set(rows) == {"n=2", "n=3", "n=4"}
+
+
+def test_size_report_exits_1_on_a_count_over_its_bound():
+    """With every summary bound lowered to 1, the n=3 row is over it."""
+    script = str(ROOT / "scripts" / "size_report.py")
+    done = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import runpy, sys, omegatrans.bounds as b; b.summaries = lambda n, k, ell: 1; "
+            f"sys.argv = ['size_report.py', '--seeds', '4']; runpy.run_path({script!r}, "
+            "run_name='__main__')",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-1] == (
+        "  n=3: max summaries 2 (bound 1), max forest nodes 0, edges 0 (bound 4)"
+    )
+    assert done.stderr == "n=3: max summaries 2 is over its bound 1\n"
+
+
+@pytest.mark.parametrize(
+    "args,complaint",
+    [
+        (["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+        (["--max-n", "1"], "argument --max-n: must be at least 2, got 1"),
+        (["--max-n", "0"], "argument --max-n: must be at least 2, got 0"),
+        (["--k", "-1"], "argument --k: must be at least 0, got -1"),
+        (["--ell", "0"], "argument --ell: must be at least 1, got 0"),
+    ],
+)
+def test_size_report_rejects_bad_arguments(args, complaint):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "size_report.py"), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1] == f"size_report.py: error: {complaint}"
     assert "Traceback" not in done.stderr

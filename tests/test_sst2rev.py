@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from omegatrans import machines
+from omegatrans.bounds import walker_states
 from omegatrans.buchi import dbt_to_rbt
 from omegatrans.compose import compose_reachable
 from omegatrans.evaluate import eval_sst, equiv_on_lassos
@@ -44,6 +45,7 @@ from support import (
     load_machine,
     merge_equal_states_on_updates,
     prune_unreachable,
+    reduce_sst,
     register_names_by_use,
     rename_registers,
 )
@@ -101,7 +103,7 @@ def test_identity_updates_give_single_letter_stream():
 
 def test_walker_shape(mcr_sst):
     walker = build_register_walker(mcr_sst)
-    assert len(walker.states) == 2 * len(mcr_sst.registers)
+    assert len(walker.states) == walker_states(len(mcr_sst.registers))
     assert walker.k == 0
     assert walker.initial.name == "out.done" and walker.initial.forward
     assert validate_reversible(walker)
@@ -283,16 +285,11 @@ def test_sst_to_reversible_rejects_an_undeclared_register():
         sst_to_reversible(sst)
 
 
-def reduce(sst):
-    """The register machine ``sst_to_reversible`` builds its stages from."""
-    return merge_equal_states(name_registers_by_use(drop_dead_registers(sst)))
-
-
 def test_walker_of_a_machine_without_transitions_is_valid():
     """A register machine that reduces to no transitions uses no update, so
     its walker reads an empty alphabet; it is still a valid machine, and
     the composition's input check accepts it."""
-    sst = reduce(two_way_to_sst(generate_two_way(0, 3, alphabet_size=2, density=1.0)))
+    sst = reduce_sst(two_way_to_sst(generate_two_way(0, 3, alphabet_size=2, density=1.0)))
     assert len(sst.states) == 1 and not sst.transitions
     walker = build_register_walker(sst)
     assert walker.input_alphabet == ()
@@ -340,7 +337,7 @@ def test_reachable_composition_matches_pruned_full_product():
 
 def test_pipeline_composes_the_reduced_stages():
     for i, sst in enumerate(_reference_ssts()):
-        assert sst_to_reversible(sst) == composed_stages(reduce(sst)), i
+        assert sst_to_reversible(sst) == composed_stages(reduce_sst(sst)), i
 
 
 # --- reducing the register machine ---------------------------------------------
@@ -360,7 +357,7 @@ def test_dead_register_is_emptied_and_equal_states_merge():
     assert merge_equal_states(sst) == sst
     dropped = drop_dead_registers(sst)
     assert dropped.transitions[(p, "a")].update == drop
-    assert reduce(sst) == CopylessParitySST(
+    assert reduce_sst(sst) == CopylessParitySST(
         ("a",), ("a",), (p,), p, {(p, "a"): SstTransition(p, drop, (0,))},
         ("out", "x"), "out", 1, 1,
     )
@@ -377,7 +374,7 @@ def test_states_with_different_colors_stay_apart():
         {(p, "a"): SstTransition(p, grow, (1,)), (q, "a"): SstTransition(q, grow, (0,))},
         ("out",), "out", 1, 2,
     )
-    assert reduce(sst) == sst
+    assert reduce_sst(sst) == sst
     assert eval_sst(sst, lw("", "a")).in_domain()
 
 
@@ -413,7 +410,7 @@ def corpus_ssts():
 
 def test_reduced_machine_is_valid_and_no_larger(corpus_ssts):
     for seed, sst in enumerate(corpus_ssts):
-        reduced = reduce(sst)
+        reduced = reduce_sst(sst)
         assert validate_sst_machine(reduced) == [], seed
         assert (reduced.registers, reduced.out, reduced.k, reduced.ell) == (
             sst.registers, sst.out, sst.k, sst.ell
@@ -465,15 +462,15 @@ def test_reducing_twice_equals_reducing_once(corpus_ssts):
     for seed, sst in enumerate(corpus_ssts):
         once = merge_equal_states(drop_dead_registers(sst))
         assert merge_equal_states(drop_dead_registers(once)) == once, seed
-        renamed = reduce(sst)
-        assert len(reduce(renamed).states) == len(renamed.states), seed
+        renamed = reduce_sst(sst)
+        assert len(reduce_sst(renamed).states) == len(renamed.states), seed
 
 
 def test_reduced_machine_has_the_same_verdicts_and_outputs(corpus_ssts):
     """Merged states can close a loop sooner, so only ``steps`` may differ."""
     lassos = enumerate_lassos(corpus_ssts[0].input_alphabet, 2, 3)
     for seed, sst in enumerate(corpus_ssts):
-        reduced = reduce(sst)
+        reduced = reduce_sst(sst)
         for w in lassos:
             before, after = eval_sst(sst, w), eval_sst(reduced, w)
             assert (after.verdict, after.output) == (before.verdict, before.output), (seed, w)
@@ -498,7 +495,7 @@ def det2rev_sources():
 
 def test_stream_states_are_a_permutation_of_the_register_machine_states(det2rev_sources):
     for seed, source in enumerate(det2rev_sources):
-        sst = reduce(two_way_to_sst(source))
+        sst = reduce_sst(two_way_to_sst(source))
         stream = sst_to_substitution_stream(sst)
         assert sorted(stream.states) == sorted(sst.states), seed
         assert stream.initial == sst.initial, seed
@@ -546,7 +543,7 @@ def test_median_order_shrinks_the_outline():
         {key: SstTransition(target, grow, (0,)) for key, target in moves.items()},
         ("out",), "out", 1, 1,
     )
-    assert reduce(sst) == sst
+    assert reduce_sst(sst) == sst
     stream = sst_to_substitution_stream(sst)
     assert stream.states == (q1, q0, q2)
     declared = dataclasses.replace(stream, states=sst.states)
