@@ -120,7 +120,7 @@ _MARKING = ("--marking", dict(
 # flags as (flag, add_argument options), and the text written to the
 # optional ``out`` argument, computed from (args, *machines).
 BUILD_COMMANDS = (
-    ("compose", "compose two reversible transducers (first then second), reachable pairs only",
+    ("compose", "compose two reversible transducers (first then second), only pairs a run can reach",
      ("first", "second"), (), lambda args, a, b: dumps_machine(compose_reachable(a, b))),
     ("1w2rev", "one-way deterministic to reversible two-way",
      ("machine",), (), lambda args, m: dumps_machine(one_way_to_reversible(m))),

@@ -262,26 +262,6 @@ def _sst_to_substitution_stream(sst: CopylessParitySST) -> TwoWayParityTransduce
     )
 
 
-def _occurrence(update: Substitution, register: str):
-    """Where ``register`` occurs across the images: (holder, holder's image,
-    index in that image) or None.  Copylessness makes the occurrence unique."""
-    for holder, img in update.images:
-        for i, (kind, value) in enumerate(img):
-            if kind == "reg" and value == register:
-                return holder, img, i
-    return None
-
-
-def _walk_on(img, start: int, holder: str, fetch: dict, done: dict) -> Transition:
-    """The walk's move from ``img[start]`` on: emit the letters up to the
-    next register token and fetch that register, or, if none is left, the
-    holder is done."""
-    for j in range(start, len(img)):
-        if img[j][0] == "reg":
-            return Transition(fetch[img[j][1]], tuple(v for _, v in img[start:j]), ())
-    return Transition(done[holder], tuple(v for _, v in img[start:]), ())
-
-
 def build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     """Reversible two-way transducer over the substitution stream producing
     the out register's content.
@@ -301,17 +281,25 @@ def _build_register_walker(sst: CopylessParitySST) -> TwoWayParityTransducer:
     alphabet = substitution_alphabet(sst)
     fetch = {r: State(f"{r}.fetch", False) for r in sst.registers}
     done = {r: State(f"{r}.done", True) for r in sst.registers}
-    transitions: dict = {}
-    for r in sst.registers:
-        transitions[(fetch[r], LEFT_END)] = Transition(done[r], (), ())
-        for sigma in alphabet:
-            transitions[(fetch[r], sigma)] = _walk_on(sigma.image(r), 0, r, fetch, done)
-        for sigma in alphabet:
-            occ = _occurrence(sigma, r)
-            if occ is None:
-                continue  # register dropped: the walk stops and rejects
-            holder, img, i = occ
-            transitions[(done[r], sigma)] = _walk_on(img, i + 1, holder, fetch, done)
+    transitions: dict = {(fetch[r], LEFT_END): Transition(done[r], (), ()) for r in sst.registers}
+    for sigma in alphabet:
+        images = dict(sigma.images)
+        for holder in sst.registers:
+            # One pass over the holder's image: fetching the holder starts
+            # at its first letter, and each register in it, once done,
+            # goes on after itself.  Each run of letters is emitted by the
+            # move into the next register's fetch, or the holder's done.
+            # A register in no image has no done move: the walk stops and
+            # rejects.
+            state, start = fetch[holder], 0
+            img = images.get(holder, ())
+            for i, (kind, value) in enumerate(img):
+                if kind == "reg":
+                    letters = tuple(v for _, v in img[start:i])
+                    transitions[(state, sigma)] = Transition(fetch[value], letters, ())
+                    state, start = done[value], i + 1
+            letters = tuple(v for _, v in img[start:])
+            transitions[(state, sigma)] = Transition(done[holder], letters, ())
     states = tuple(done[r] for r in sst.registers) + tuple(fetch[r] for r in sst.registers)
     return TwoWayParityTransducer(
         input_alphabet=alphabet,
@@ -333,10 +321,11 @@ def sst_to_reversible(sst: CopylessParitySST) -> TwoWayParityTransducer:
     ``merge_equal_states``: fewer distinct updates and fewer states make
     both smaller, the walker reaches only registers that feed ``out``, and
     registers named by use let one walker state serve the same role at
-    many stream states.  Only the composition's pairs reachable
-    from the initial pair are built, so no prune pass follows.  ``ell`` is
-    one above the largest color the kept transitions use, which can be
-    below the full product's bound.
+    many stream states.  The composition builds only the pairs and moves
+    a run can reach, in the order its walk finds them (see
+    ``compose_reachable``), so no prune pass follows.  ``ell`` is one
+    above the largest color the kept transitions use, which can be below
+    the full product's bound.
     """
     require(sst, CopylessParitySST, "sst_to_reversible")
     return _sst_to_reversible(sst)

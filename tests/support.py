@@ -186,7 +186,8 @@ def abv(machine: TwoWayParityTransducer, a, q: State) -> Optional[State]:
 def full_product(first, second) -> TwoWayParityTransducer:
     """The composition of ``first`` then ``second`` over all |Q|·|P| pairs,
     straight from the definition: the reference ``compose_reachable`` is
-    checked against, once pruned to the reachable pairs.
+    checked against, once pruned to the reachable pairs and walked
+    (``walked_composition``).
 
     A pair (q, p) is forward when q and p have the same polarity.  On each
     letter, a forward p steps ``first`` forward from q, and a backward p
@@ -240,9 +241,9 @@ def full_product(first, second) -> TwoWayParityTransducer:
 def prune_unreachable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     """Restrict to the states reachable from the initial state, listed in
     the order a breadth-first search first reaches them, trying letters in
-    alphabet order and then the endmarker; ``prune_unreachable(full_product(a,
-    b))`` is the reference ``compose_reachable(a, b)`` is checked against
-    (up to ``ell``)."""
+    alphabet order and then the endmarker; ``walked_composition`` walks
+    ``prune_unreachable(full_product(a, b))`` for the reference
+    ``compose_reachable(a, b)`` is checked against."""
     letters = (*machine.input_alphabet, LEFT_END)
     states = [machine.initial]
     reached = {machine.initial}
@@ -386,6 +387,83 @@ def drop_untakeable(machine: TwoWayParityTransducer) -> TwoWayParityTransducer:
     walked = takeable(machine)
     alive = {machine.initial, *(tr.target for tr in walked.transitions.values())}
     return replace(walked, states=tuple(s for s in machine.states if s in alive))
+
+
+# Window slots besides letters and the endmarker: a letter not read yet, and
+# a position left of the endmarker.
+UNREAD, GONE = object(), object()
+
+
+def window_walk(machine: TwoWayParityTransducer, left: int, right: int) -> set[tuple]:
+    """The (state, letter) keys a walk over abstract configurations asks
+    ``machine`` for: the reference for ``walk_takeable`` and for the
+    composition's walk, by brute force over tuples.
+
+    A configuration is (state, the ``left`` slots left of the head, nearest
+    first, the ``right`` slots right of it, nearest first).  A forward state
+    reads the nearest slot on the right and a backward one the nearest on
+    the left; an unread slot, or no slot at all, stands for every letter,
+    and on the left also for the endmarker.  The head moves as ``advance``
+    moves it, and the slots shift with it.
+    """
+    letters = tuple(machine.input_alphabet)
+    at_start = ((LEFT_END,) + (GONE,) * left)[:left]
+    start = (machine.initial, at_start, (UNREAD,) * right)
+    seen = {start}
+    todo = [start]
+    asked = set()
+    while todo:
+        state, lhs, rhs = todo.pop()
+        if state.forward:
+            near = rhs[0] if rhs else UNREAD
+            options = letters if near is UNREAD else (near,)
+        else:
+            near = lhs[0] if lhs else UNREAD
+            options = letters + (LEFT_END,) if near is UNREAD else (near,)
+        for c in options:
+            asked.add((state, c))
+            tr = machine.transitions.get((state, c))
+            if tr is None:
+                continue
+            if state.forward and tr.target.forward:  # one step right
+                lhs2, rhs2 = ((c,) + lhs)[:left], rhs[1:] + (UNREAD,)
+            elif state.forward:  # turn, the letter read now on the right
+                lhs2, rhs2 = lhs, ((c,) + rhs[1:])[:right]
+            elif c == LEFT_END:  # the head stays on the endmarker
+                lhs2, rhs2 = at_start, rhs
+            elif tr.target.forward:  # turn, the letter read still on the left
+                lhs2, rhs2 = ((c,) + lhs[1:])[:left], rhs
+            else:  # one step left
+                fill = GONE if lhs and lhs[-1] in (LEFT_END, GONE) else UNREAD
+                lhs2, rhs2 = lhs[1:] + (fill,), ((c,) + rhs)[:right]
+            config = (tr.target, lhs2, rhs2)
+            if config not in seen:
+                seen.add(config)
+                todo.append(config)
+    return asked
+
+
+def walked(machine: TwoWayParityTransducer, left: int, right: int) -> TwoWayParityTransducer:
+    """``machine`` with only the moves ``window_walk`` asks for, and only
+    the initial state and the states those moves enter, in the machine's
+    order."""
+    asked = window_walk(machine, left, right)
+    transitions = {key: tr for key, tr in machine.transitions.items() if key in asked}
+    alive = {machine.initial, *(tr.target for tr in transitions.values())}
+    states = tuple(s for s in machine.states if s in alive)
+    return replace(machine, states=states, transitions=transitions)
+
+
+def walked_composition(first, second) -> TwoWayParityTransducer:
+    """The reference ``compose_reachable(first, second)`` is checked
+    against, up to state order and ``ell``: the reachable full product,
+    walked with one slot right of the head."""
+    return walked(prune_unreachable(full_product(first, second)), 0, 1)
+
+
+def equal_up_to_state_order(a: TwoWayParityTransducer, b: TwoWayParityTransducer) -> bool:
+    """Equal machines but for the order their states are declared in."""
+    return set(a.states) == set(b.states) and a == replace(b, states=a.states)
 
 
 def content_digest(machine: TwoWayParityTransducer) -> str:

@@ -24,7 +24,13 @@ from omegatrans.machines import (
 from omegatrans.oneway import one_way_to_reversible
 from omegatrans.generate import generate_one_way
 from builtin import identity_transducer
-from support import check_two_stage, full_product, prune_unreachable
+from support import (
+    check_two_stage,
+    equal_up_to_state_order,
+    full_product,
+    prune_unreachable,
+    walked_composition,
+)
 
 
 def lw(prefix, period):
@@ -176,8 +182,8 @@ def test_two_stage_agreement_random_pairs(lassos_ab):
         second = one_way_to_reversible(generate_one_way(2 * seed + 1, n=3, k=1, ell=2))
         composed = compose_reachable(first, second)
         assert validate_reversible(composed)
-        pruned = prune_unreachable(full_product(first, second))
-        assert composed == replace(pruned, ell=composed.ell), seed
+        reference = walked_composition(first, second)
+        assert equal_up_to_state_order(composed, replace(reference, ell=composed.ell)), seed
         failures, _ = check_two_stage(first, second, composed, lassos_ab)
         assert failures == [], (seed, failures[:3])
 

@@ -41,16 +41,16 @@ def outputs():
 # fix the order of states and transitions as well as the machine; what the
 # machine is, whatever its order, is pinned by PINNED_CONTENT below.
 PINNED_DET2REV = [
-    (0, 36, "506f67c9479d0b2b74fe19d903f191e7813dfcf862c2dc526f0d3d6d8a690a78"),
-    (1, 2597, "e252a2979aa00cc0e3e2f00927e2ae1cabc51ac8cc7e2ec083c1f90f492a3645"),
-    (2, 44, "be3210cf2a21afdfd06c486e72346731cad118c96b2adfbaaee06aa4c2f565ba"),
-    (3, 35, "2959b15afcd896624d8c474a9a90b2904af19a7ba73bb5eaa14692d45766379e"),
-    (4, 182, "96d5b17e230dbe2d08dd125613b192666b6993030ad8eaef3ba1b865448e9884"),
+    (0, 22, "763d859acefa1a6d6f11ad7cbb8132e7c45f9756f5343d4f1466c9be1a5804fa"),
+    (1, 2597, "da9133af90c8da3f797b95f6b414db620920f284bd36b27858e66b1725b5b1ed"),
+    (2, 44, "ff45e9125013ebae5bb38832a8ce70be5a883939a0c682489e49ce7a825a1c32"),
+    (3, 34, "8385eee41195fc280928bc4a1afdfa69cd43fa6fd7ee0558dfc5bb8d27c70bdc"),
+    (4, 182, "e06b597caff24582422c7176f0318660feb51938f95d2d16a83259f9e3b275e7"),
     (5, 1, "3bf4d3123a4e8281a5a9cc92912ca3c0fe6dabb2b80f21f73781ed0104f8cb20"),
-    (6, 4422, "f541e1e7364f5de5519b22c30a7ef4ec791a6446bbced0cf399d4f11c9760f2b"),
+    (6, 3816, "d5f0ffca2c85d9d85bdcd1e9cb0ca61a699278e76bc50a1ea839b2ce5836a340"),
     (7, 33, "115d2785d1677336cb4140de1ae4e0eb029666718ec9effe204dff9f0f44c79d"),
-    (8, 524, "27cba440d28e1e6d7ed2f8cda4518f8d924a801ce8a04f382059fb8f688e098a"),
-    (9, 436, "ba8b060145d6edec521db57ae6ce73a710663fedf0e37b401f050986ba1c810b"),
+    (8, 524, "2977281a2c3c8a44c3e136f7aef4aab8d01f814d5ffbce1ee60e04a6d21dcf04"),
+    (9, 435, "1fd375228977e02f82069134c123d29b4bd7eabe6459f1791a49a263ebd72d44"),
     (10, 3, "fa131a02f15eb74333a7ecf6ccdeb17d07aabf11d133689993a815d00fa41113"),
     (11, 5, "90d75cfed1ed49bcad890923e5f045b1ba2e6cb1bbe02b18eca1bd0664ceeddd"),
 ]
@@ -64,14 +64,14 @@ def test_det2rev_outputs_are_pinned(outputs):
 
 def test_reachable_composition_of_outputs_is_pinned(outputs):
     composed = compose_reachable(outputs[7], outputs[4])
-    assert (len(composed.states), len(composed.transitions)) == (5912, 8957)
-    assert digest(composed) == "4c117f99bf79a1758aebcdaf73a63ab14f06efdcd4df15b31d6a898118cddec4"
+    assert (len(composed.states), len(composed.transitions)) == (5906, 8878)
+    assert digest(composed) == "78fb553016f4cf46ccdb11773d38d1ffc72d5212ba0c343ad3ffcc23354ba336"
 
 
 def test_full_composition_of_outputs_is_pinned(outputs):
     composed = full_product(outputs[11], outputs[4])
     assert len(composed.states) == 5 * 182
-    assert digest(composed) == "090b1045f74f8de6085ab63e3997589d4f691d23706678f2f69335a9bf6bfb80"
+    assert digest(composed) == "6b3b5b6212b8c672f2b2f4c4344e50ce4b8a6130c1c5695197f8d5426dded41f"
 
 
 @pytest.fixture(scope="module")
@@ -103,25 +103,25 @@ def test_equal_transitions_are_one_object(outputs, one_way_outputs):
 # sources.  A change that only reorders states or transitions keeps these.
 PINNED_CONTENT = [
     (0, "087849db9f132f8e918f8de4737aa4534f4e5f08f1d88c50f5af88a4959e53d5",
-         "1ee9c6d24fbf779c4b777f2a1ed3e3903e49c834012de3c5a905f2fd008609a3"),
+         "d9f2f3f4d06b2b26266e4a44cadfe58563abcd2548f938014eeae4b76beeba30"),
     (1, "31999a6cf72c639435824dba7277e7cb9254727a245caef9ce340ebcb8cfa844",
-         "12f7e514f9a5c2e6d5bdc7c1f6a2c44a4f007d26f7a93219b896910ae78c23e0"),
+         "4cb412b2909059799b7e9c81b8716818faeb169f859929709a50a7dcb4d9732a"),
     (2, "098146ae98d32a2bb43f0eb498b817277bd4b9b7328bc606b4d744e6ad537623",
          "afdf592e65ca0857111049dbad6da09472500e2846909010e64744f370dde9e8"),
     (3, "752baa6731d0eb8e96275bf039586d9d568732abd09e1e7ff1fffd8a71467521",
-         "8ce20a9c2d9b888c29c3fbc89bb1e6b198166922b5a29611d8748766fd9222c2"),
+         "9dd740cd77ac540190843c9079cbf021a2618a6edc8688445ac3cd20f8d8be83"),
     (4, "016fffef151c1ad71cbd14a10eebee8ef409044469c4e64747f2c5c6a7d26677",
          "017e4829a2f823e4b5a6dcdd40caffb9827c092eeac1b0f357da0d13bb71fa32"),
     (5, "b3e12c032597073b82541a827f105c3801839a62d727d7fd58b8d50f43c59761",
          "d1a993c4e507fae94a73d2ac1b8fa8dd896ee97722a1fff49eb240894037ff13"),
     (6, "b89635dd86b229395b6213584f5d31cffc78cb3ef0a08da63016307b087de558",
-         "fa2aaf9585feb9a4f55f5946cca48f086b73516586f1eb02812e7a6ec342359f"),
+         "e84c8e1234f1fe53b656caf7c24f8d1e2893b4b3b5cbcdab716e224a6e655515"),
     (7, "80dc40989fd8f09c810c1f51014ba7938ffd3b50f2389bb34b568445e95740a5",
          "cf9233263180f494170cc2596eea5921496e8d5ed62bb38a74f875063b88e7d5"),
     (8, "7b31d6aebb7c1a20f6fee0cd4a93d8a8fb610b696210cdf538b7866c73a03b1d",
          "76d5b477d89f24c326793d794315a284170c7d36a4eead01a5e5668072e22cb8"),
     (9, "b38eba46cd9303b40989609d4dbbc398b487340b8bfa485c6842524658b2a124",
-         "47188ee790f1232d9ece086f204a96d4533bc3608bce8d96bcc556d119c8a52b"),
+         "6ed9050da634e1d7d6a63f2f5aa2a2064233bf06a39218beee5ecbcb7fc57698"),
     (10, "0e6f498785f555ece80d818b095bb842cf6c14a30017d8b371ca7a2b40203424",
          "abf1ca8f0fd43487bf644ba0bb761c1c35759edf2e658f68f855ecbfb480d079"),
     (11, "79671bd0a421ba1345b3e6bbf5fc281c3b68e1665115f7fb746cf56b91865fb8",

@@ -50,7 +50,7 @@ def test_stage_times_on_the_det2rev_corpus():
     # Three n=7 sources, k=1, ell=2: 3 · 802,887,856,528,576.
     assert counts["summary_bound"] == 2_408_663_569_585_728
     assert (counts["max_forest_edges"], counts["max_forest_edges_bound"]) == (5, 12)
-    assert counts["output_states"] == 36 + 2597 + 44
+    assert counts["output_states"] == 22 + 2597 + 44
     # The reduced machines, and so the streams, of seeds 0-2 have 3, 15 and
     # 5 states (3, 18 and 5 without naming registers by use).
     assert counts["reduced_register_states"] == 3 + 15 + 5
@@ -128,7 +128,7 @@ def test_stage_times_on_the_compose_corpus():
     assert list(counts) == [
         "reached_pairs", "product_bound", "output_transitions", "distinct_transitions",
     ]
-    assert counts["product_bound"] == 2 * (36 * 44 + 36 * 35 + 44 * 35)
+    assert counts["product_bound"] == 2 * (22 * 44 + 22 * 34 + 44 * 34)
     assert 0 < counts["reached_pairs"] <= counts["product_bound"]
     assert 0 < counts["distinct_transitions"] <= counts["output_transitions"]
 
